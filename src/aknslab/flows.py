@@ -152,6 +152,11 @@ class Integrator:
             )
         self.mu = self._linear_symbol(xi)
         self._warm: dict[float, np.ndarray] = {}
+        self.fp_solves = 0
+        self.fp_iterations = 0
+        self.fp_min_iterations = math.inf
+        self.fp_max_iterations = 0
+        self.fp_worst_residual = 0.0
         if spec.scheme == "etd4":
             self._etd = _etd4_coefficients(self.mu, spec.dt)
 
@@ -180,27 +185,40 @@ class Integrator:
         xi = self.grid.xi
         return (1.0 / (2.0 * kap - 1j * xi), 1.0 / (2.0 * kap + 1j * xi))
 
+    def _solve(self, q: np.ndarray, r: np.ndarray, kappa: float):
+        """Warm-started fixed point at ``kappa``; records its work."""
+        g12, g21, gamma, iters, res = fixed_point_raw(
+            self.grid, q, r, kappa, tol=self.spec.fp_tol,
+            gamma0=self._warm.get(kappa))
+        self._warm[kappa] = gamma
+        self.fp_solves += 1
+        self.fp_iterations += iters
+        self.fp_min_iterations = min(self.fp_min_iterations, iters)
+        self.fp_max_iterations = max(self.fp_max_iterations, iters)
+        self.fp_worst_residual = max(self.fp_worst_residual, res)
+        return g12, g21
+
+    def fp_stats(self) -> dict:
+        """Fixed-point iterations per solve (min, mean, max) and the largest
+        final residual over every solve so far; empty before the first."""
+        if not self.fp_solves:
+            return {}
+        return {"fp_iterations": {"min": self.fp_min_iterations,
+                                  "mean": self.fp_iterations / self.fp_solves,
+                                  "max": self.fp_max_iterations},
+                "fp_worst_residual": self.fp_worst_residual}
+
     def _g12_pm(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g12 at +/-kappa with warm-started fixed points."""
         kap = self.spec.kappa
         r = self.sign * np.conj(q)
-        out = []
-        for k in (kap, -kap):
-            g12, _, gamma, _, _ = fixed_point_raw(
-                self.grid, q, r, k, tol=self.spec.fp_tol,
-                gamma0=self._warm.get(k))
-            self._warm[k] = gamma
-            out.append(g12)
-        return out[0], out[1]
+        return self._solve(q, r, kap)[0], self._solve(q, r, -kap)[0]
 
     def rhs(self, q: np.ndarray, r: np.ndarray | None = None):
         """Full right-hand side dq/dt (and dr/dt for the generating flow)."""
         if self.spec.kind == "a_flow":
             rr = self.sign * np.conj(q) if r is None else r
-            g12, g21, gamma, _, _ = fixed_point_raw(
-                self.grid, q, rr, self.spec.kappa, tol=self.spec.fp_tol,
-                gamma0=self._warm.get(self.spec.kappa))
-            self._warm[self.spec.kappa] = gamma
+            g12, g21 = self._solve(q, rr, self.spec.kappa)
             return 1j * g12, 1j * g21
         lin = np.fft.ifft(self.mu * np.fft.fft(q))
         return lin + self._nonlinear(q)
@@ -350,24 +368,26 @@ def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory
     states = [q.copy()]
     r_states = [r.copy()] if pair else None
     started = _time.perf_counter()
-    for n in range(1, n_steps + 1):
-        if pair:
-            q, r = stepper.step(q, r)
-        else:
-            q = stepper.step(q)
-        if not np.all(np.isfinite(q)) or (pair and not np.all(np.isfinite(r))):
-            raise NumericalBlowup(
-                f"non-finite state at t = {n * spec.dt:.6g}; "
-                f"last valid time {(n - 1) * spec.dt:.6g}",
-                (n - 1) * spec.dt,
-            )
-        if n % spec.snapshot_stride == 0 or n == n_steps:
-            times.append(n * spec.dt)
-            states.append(q.copy())
+    # overflow and NaN in a failing step are caught by the finite check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
             if pair:
-                r_states.append(r.copy())
-    stats = {"steps": n_steps, "rejected_steps": 0,
-             "wall_time": _time.perf_counter() - started}
+                q, r = stepper.step(q, r)
+            else:
+                q = stepper.step(q)
+            if not np.all(np.isfinite(q)) or (pair and not np.all(np.isfinite(r))):
+                raise NumericalBlowup(
+                    f"non-finite state at t = {n * spec.dt:.6g}; "
+                    f"last valid time {(n - 1) * spec.dt:.6g}",
+                    (n - 1) * spec.dt,
+                )
+            if n % spec.snapshot_stride == 0 or n == n_steps:
+                times.append(n * spec.dt)
+                states.append(q.copy())
+                if pair:
+                    r_states.append(r.copy())
+    stats = {"steps": n_steps, "wall_time": _time.perf_counter() - started,
+             **stepper.fp_stats()}
     return Trajectory(spec, f.grid, f.sign, times, states, r_states, stats)
 
 

@@ -239,14 +239,26 @@ def _downsample(coeffs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def to_fine_grid(coeffs: np.ndarray) -> np.ndarray:
+    """Values on the 2N padded grid of the band-limited function whose N raw
+    ``np.fft`` coefficients are ``coeffs``."""
+    return np.fft.ifft(_upsample(coeffs, 2 * coeffs.shape[0])) * 2.0
+
+
+def from_fine_grid(values: np.ndarray, n: int) -> np.ndarray:
+    """The N raw ``np.fft`` coefficients of the coarse band of values on the
+    2N padded grid.  Applied to a product of two ``to_fine_grid`` factors it
+    gives the Galerkin product; it is linear, so a sum of such products may
+    be truncated once."""
+    return _downsample(np.fft.fft(values), n) * 0.5
+
+
 def dealiased_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise product of two grid functions with zero-padded transforms."""
-    n = a.shape[0]
-    m = 2 * n
-    fine_a = np.fft.ifft(_upsample(np.fft.fft(a), m)) * 2.0
-    fine_b = np.fft.ifft(_upsample(np.fft.fft(b), m)) * 2.0
-    prod = np.fft.fft(fine_a * fine_b)
-    return np.fft.ifft(_downsample(prod, n)) * 0.5
+    prod = np.fft.fft(to_fine_grid(np.fft.fft(a)) * to_fine_grid(np.fft.fft(b)))
+    # halving after the inverse transform (not before, as in from_fine_grid)
+    # keeps this product bit-identical on subnormal data
+    return np.fft.ifft(_downsample(prod, a.shape[0])) * 0.5
 
 
 def dealiased_product(*factors: np.ndarray) -> np.ndarray:

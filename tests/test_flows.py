@@ -58,6 +58,15 @@ class TestFlowSpec:
             Trajectory(FlowSpec("nls", 1e-3, 1.0), grid, 1, [0.0, 0.0],
                        [small_gaussian.values] * 2)
 
+    def test_fixed_point_work_in_stats(self, grid, small_gaussian):
+        spec = FlowSpec("nls_diff", 1e-3, 3e-3, kappa=2.0, fp_tol=1e-11)
+        stats = evolve(small_gaussian, spec).stats
+        its = stats["fp_iterations"]
+        assert 1 <= its["min"] <= its["mean"] <= its["max"]
+        assert 0.0 < stats["fp_worst_residual"] < spec.fp_tol
+        plain = evolve(small_gaussian, FlowSpec("nls", 1e-3, 3e-3)).stats
+        assert set(plain) == {"steps", "wall_time"}
+
 
 class TestFullFlows:
     def test_zero_field_stays_zero(self, grid):

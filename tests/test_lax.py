@@ -13,6 +13,7 @@ from aknslab.lax import (
     NonContraction,
     alpha,
     density_raw,
+    fixed_point_raw,
     greens_fixed_point,
     greens_oracle,
     greens_series,
@@ -22,7 +23,15 @@ from aknslab.lax import (
     triple_at_minus_kappa,
 )
 from aknslab.profiles import constant, gaussian, plane_wave, random_schwartz
-from aknslab.spectral import Field, Grid, diff, sobolev_norm
+from aknslab.spectral import (
+    Field,
+    Grid,
+    apply_multiplier,
+    dealiased_mul,
+    diff,
+    inverse_shift_symbol,
+    sobolev_norm,
+)
 
 from conftest import l2, rel_l2
 
@@ -149,6 +158,71 @@ class TestFixedPoint:
     def test_kappa_below_one_rejected(self, grid, small_gaussian):
         with pytest.raises(LaxError):
             greens_fixed_point(small_gaussian, 0.9)
+
+
+def reference_fixed_point(grid, q, r, kappa, tol=1e-12, max_iter=200, gamma0=None):
+    """The physical-space fixed point built from dealiased_mul and
+    apply_multiplier: the reference the Fourier-resident kernel must match."""
+    inv_m = inverse_shift_symbol(2.0 * kappa, -1)(grid.xi)
+    inv_p = inverse_shift_symbol(2.0 * kappa, +1)(grid.xi)
+    gamma = np.zeros_like(q) if gamma0 is None else gamma0.astype(np.complex128)
+    damping = 1.0
+    prev_res = np.inf
+    growths = 0
+    for it in range(1, max_iter + 1):
+        g12 = -apply_multiplier(q + dealiased_mul(gamma, q), inv_m, grid)
+        g21 = apply_multiplier(r + dealiased_mul(gamma, r), inv_p, grid)
+        update = (2.0 * dealiased_mul(g12, g21)
+                  - 0.5 * dealiased_mul(gamma, gamma))
+        diff_ = update - gamma
+        res = math.sqrt(grid.dx * float(np.sum(np.abs(diff_) ** 2)))
+        gamma = gamma + damping * diff_
+        if res < tol:
+            g12 = -apply_multiplier(q + dealiased_mul(gamma, q), inv_m, grid)
+            g21 = apply_multiplier(r + dealiased_mul(gamma, r), inv_p, grid)
+            return g12, g21, gamma, it, res
+        if res >= prev_res:
+            growths += 1
+            damping = 0.5
+            if growths >= 3:
+                raise NonContraction("reference diverging")
+        else:
+            growths = 0
+        prev_res = res
+    raise NonContraction("reference did not converge")
+
+
+class TestFixedPointKernel:
+    """fixed_point_raw against the physical-space reference loop."""
+
+    @pytest.mark.parametrize("points", [64, 256, 1024])
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 4.0, -4.0, 16.0])
+    def test_matches_reference(self, points, kappa):
+        grid = Grid(64.0, points)
+        rng = np.random.default_rng(points)
+        # a Gaussian is under-resolved at N=64, so the top modes take part
+        q = gaussian(grid, 0.1).values * np.exp(0.5j * grid.x)
+        partners = {"slaved": np.conj(q),
+                    "independent": random_schwartz(grid, rng, sign=-1).values}
+        for name, r in partners.items():
+            cold = reference_fixed_point(grid, q, r, kappa)
+            # warm start from the triple of nearby data, as a flow step does
+            q1, r1 = 1.01 * q, 0.99 * r
+            cases = {"cold": ((q, r, None), cold),
+                     "warm": ((q1, r1, cold[2]),
+                              reference_fixed_point(grid, q1, r1, kappa, gamma0=cold[2]))}
+            for start, ((qq, rr, gamma0), want) in cases.items():
+                got = fixed_point_raw(grid, qq, rr, kappa, gamma0=gamma0)
+                assert got[3] == want[3], (name, start)
+                for k in range(3):
+                    err = np.linalg.norm(got[k] - want[k]) / np.linalg.norm(want[k])
+                    assert err <= 1e-13, (name, start, k, err)
+
+    def test_non_contraction_still_raised(self, grid):
+        f = gaussian(grid, 3.0)
+        for solve in (reference_fixed_point, fixed_point_raw):
+            with pytest.raises(NonContraction):
+                solve(grid, f.values, f.r, 1.0, max_iter=400)
 
 
 class TestDeterminant:
