@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,30 +37,17 @@ def _prepare_out(cfg: ExperimentConfig, subcommand: str) -> str:
     return out
 
 
-def _fan_out(items, worker, threads: int):
-    if threads <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
-
-
 def cmd_green(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg, "green")
     f = cfg.make_field()
     grid = f.grid
     rows = []
-
-    def one(kappa: float):
-        triple = lax.greens_fixed_point(f, kappa, tol=cfg.flow.fp_tol)
-        entries = [("fixed_point", triple)]
-        series = lax.greens_series(f, kappa, 3)
-        entries.append(("series(3)", series))
+    for kappa in cfg.diagnostics.kappas:
+        entries = [("fixed_point", lax.greens_fixed_point(f, kappa, tol=cfg.flow.fp_tol)),
+                   ("series(3)", lax.greens_series(f, kappa, 3))]
         if grid.points <= lax.ORACLE_MAX_POINTS and \
                 abs(kappa) * grid.length >= lax.ORACLE_MIN_KAPPA_L:
             entries.append(("oracle", lax.greens_oracle(f, kappa)))
-        return kappa, entries
-
-    for kappa, entries in _fan_out(list(cfg.diagnostics.kappas), one, cfg.threads):
         reference = dict(entries).get("oracle", entries[0][1])
         for method, triple in entries:
             for part in ("g12", "g21", "gamma"):
@@ -143,9 +129,6 @@ def cmd_smoothing(cfg: ExperimentConfig) -> int:
 
 
 def cmd_micro(cfg: ExperimentConfig) -> int:
-    from .hierarchy import current as current_of, density as density_of
-    from .lax import greens_fixed_point
-
     out = _prepare_out(cfg, "micro")
     _, traj = _run_flow(cfg)
     rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa,
@@ -154,28 +137,11 @@ def cmd_micro(cfg: ExperimentConfig) -> int:
     write_csv(os.path.join(out, "integrated.csv"),
               ["h", "flux_side", "density_side", "gap", "relative_gap"],
               [[h, lhs, rhs, gap, rel] for h, lhs, rhs, gap, rel in rep.integrated])
-    # per-snapshot (x, density, current) samples for plotting
-    flavor = cfg.diagnostics.flavor
-    vk = cfg.diagnostics.varkappa
-    rows = []
-    for i in range(len(traj)):
-        f = traj.field(i)
-        r = traj.partner(i)
-        triple = greens_fixed_point(f, vk, tol=cfg.flow.fp_tol, r=r)
-        extra = ()
-        if flavor in ("a_flow", "nls_diff", "mkdv_diff"):
-            plus = greens_fixed_point(f, traj.spec.kappa, tol=cfg.flow.fp_tol, r=r)
-            if flavor == "a_flow":
-                extra = (plus,)
-            else:
-                minus = greens_fixed_point(f, -traj.spec.kappa,
-                                           tol=cfg.flow.fp_tol, r=r)
-                extra = (plus, minus)
-        rho = density_of(f, triple, tilde=flavor == "tilde_mkdv", r=r)
-        j = current_of(f, flavor, triple, extra, r=r)
-        t = traj.times[i]
-        for x, d, c in zip(traj.grid.x, rho, j):
-            rows.append([t, x, d, c])
+    # the (x, density, current) samples the residual was measured on; a
+    # generator, so the N rows per snapshot are never all held at once
+    rows = ((t, x, d, c)
+            for t, rho, j in zip(traj.times, rep.densities, rep.currents)
+            for x, d, c in zip(traj.grid.x, rho, j))
     write_csv(os.path.join(out, "density_current.csv"),
               ["t", "x", "density", "current"], rows)
     write_json(os.path.join(out, "pointwise.json"),
@@ -274,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default="", help="JSON config path")
         p.add_argument("--out", default="", help="output directory")
-        p.add_argument("--threads", type=int, default=0, help="sweep fan-out")
         p.add_argument("--seed", type=int, default=-1, help="RNG seed")
     return parser
 
@@ -289,8 +254,6 @@ def main(argv=None) -> int:
         cfg.apply_env()
         if args.out:
             cfg.out = args.out
-        if args.threads > 0:
-            cfg.threads = args.threads
         if args.seed >= 0:
             cfg.seed = args.seed
     except (ConfigError, OSError, ValueError) as exc:

@@ -88,7 +88,6 @@ class ExperimentConfig:
     diagnostics: DiagnosticsConfig = dc_field(default_factory=DiagnosticsConfig)
     out: str = "out"
     seed: int = 0
-    threads: int = 1
 
     # -- serialization -----------------------------------------------------
 
@@ -124,8 +123,6 @@ class ExperimentConfig:
     def apply_env(self, env=os.environ) -> None:
         if ENV_PREFIX + "SEED" in env:
             self.seed = int(env[ENV_PREFIX + "SEED"])
-        if ENV_PREFIX + "THREADS" in env:
-            self.threads = int(env[ENV_PREFIX + "THREADS"])
         if ENV_PREFIX + "OUT" in env:
             self.out = env[ENV_PREFIX + "OUT"]
 
@@ -175,6 +172,6 @@ def config_reference() -> str:
         else:
             lines.append(f"{section_field.name} = {value!r}")
         lines.append("")
-    lines.append("environment overrides: AKNSLAB_SEED, AKNSLAB_THREADS, AKNSLAB_OUT")
+    lines.append("environment overrides: AKNSLAB_SEED, AKNSLAB_OUT")
     lines.append("data profiles: " + ", ".join(PROFILES))
     return "\n".join(lines) + "\n"

@@ -108,6 +108,8 @@ class ResidualReport:
     pointwise_l1: float
     pointwise_max: float
     integrated: list      # rows (h, lhs, rhs, gap, rel_gap)
+    densities: list       # density at each snapshot
+    currents: list        # matched current at each snapshot
 
     def max_rel_gap(self) -> float:
         return max(row[4] for row in self.integrated)
@@ -199,7 +201,7 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
         rel = gap / max(abs(lhs), abs(rhs), floor)
         rows.append((float(h), lhs, rhs, gap, rel))
     return ResidualReport(flavor, varkappa, kap, traj.spec.dt,
-                          float(times[-1] - times[0]), l1, sup, rows)
+                          float(times[-1] - times[0]), l1, sup, rows, rhos, currents)
 
 
 def residual_refinement(q0: Field, varkappa: float, flavor: str, dts: tuple,

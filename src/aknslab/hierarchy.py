@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lax import GreensTriple, LaxError, density_raw
+from .lax import GreensTriple, density_denominator, density_raw
 from .spectral import Field, Grid, dealiased_mul, diff
 
 #: Current flavors (matched to the flow kinds they are conserved under).
@@ -191,16 +191,6 @@ def density_quadratic(f: Field, varkappa: float) -> np.ndarray:
     return 0.5 * (dealiased_mul(q, pr) + dealiased_mul(mq, rr))
 
 
-def _guarded_denominator(triple: GreensTriple, guard: float = 0.5) -> np.ndarray:
-    denom = 2.0 + triple.gamma
-    small = float(np.min(np.abs(denom)))
-    if small < guard:
-        raise LaxError(
-            f"current denominator |2 + gamma| reaches {small:.3f} < {guard}"
-        )
-    return denom
-
-
 def generating_current(triple_vk: GreensTriple, triple_k: GreensTriple) -> np.ndarray:
     """Current paired with the density under the generating flow at kappa:
 
@@ -214,7 +204,7 @@ def generating_current(triple_vk: GreensTriple, triple_k: GreensTriple) -> np.nd
             f"generating current has a pole at coinciding parameters "
             f"(kappa={k}, varkappa={vk})"
         )
-    denom = _guarded_denominator(triple_vk)
+    denom = density_denominator(triple_vk)
     cross = (dealiased_mul(triple_k.g12, triple_vk.g21)
              + dealiased_mul(triple_k.g21, triple_vk.g12))
     return (-1j * cross / (2.0 * (k - vk) * denom)
@@ -241,8 +231,8 @@ def current(f: Field, flavor: str, triple_vk: GreensTriple,
         (triple_k,) = kappa_triples
         return generating_current(triple_vk, triple_k)
 
-    denom = _guarded_denominator(triple_vk)
-    rho = density_raw(q, rr, triple_vk)
+    rho = density_raw(q, rr, triple_vk)  # guards |2 + gamma(vk)|
+    denom = 2.0 + triple_vk.gamma
     qp = diff(q, grid)
     rp = diff(rr, grid)
     j_nls = -1j * ((dealiased_mul(qp, triple_vk.g21)

@@ -13,6 +13,10 @@ spectral parameter kappa, |kappa| >= 1:
                             g21 =  (2k+d)^{-1}[r(1+gamma)],
                             gamma = 2 g12 g21 - gamma^2/2.
 
+Its kernel ``fixed_point_raw``, which every flow, diagnostic and CLI path
+calls, checks the H^{-1/4} smallness gate ``DELTA_GATE`` on every solve, at
+no extra transform.
+
 The determinant A(kappa) comes either from the trace series over the
 Hilbert-Schmidt pair (Lambda, Gamma) or from integrating the density
 (q g21 - r g12)/(2 + gamma).
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +42,6 @@ from .spectral import (
     fractional_symbol,
     from_fine_grid,
     inverse_shift_symbol,
-    sobolev_norm,
     to_fine_grid,
 )
 
@@ -101,13 +105,28 @@ class GreensTriple:
 # Fixed point
 
 
+@lru_cache(maxsize=64)
+def _gate_weight(grid: Grid) -> np.ndarray:
+    # H^{-1/4} weight (4 + xi^2)^(-1/4); even on the lattice, so it also
+    # weighs the coefficients of r for the norm of conj(r)
+    w = (4.0 + grid.xi * grid.xi) ** -0.25
+    w.setflags(write=False)
+    return w
+
+
 def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
                     tol: float = 1e-12, max_iter: int = 200,
-                    gamma0: np.ndarray | None = None):
+                    gamma0: np.ndarray | None = None,
+                    delta: float = DELTA_GATE):
     """Iterate the three coupled identities from gamma = 0 (or a warm start).
 
     Returns (g12, g21, gamma, iterations, residual).  Residual growth over
     three consecutive iterations aborts; a single growth engages damping 1/2.
+
+    Every solve first checks the contraction gate: ``DataTooLarge`` when
+    max(|q|, |conj r|) in H^{-1/4} exceeds ``delta``.  The two norms are
+    weighted sums over the raw coefficients of q and r the iteration needs
+    anyway, so the gate costs no extra transform on any path.
 
     The iteration lives in Fourier space: gamma is held as its N raw
     ``np.fft`` coefficients (one transform of ``gamma0`` on a warm start),
@@ -128,8 +147,16 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
     inv_m = inverse_shift_symbol(2.0 * kappa, -1)(grid.xi)
     inv_p = inverse_shift_symbol(2.0 * kappa, +1)(grid.xi)
     n = grid.points
+    parseval = grid.dx / n
     q_hat = np.fft.fft(q)
     r_hat = np.fft.fft(r)
+    weight = _gate_weight(grid)
+    size = math.sqrt(parseval * max(float(np.sum(weight * np.abs(q_hat) ** 2)),
+                                    float(np.sum(weight * np.abs(r_hat) ** 2))))
+    if size > delta:
+        raise DataTooLarge(
+            f"|q| in H^(-1/4) is {size:.3f} > {delta}; outside the contraction gate"
+        )
     q_fine = to_fine_grid(q_hat)
     r_fine = to_fine_grid(r_hat)
     gamma_hat = (np.zeros(n, dtype=np.complex128) if gamma0 is None
@@ -137,7 +164,6 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
     damping = 1.0
     prev_res = np.inf
     growths = 0
-    parseval = grid.dx / n
     for it in range(1, max_iter + 1):
         gamma_fine = to_fine_grid(gamma_hat)
         g12_fine = to_fine_grid(-inv_m * (q_hat + from_fine_grid(gamma_fine * q_fine, n)))
@@ -176,14 +202,8 @@ def greens_fixed_point(f: Field, kappa: float, tol: float = 1e-12,
                        gamma0: np.ndarray | None = None,
                        delta: float = DELTA_GATE) -> GreensTriple:
     grid, q, rr = _field_qr(f, r)
-    size = max(sobolev_norm(Field(grid, q), -0.25),
-               sobolev_norm(Field(grid, np.conj(rr)), -0.25))
-    if size > delta:
-        raise DataTooLarge(
-            f"|q| in H^(-1/4) is {size:.3f} > {delta}; outside the contraction gate"
-        )
     g12, g21, gamma, iters, res = fixed_point_raw(
-        grid, q, rr, kappa, tol=tol, max_iter=max_iter, gamma0=gamma0
+        grid, q, rr, kappa, tol=tol, max_iter=max_iter, gamma0=gamma0, delta=delta
     )
     return GreensTriple(kappa, g12, g21, gamma, "fixed_point",
                         {"iterations": iters, "residual": res, "tol": tol})
@@ -394,9 +414,9 @@ def pdet_trace(f: Field, kappa: float, order: int = 8,
     return TraceDeterminant(total, order, abs(term), radius)
 
 
-def density_raw(q: np.ndarray, r: np.ndarray, triple: GreensTriple,
-                guard: float = 0.5) -> np.ndarray:
-    """The conserved density (q g21 - r g12) / (2 + gamma)."""
+def density_denominator(triple: GreensTriple, guard: float = 0.5) -> np.ndarray:
+    """2 + gamma, the denominator of the density and the currents; raises
+    when |2 + gamma| comes within ``guard`` of zero."""
     denom = 2.0 + triple.gamma
     small = float(np.min(np.abs(denom)))
     if small < guard:
@@ -404,6 +424,13 @@ def density_raw(q: np.ndarray, r: np.ndarray, triple: GreensTriple,
             f"density denominator |2 + gamma| reaches {small:.3f} < {guard}; "
             "data too large"
         )
+    return denom
+
+
+def density_raw(q: np.ndarray, r: np.ndarray, triple: GreensTriple,
+                guard: float = 0.5) -> np.ndarray:
+    """The conserved density (q g21 - r g12) / (2 + gamma)."""
+    denom = density_denominator(triple, guard)
     return (dealiased_mul(q, triple.g21) - dealiased_mul(r, triple.g12)) / denom
 
 

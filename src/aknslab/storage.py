@@ -33,7 +33,7 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: list[str], rows: list) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -74,24 +74,21 @@ def read_snapshot(base: str) -> tuple[Field, dict]:
     return Field(Grid(float(meta["L"]), n), values, int(meta["sign"])), meta
 
 
-def write_array_snapshot(base: str, grid: Grid, values: np.ndarray,
-                         sign: int, time: float, label: str) -> None:
-    write_snapshot(base, Field(grid, values, sign), time, label)
-
-
 def write_trajectory(dirpath: str, traj: Trajectory,
                      conserved: dict | None = None) -> None:
     os.makedirs(dirpath, exist_ok=True)
     entries = []
     for i in range(len(traj)):
         name = f"q_{i:06d}"
-        write_array_snapshot(os.path.join(dirpath, name), traj.grid,
-                             traj.states[i], traj.sign, traj.times[i], name)
+        write_snapshot(os.path.join(dirpath, name),
+                       Field(traj.grid, traj.states[i], traj.sign),
+                       traj.times[i], name)
         entry = {"index": i, "time": traj.times[i], "file": name}
         if traj.r_states is not None:
             rname = f"r_{i:06d}"
-            write_array_snapshot(os.path.join(dirpath, rname), traj.grid,
-                                 traj.r_states[i], traj.sign, traj.times[i], rname)
+            write_snapshot(os.path.join(dirpath, rname),
+                           Field(traj.grid, traj.r_states[i], traj.sign),
+                           traj.times[i], rname)
             entry["r_file"] = rname
         entries.append(entry)
     write_json(os.path.join(dirpath, "manifest.json"), {

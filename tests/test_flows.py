@@ -141,6 +141,17 @@ class TestFullFlows:
             evolve(f, FlowSpec("mkdv", 0.05, 2.0, scheme="etd4"))
         assert info.value.last_valid_time >= 0.0
 
+    def test_failed_solve_reports_last_valid_time(self, grid):
+        from aknslab.flows import NumericalBlowup
+        from aknslab.lax import DataTooLarge
+
+        # H^(-1/4) size 0.46, outside the gate the kernel checks on every solve
+        f = gaussian(grid, 0.5)
+        with pytest.raises(NumericalBlowup) as info:
+            evolve(f, FlowSpec("nls_diff", 1e-3, 0.01, kappa=8.0))
+        assert info.value.last_valid_time == 0.0
+        assert isinstance(info.value.__cause__, DataTooLarge)
+
 
 class TestGeneratingFlow:
     def test_zero_field(self, grid):

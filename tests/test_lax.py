@@ -220,9 +220,13 @@ class TestFixedPointKernel:
 
     def test_non_contraction_still_raised(self, grid):
         f = gaussian(grid, 3.0)
-        for solve in (reference_fixed_point, fixed_point_raw):
-            with pytest.raises(NonContraction):
-                solve(grid, f.values, f.r, 1.0, max_iter=400)
+        with pytest.raises(NonContraction):
+            reference_fixed_point(grid, f.values, f.r, 1.0, max_iter=400)
+        with pytest.raises(NonContraction):
+            fixed_point_raw(grid, f.values, f.r, 1.0, max_iter=400, delta=99.0)
+        # the kernel's own smallness gate fires first at the default delta
+        with pytest.raises(DataTooLarge):
+            fixed_point_raw(grid, f.values, f.r, 1.0, max_iter=400)
 
 
 class TestDeterminant:

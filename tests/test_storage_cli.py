@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from aknslab.cli import main
+from aknslab.cli import _run_flow, main
 from aknslab.config import ConfigError, ExperimentConfig, config_reference
+from aknslab.diagnostics import micro_residual
 from aknslab.flows import FlowSpec, evolve
 from aknslab.profiles import gaussian
 from aknslab.spectral import Field, Grid
@@ -68,12 +69,13 @@ class TestConfig:
             ExperimentConfig.from_dict({"grid": {"lenght": 3.0}})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"bogus": {}})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"threads": 2})
 
     def test_env_overrides(self):
         cfg = ExperimentConfig()
-        cfg.apply_env({"AKNSLAB_SEED": "7", "AKNSLAB_THREADS": "3",
-                       "AKNSLAB_OUT": "/tmp/elsewhere"})
-        assert (cfg.seed, cfg.threads, cfg.out) == (7, 3, "/tmp/elsewhere")
+        cfg.apply_env({"AKNSLAB_SEED": "7", "AKNSLAB_OUT": "/tmp/elsewhere"})
+        assert (cfg.seed, cfg.out) == (7, "/tmp/elsewhere")
 
     def test_field_builders(self):
         cfg = ExperimentConfig.from_dict(
@@ -139,6 +141,29 @@ class TestCli:
         rows = open(os.path.join(cfg["out"], "micro", "integrated.csv")).read()
         assert rows.startswith("h,")
 
+    def test_micro_csv_is_the_report(self, tmp_path, base_config):
+        # density_current.csv holds the very samples the residual was measured on
+        path, _ = base_config
+        out1, out2 = str(tmp_path / "m1"), str(tmp_path / "m2")
+        assert main(["micro", "--config", path, "--out", out1]) == 0
+        assert main(["micro", "--config", path, "--out", out2]) == 0
+        text = open(os.path.join(out1, "micro", "density_current.csv"), "rb").read()
+        assert text == open(os.path.join(out2, "micro", "density_current.csv"), "rb").read()
+        cfg = ExperimentConfig.load(path)
+        _, traj = _run_flow(cfg)
+        rep = micro_residual(traj, cfg.diagnostics.varkappa, cfg.diagnostics.flavor,
+                             h_count=cfg.diagnostics.h_count)
+        lines = text.decode().splitlines()
+        assert lines[0] == "t,x,density,current"
+        rows = [line.split(",") for line in lines[1:]]
+        n = traj.grid.points
+        assert len(rows) == len(traj) * n
+        for k, (t, x, d, c) in enumerate(rows):
+            i, j = divmod(k, n)
+            assert float(t) == traj.times[i] and float(x) == traj.grid.x[j]
+            assert complex(d) == rep.densities[i][j]
+            assert complex(c) == rep.currents[i][j]
+
     def test_determinism_byte_identical(self, tmp_path, base_config):
         path, _ = base_config
         out1, out2 = str(tmp_path / "d1"), str(tmp_path / "d2")
@@ -164,6 +189,11 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         # data outside the contraction gate: the green subcommand must fail
         assert main(["green", "--config", str(path)]) == 3
+        # and so must a flow whose fixed point meets the gate mid-run
+        cfg["data"]["amplitude"] = 0.5
+        cfg["flow"].update(kind="nls_diff", kappa=8.0)
+        path.write_text(json.dumps(cfg))
+        assert main(["evolve", "--config", str(path)]) == 3
 
     def test_green_zero_field_exports_zeros(self, tmp_path):
         cfg = {
