@@ -27,16 +27,7 @@ from .hierarchy import (
     hamiltonians,
     poisson_bracket,
 )
-from .flows import (
-    FlowSpec,
-    Trajectory,
-    evolve,
-    rescale,
-    step_a_flow,
-    step_difference,
-    step_full,
-    step_regularized,
-)
+from .flows import FlowSpec, Trajectory, evolve, rescale
 from .diagnostics import (
     InflationReport,
     ResidualReport,
@@ -57,8 +48,7 @@ __all__ = [
     "greens_oracle", "greens_series", "pdet_integral", "pdet_trace",
     "DensityCurrent", "HamiltonianValue", "current", "density",
     "density_current", "expansion_error", "hamiltonians", "poisson_bracket",
-    "FlowSpec", "Trajectory", "evolve", "rescale", "step_a_flow",
-    "step_difference", "step_full", "step_regularized",
+    "FlowSpec", "Trajectory", "evolve", "rescale",
     "InflationReport", "ResidualReport", "equicontinuity_tail",
     "kappa_convergence_study", "local_smoothing_norm", "micro_residual",
     "norm_inflation_experiment", "tightness_metric",

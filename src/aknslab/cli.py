@@ -104,7 +104,8 @@ def _run_flow(cfg: ExperimentConfig):
 def cmd_evolve(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg, "evolve")
     _, traj = _run_flow(cfg)
-    drift = diagnostics.conserved_drift(traj, kappas=tuple(cfg.diagnostics.kappas))
+    drift = diagnostics.conserved_drift(traj, kappas=tuple(cfg.diagnostics.kappas),
+                                        fp_tol=cfg.flow.fp_tol)
     write_trajectory(os.path.join(out, "trajectory"), traj, drift.table)
     rows = [[name, max_dev] for name, max_dev in sorted(drift.relative_drift.items())]
     write_csv(os.path.join(out, "drift.csv"), ["quantity", "relative_drift"], rows)
@@ -133,7 +134,8 @@ def cmd_micro(cfg: ExperimentConfig) -> int:
     _, traj = _run_flow(cfg)
     rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa,
                                      cfg.diagnostics.flavor,
-                                     h_count=cfg.diagnostics.h_count)
+                                     h_count=cfg.diagnostics.h_count,
+                                     fp_tol=cfg.flow.fp_tol)
     write_csv(os.path.join(out, "integrated.csv"),
               ["h", "flux_side", "density_side", "gap", "relative_gap"],
               [[h, lhs, rhs, gap, rel] for h, lhs, rhs, gap, rel in rep.integrated])
@@ -261,7 +263,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.subcommand](cfg)
-    except (ConfigError, SpectralError) as exc:
+    except (ConfigError, SpectralError, flows.SpecError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (lax.LaxError, flows.FlowError, hierarchy.HierarchyError,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -97,18 +98,25 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, tree: dict) -> "ExperimentConfig":
         cfg = cls()
+        if not isinstance(tree, dict):
+            raise ConfigError(f"a config must be an object, got {type(tree).__name__}")
+        sections = {f.name for f in dataclasses.fields(cfg)}
         for section, payload in tree.items():
-            if not hasattr(cfg, section):
+            if section not in sections:
                 raise ConfigError(f"unknown config section {section!r}")
             current = getattr(cfg, section)
-            if dataclasses.is_dataclass(current):
-                names = {f.name for f in dataclasses.fields(current)}
-                for key, value in payload.items():
-                    if key not in names:
-                        raise ConfigError(f"unknown config field {section}.{key}")
-                    setattr(current, key, value)
-            else:
-                setattr(cfg, section, payload)
+            if not dataclasses.is_dataclass(current):
+                setattr(cfg, section, _checked(section, payload, current))
+                continue
+            if not isinstance(payload, dict):
+                raise ConfigError(f"config section {section} must be an object, "
+                                  f"got {type(payload).__name__}")
+            names = {f.name for f in dataclasses.fields(current)}
+            for key, value in payload.items():
+                if key not in names:
+                    raise ConfigError(f"unknown config field {section}.{key}")
+                setattr(current, key,
+                        _checked(f"{section}.{key}", value, getattr(current, key)))
         return cfg
 
     @classmethod
@@ -153,10 +161,35 @@ class ExperimentConfig:
 
             if not d.path:
                 raise ConfigError("data.profile == 'file' requires data.path")
-            f, _ = read_snapshot(d.path)
+            try:
+                f, _ = read_snapshot(d.path)
+            except OSError as exc:
+                raise ConfigError(f"cannot read data.path snapshot: {exc}") from exc
             return f
         raise ConfigError(f"unknown data profile {d.profile!r}; "
                           f"choose from {PROFILES}")
+
+
+def _checked(name: str, value, default):
+    """``value`` if it has the type of ``default``, else ConfigError.
+
+    An int stands for a float but a bool for no number; list entries must be
+    numbers; floats must be finite.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config field {name} must be a list, "
+                              f"got {type(value).__name__}")
+        for entry in value:
+            _checked(f"{name} entry", entry, 0.0)
+        return value
+    wanted = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ConfigError(f"config field {name} must be {type(default).__name__}, "
+                          f"got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config field {name} must be finite, got {value!r}")
+    return value
 
 
 def config_reference() -> str:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
-from .flows import FlowError, FlowSpec, Trajectory, evolve
+from .flows import FlowError, FlowSpec, Integrator, Trajectory, evolve
 from .hierarchy import FLAVORS, current, density, HierarchyError
 from .lax import GreensTriple, alpha as alpha_of, fixed_point_raw
 from .profiles import mean_zero_even, mean_zero_odd
@@ -90,7 +90,8 @@ def conserved_drift(traj: Trajectory, kappas: tuple = (), fp_tol: float = 1e-13,
     for name, vals in table.items():
         v0 = vals[0]
         dev = max(abs(v - v0) for v in vals)
-        drift[name] = dev / max(abs(v0), scale)
+        # zero data stays zero, with nothing to scale by
+        drift[name] = dev / max(abs(v0), scale) if dev else 0.0
     return DriftReport(list(traj.times), table, drift, scale)
 
 
@@ -472,14 +473,7 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
     traj = evolve(u0, spec)
 
     # mean production rate at t = 0 from the vector field itself
-    q = u0.values
-    r = u0.r
-    from .spectral import dealiased_product
-    if kind == "nls":
-        rate = complex(grid.integrate(-2j * dealiased_product(q, q, r)))
-    else:
-        qp = diff(q, grid)
-        rate = complex(grid.integrate(6.0 * dealiased_product(q, r, qp)))
+    rate = complex(grid.integrate(Integrator(grid, sign, spec).nonlinear(u0.values)))
     predicted = -sign if parity == "even" else (1 if rate.imag >= 0 else -1)
 
     threshold = threshold_factor * l1

@@ -5,7 +5,10 @@ parameter kappa, the two regularized kappa-flows, and the two difference
 flows.  All schemes integrate the full linearization exactly in Fourier
 space; for the kappa-regularized and difference flows that linearization is
 the bounded rational symbol produced by the leading Green's-function term,
-so the step size never couples to kappa.
+so the step size never couples to kappa.  Every kind takes Lawson-RK4
+(``rk4_spectral``); nls and mkdv also take fourth-order Yoshida splitting
+(``splitting4``).  ``evolve`` is the one way to step a flow; a single step
+is ``evolve(f, FlowSpec(kind, dt, dt, ...))``.
 
 The generating flow evolves q and its partner r as independent unknowns (its
 Hamiltonian is complex, so it does not preserve r = sign * conj(q)); the
@@ -22,25 +25,25 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lax import LaxError, fixed_point_raw
-from .spectral import Field, Grid, dealiased_mul, dealiased_product
+from .spectral import Field, Grid, dealiased_product
 
 KINDS = ("nls", "mkdv", "a_flow", "nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
-SCHEMES = ("splitting4", "etd4", "rk4_spectral")
+_KAPPA_KINDS = KINDS[2:]
+
+#: The schemes each kind accepts; the first is its default.  Only the two full
+#: equations take splitting: every other kind's nonlinear part needs Green's
+#: solves, and splitting makes three times as many of them per step.
+SCHEMES = {"nls": ("splitting4", "rk4_spectral"), "mkdv": ("rk4_spectral", "splitting4"),
+           **{kind: ("rk4_spectral",) for kind in _KAPPA_KINDS}}
 
 #: Exponent of the dispersive symbol entering the step-size gate.
 DISPERSION_ORDER = {"nls": 2, "nls_kappa": 2, "nls_diff": 2,
                     "mkdv": 3, "mkdv_kappa": 3, "mkdv_diff": 3, "a_flow": 0}
 
 #: Gate on dt * max|xi|^order, the same for every scheme.  The linear part is
-#: integrated exactly by all three schemes, so this is a generous guard
-#: against absurd step sizes rather than a tight CFL constant.
+#: integrated exactly by both schemes, so this is a generous guard against
+#: absurd step sizes rather than a tight CFL constant.
 STABILITY_BOUND = 2000.0
-
-DEFAULT_SCHEME = {"nls": "splitting4", "mkdv": "rk4_spectral", "a_flow": "rk4_spectral",
-                  "nls_kappa": "rk4_spectral", "mkdv_kappa": "rk4_spectral",
-                  "nls_diff": "rk4_spectral", "mkdv_diff": "rk4_spectral"}
-
-_KAPPA_KINDS = ("a_flow", "nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
 
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
@@ -50,7 +53,11 @@ class FlowError(RuntimeError):
     pass
 
 
-class UnstableStep(FlowError):
+class SpecError(FlowError):
+    """A flow request that cannot be run as given (a usage error)."""
+
+
+class UnstableStep(SpecError):
     """Requested dt violates the scheme's stability gate."""
 
 
@@ -74,20 +81,22 @@ class FlowSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise FlowError(f"unknown flow kind {self.kind!r}")
-        scheme = self.scheme or DEFAULT_SCHEME[self.kind]
+            raise SpecError(f"unknown flow kind {self.kind!r}")
+        scheme = self.scheme or SCHEMES[self.kind][0]
         object.__setattr__(self, "scheme", scheme)
-        if scheme not in SCHEMES:
-            raise FlowError(f"unknown scheme {scheme!r}")
-        if self.dt <= 0 or self.t_final < 0:
-            raise FlowError("dt must be positive and t_final nonnegative")
+        if scheme not in SCHEMES[self.kind]:
+            raise SpecError(f"flow kind {self.kind!r} takes scheme "
+                            f"{' or '.join(SCHEMES[self.kind])}, got {scheme!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0
+                and math.isfinite(self.t_final) and self.t_final >= 0):
+            raise SpecError("dt must be positive and t_final nonnegative, both finite")
         if self.snapshot_stride < 1:
-            raise FlowError("snapshot stride must be >= 1")
+            raise SpecError("snapshot stride must be >= 1")
         if self.kind in _KAPPA_KINDS:
-            if self.kappa is None or self.kappa < 1.0:
-                raise FlowError(f"flow kind {self.kind!r} requires kappa >= 1")
+            if self.kappa is None or not math.isfinite(self.kappa) or self.kappa < 1.0:
+                raise SpecError(f"flow kind {self.kind!r} requires finite kappa >= 1")
         elif self.kappa is not None:
-            raise FlowError(f"flow kind {self.kind!r} takes no kappa")
+            raise SpecError(f"flow kind {self.kind!r} takes no kappa")
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "dt": self.dt, "t_final": self.t_final,
@@ -157,8 +166,6 @@ class Integrator:
         self.fp_min_iterations = math.inf
         self.fp_max_iterations = 0
         self.fp_worst_residual = 0.0
-        if spec.scheme == "etd4":
-            self._etd = _etd4_coefficients(self.mu, spec.dt)
 
     # -- linearization ------------------------------------------------------
 
@@ -221,10 +228,10 @@ class Integrator:
             g12, g21 = self._solve(q, rr, self.spec.kappa)
             return 1j * g12, 1j * g21
         lin = np.fft.ifft(self.mu * np.fft.fft(q))
-        return lin + self._nonlinear(q)
+        return lin + self.nonlinear(q)
 
-    def _nonlinear(self, q: np.ndarray) -> np.ndarray:
-        """RHS minus the exactly-integrated linearization."""
+    def nonlinear(self, q: np.ndarray) -> np.ndarray:
+        """RHS minus the exactly-integrated linearization (not for a_flow)."""
         kind = self.spec.kind
         kap = self.spec.kappa
         r = self.sign * np.conj(q)
@@ -258,39 +265,31 @@ class Integrator:
     # -- steppers ------------------------------------------------------------
 
     def step(self, q: np.ndarray, r: np.ndarray | None = None):
+        """One step of dt from q (and, for a_flow only, its partner r)."""
+        h = self.spec.dt
         if self.spec.kind == "a_flow":
-            return self._step_pair_rk4(q, self.sign * np.conj(q) if r is None else r)
-        if self.spec.scheme == "rk4_spectral":
-            return self._step_lawson(q)
-        if self.spec.scheme == "etd4":
-            return self._step_etd4(q)
-        return self._step_splitting(q)
+            pair = _rk4_plain(np.stack((q, r)), h,
+                              lambda s: np.stack(self.rhs(s[0], s[1])))
+            return pair[0], pair[1]
+        if self.spec.scheme == "splitting4":
+            q = self._strang(q, _YOSHIDA_W1 * h)
+            q = self._strang(q, _YOSHIDA_W0 * h)
+            return self._strang(q, _YOSHIDA_W1 * h)
+        return self._step_lawson(q)
 
     def _step_lawson(self, q: np.ndarray) -> np.ndarray:
         h = self.spec.dt
         eh = np.exp(self.mu * h)
         e2 = np.exp(self.mu * (0.5 * h))
         fq = np.fft.fft(q)
-        n1 = np.fft.fft(self._nonlinear(q))
+        n1 = np.fft.fft(self.nonlinear(q))
         q2 = np.fft.ifft(e2 * (fq + 0.5 * h * n1))
-        n2 = np.fft.fft(self._nonlinear(q2))
+        n2 = np.fft.fft(self.nonlinear(q2))
         q3 = np.fft.ifft(e2 * fq + 0.5 * h * n2)
-        n3 = np.fft.fft(self._nonlinear(q3))
+        n3 = np.fft.fft(self.nonlinear(q3))
         q4 = np.fft.ifft(eh * fq + h * e2 * n3)
-        n4 = np.fft.fft(self._nonlinear(q4))
+        n4 = np.fft.fft(self.nonlinear(q4))
         return np.fft.ifft(eh * fq + (h / 6.0) * (eh * n1 + 2.0 * e2 * (n2 + n3) + n4))
-
-    def _step_etd4(self, q: np.ndarray) -> np.ndarray:
-        e1, e2, qc, f1, f2, f3 = self._etd
-        fq = np.fft.fft(q)
-        nv = np.fft.fft(self._nonlinear(q))
-        a = np.fft.ifft(e2 * fq + qc * nv)
-        na = np.fft.fft(self._nonlinear(a))
-        b = np.fft.ifft(e2 * fq + qc * na)
-        nb = np.fft.fft(self._nonlinear(b))
-        c = np.fft.ifft(e2 * np.fft.fft(a) + qc * (2.0 * nb - nv))
-        nc = np.fft.fft(self._nonlinear(c))
-        return np.fft.ifft(e1 * fq + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc)
 
     def _strang(self, q: np.ndarray, tau: float) -> np.ndarray:
         half = np.exp(self.mu * (0.5 * tau))
@@ -300,32 +299,8 @@ class Integrator:
             qr = (q * (self.sign * np.conj(q))).real
             q = q * np.exp(-2j * tau * qr)
         else:
-            q = _rk4_plain(q, tau, self._mkdv_transport)
+            q = _rk4_plain(q, tau, self.nonlinear)
         return np.fft.ifft(half * np.fft.fft(q))
-
-    def _mkdv_transport(self, q: np.ndarray) -> np.ndarray:
-        qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
-        return 6.0 * dealiased_product(q, self.sign * np.conj(q), qp)
-
-    def _step_splitting(self, q: np.ndarray) -> np.ndarray:
-        h = self.spec.dt
-        q = self._strang(q, _YOSHIDA_W1 * h)
-        q = self._strang(q, _YOSHIDA_W0 * h)
-        return self._strang(q, _YOSHIDA_W1 * h)
-
-    def _step_pair_rk4(self, q: np.ndarray, r: np.ndarray):
-        h = self.spec.dt
-
-        def rhs(state):
-            return self.rhs(state[0], state[1])
-
-        k1 = rhs((q, r))
-        k2 = rhs((q + 0.5 * h * k1[0], r + 0.5 * h * k1[1]))
-        k3 = rhs((q + 0.5 * h * k2[0], r + 0.5 * h * k2[1]))
-        k4 = rhs((q + h * k3[0], r + h * k3[1]))
-        qn = q + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        rn = r + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        return qn, rn
 
 
 def _rk4_plain(q: np.ndarray, h: float, rhs) -> np.ndarray:
@@ -336,21 +311,8 @@ def _rk4_plain(q: np.ndarray, h: float, rhs) -> np.ndarray:
     return q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _etd4_coefficients(mu: np.ndarray, h: float, n_contour: int = 32):
-    e1 = np.exp(mu * h)
-    e2 = np.exp(mu * (0.5 * h))
-    theta = (np.arange(1, n_contour + 1) - 0.5) * (2.0 * np.pi / n_contour)
-    ring = np.exp(1j * theta)
-    z = h * mu[:, None] + ring[None, :]
-    qc = h * np.mean((np.exp(0.5 * z) - 1.0) / z, axis=1)
-    f1 = h * np.mean((-4.0 - z + np.exp(z) * (4.0 - 3.0 * z + z**2)) / z**3, axis=1)
-    f2 = h * np.mean((2.0 + z + np.exp(z) * (-2.0 + z)) / z**3, axis=1)
-    f3 = h * np.mean((-4.0 - 3.0 * z - z**2 + np.exp(z) * (4.0 - z)) / z**3, axis=1)
-    return e1, e2, qc, f1, f2, f3
-
-
 # ---------------------------------------------------------------------------
-# Driving loops and the public one-step operations
+# Driving loop
 
 
 def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory:
@@ -358,7 +320,7 @@ def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory
     stepper = Integrator(f.grid, f.sign, spec)
     n_steps = int(round(spec.t_final / spec.dt))
     if abs(n_steps * spec.dt - spec.t_final) > 1e-9 * max(1.0, spec.t_final):
-        raise FlowError(
+        raise SpecError(
             f"t_final {spec.t_final} is not an integer number of steps of {spec.dt}"
         )
     pair = spec.kind == "a_flow"
@@ -396,41 +358,6 @@ def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory
     stats = {"steps": n_steps, "wall_time": _time.perf_counter() - started,
              **stepper.fp_stats()}
     return Trajectory(spec, f.grid, f.sign, times, states, r_states, stats)
-
-
-def step_full(f: Field, kind: str, dt: float, scheme: str = "",
-              fp_tol: float = 1e-12) -> Field:
-    if kind not in ("nls", "mkdv"):
-        raise FlowError(f"step_full handles nls/mkdv, got {kind!r}")
-    spec = FlowSpec(kind, dt, dt, scheme=scheme, fp_tol=fp_tol)
-    q = Integrator(f.grid, f.sign, spec).step(f.values.copy())
-    return Field(f.grid, q, f.sign)
-
-
-def step_a_flow(f: Field, kappa: float, dt: float, r: np.ndarray | None = None,
-                fp_tol: float = 1e-12) -> tuple[Field, np.ndarray]:
-    spec = FlowSpec("a_flow", dt, dt, kappa=kappa, fp_tol=fp_tol)
-    q, rr = Integrator(f.grid, f.sign, spec).step(
-        f.values.copy(), f.r.copy() if r is None else np.asarray(r, np.complex128))
-    return Field(f.grid, q, f.sign), rr
-
-
-def step_regularized(f: Field, kind: str, kappa: float, dt: float,
-                     scheme: str = "", fp_tol: float = 1e-12) -> Field:
-    if kind not in ("nls_kappa", "mkdv_kappa"):
-        raise FlowError(f"step_regularized handles nls_kappa/mkdv_kappa, got {kind!r}")
-    spec = FlowSpec(kind, dt, dt, scheme=scheme, kappa=kappa, fp_tol=fp_tol)
-    q = Integrator(f.grid, f.sign, spec).step(f.values.copy())
-    return Field(f.grid, q, f.sign)
-
-
-def step_difference(f: Field, kind: str, kappa: float, dt: float,
-                    scheme: str = "", fp_tol: float = 1e-12) -> Field:
-    if kind not in ("nls_diff", "mkdv_diff"):
-        raise FlowError(f"step_difference handles nls_diff/mkdv_diff, got {kind!r}")
-    spec = FlowSpec(kind, dt, dt, scheme=scheme, kappa=kappa, fp_tol=fp_tol)
-    q = Integrator(f.grid, f.sign, spec).step(f.values.copy())
-    return Field(f.grid, q, f.sign)
 
 
 def rescale(f: Field, lam: float, m: int) -> tuple[Field, float]:

@@ -10,6 +10,8 @@ from .spectral import Field, Grid, SpectralError, sobolev_norm
 def gaussian(grid: Grid, amplitude: float = 0.1, width: float = 1.0,
              sign: int = +1) -> Field:
     """amplitude * exp(-(x/width)^2)."""
+    if width <= 0:
+        raise SpectralError(f"gaussian width must be positive, got {width}")
     return Field(grid, amplitude * np.exp(-((grid.x / width) ** 2)), sign)
 
 

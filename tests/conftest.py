@@ -2,6 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run, so tier-1 stays
+# deterministic and its wall time bounded
+settings.register_profile("aknslab", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("aknslab")
 
 from aknslab.spectral import Grid
 from aknslab.profiles import gaussian

@@ -1,12 +1,18 @@
 """Persistence formats, configuration round-trips, and the CLI contract."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aknslab.cli import _run_flow, main
 from aknslab.config import ConfigError, ExperimentConfig, config_reference
@@ -152,7 +158,7 @@ class TestCli:
         cfg = ExperimentConfig.load(path)
         _, traj = _run_flow(cfg)
         rep = micro_residual(traj, cfg.diagnostics.varkappa, cfg.diagnostics.flavor,
-                             h_count=cfg.diagnostics.h_count)
+                             h_count=cfg.diagnostics.h_count, fp_tol=cfg.flow.fp_tol)
         lines = text.decode().splitlines()
         assert lines[0] == "t,x,density,current"
         rows = [line.split(",") for line in lines[1:]]
@@ -175,6 +181,25 @@ class TestCli:
 
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["evolve", "--config", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("tree", [
+        {"grid": 5},
+        {"diagnostics": {"kappas": 2.0}},
+        {"flow": {"dt": float("nan")}},
+        {"grid": {"points": "256"}},
+        {"seed": "x"},
+        {"flow": {"dt": -1}},
+        {"flow": {"scheme": "euler"}},
+        {"flow": {"scheme": "etd4"}},
+        {"flow": {"kind": "nls_kappa"}},
+        {"flow": {"t_final": 1e-3, "dt": 3e-4}},
+        {"flow": {"kind": "nls_diff", "kappa": 8.0, "scheme": "splitting4"}},
+    ])
+    def test_bad_config_is_a_usage_error(self, tmp_path, capsys, tree):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(tree))
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_numerical_error_exit_code(self, tmp_path):
         cfg = {
@@ -231,3 +256,46 @@ class TestCli:
              "--config", path, "--out", str(tmp_path / "ep")],
             capture_output=True, text=True, timeout=500)
         assert proc.returncode == 0, proc.stderr
+
+
+# every field and every section of the config tree, as (section, key) with key
+# None for a whole section or a top-level scalar
+_DEFAULTS = ExperimentConfig()
+TARGETS = [(s.name, None) for s in dataclasses.fields(_DEFAULTS)] + [
+    (s.name, f.name) for s in dataclasses.fields(_DEFAULTS)
+    if dataclasses.is_dataclass(getattr(_DEFAULTS, s.name))
+    for f in dataclasses.fields(getattr(_DEFAULTS, s.name))]
+# wrong-typed, non-finite and out-of-range values
+BAD_VALUES = ["x", "bogus", True, None, {}, {"bogus": 1}, [], [1.0, "x"],
+              [float("nan")], [-1.0], [0.0], 3, -1, 0, -1.0, 0.0,
+              float("nan"), float("inf"), float("-inf")]
+SMALL = {"grid": {"length": 32.0, "points": 64},
+         "flow": {"t_final": 0.01, "snapshot_stride": 5},
+         "diagnostics": {"kappas": [2.0]}}
+
+
+class TestConfigProperty:
+    @given(st.lists(st.tuples(st.sampled_from(TARGETS), st.sampled_from(BAD_VALUES)),
+                    min_size=1, max_size=2))
+    def test_mutated_config_exits_cleanly(self, mutations):
+        # any config reaches exit 0, 2 or 3 with at most one line on stderr;
+        # a traceback or an escaped RuntimeWarning fails the test by raising
+        tree = copy.deepcopy(SMALL)
+        for (section, key), value in mutations:
+            value = copy.deepcopy(value)  # sampled values are shared objects
+            if key is None:
+                tree[section] = value
+            else:
+                if not isinstance(tree.get(section), dict):
+                    tree[section] = {}
+                tree[section][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(tree, fh)
+            for sub in ("green", "evolve"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([sub, "--config", path, "--out", tmp])
+                assert code in (0, 2, 3), (sub, tree, err.getvalue())
+                assert len(err.getvalue().splitlines()) <= 1, (sub, tree, err.getvalue())
