@@ -70,7 +70,6 @@ class DiagnosticsConfig:
     kappas: list = dc_field(default_factory=lambda: [1.0, 2.0, 4.0])
     varkappa: float = 4.0        # density/current parameter
     sweep_kappas: list = dc_field(default_factory=lambda: [8.0, 16.0, 32.0])
-    radii: list = dc_field(default_factory=lambda: [8.0, 16.0])
     lambdas: list = dc_field(default_factory=lambda: [8.0, 64.0, 512.0])
     h_count: int = 9             # cutoff centres for integrated identities
     h_count_sup: int = 33        # cutoff centres for sup_h norms

@@ -42,10 +42,6 @@ class DiagnosticsError(RuntimeError):
     pass
 
 
-def _l2(grid: Grid, values: np.ndarray) -> float:
-    return math.sqrt(grid.dx * float(np.sum(np.abs(values) ** 2)))
-
-
 def h_lattice(grid: Grid, count: int) -> np.ndarray:
     """Cutoff-center lattice spanning [-L/4, L/4]."""
     return np.linspace(-grid.length / 4.0, grid.length / 4.0, count)
@@ -63,8 +59,8 @@ class DriftReport:
     scale_floor: float
 
 
-def conserved_drift(traj: Trajectory, kappas: tuple = (), fp_tol: float = 1e-13,
-                    include_alpha: bool = True) -> DriftReport:
+def conserved_drift(traj: Trajectory, kappas: tuple = (),
+                    fp_tol: float = 1e-13) -> DriftReport:
     """Hamiltonians (and alpha at the requested parameters) along a trajectory.
 
     Relative drift uses max(|v(0)|, ||q0||_L2^2) as denominator so that
@@ -75,16 +71,15 @@ def conserved_drift(traj: Trajectory, kappas: tuple = (), fp_tol: float = 1e-13,
 
     names = ["mass", "momentum", "h_nls", "h_mkdv"]
     table: dict = {n: [] for n in names}
-    for k in kappas if include_alpha else ():
+    for k in kappas:
         table[f"alpha({k:g})"] = []
     for i in range(len(traj)):
         f = traj.field(i)
         h = hamiltonians(f, check_real=False)
         for n in names:
             table[n].append(getattr(h, n))
-        if include_alpha:
-            for k in kappas:
-                table[f"alpha({k:g})"].append(alpha_of(f, k, tol=fp_tol))
+        for k in kappas:
+            table[f"alpha({k:g})"].append(alpha_of(f, k, tol=fp_tol))
     scale = traj.field(0).l2_norm() ** 2
     drift = {}
     for name, vals in table.items():
@@ -274,10 +269,6 @@ def equicontinuity_tail(f: Field, kappa: float, s: float) -> float:
     if s >= 0:
         raise DiagnosticsError(f"equicontinuity tail needs s < 0, got {s}")
     return sobolev_norm(f, s, kappa)
-
-
-def equicontinuity_table(fields: list[Field], kappas: tuple, s: float) -> list:
-    return [[equicontinuity_tail(f, k, s) for k in kappas] for f in fields]
 
 
 @lru_cache(maxsize=1)
@@ -555,7 +546,7 @@ def _superposition_error(u0: Field, base: Trajectory, bumps: int,
     for i in range(len(multi_traj)):
         superposed = np.sum([translate(single_traj.states[i], off)
                              for off in offsets], axis=0)
-        num = _l2(big, multi_traj.states[i] - superposed)
-        den = max(_l2(big, superposed), 1e-300)
+        num = big.l2_norm(multi_traj.states[i] - superposed)
+        den = max(big.l2_norm(superposed), 1e-300)
         errs.append(num / den)
     return errs

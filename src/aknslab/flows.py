@@ -88,8 +88,10 @@ class FlowSpec:
             raise SpecError(f"flow kind {self.kind!r} takes scheme "
                             f"{' or '.join(SCHEMES[self.kind])}, got {scheme!r}")
         if not (math.isfinite(self.dt) and self.dt > 0
-                and math.isfinite(self.t_final) and self.t_final >= 0):
-            raise SpecError("dt must be positive and t_final nonnegative, both finite")
+                and math.isfinite(self.t_final) and self.t_final >= 0
+                and math.isfinite(self.t_final / self.dt)):
+            raise SpecError("dt must be positive and t_final nonnegative, both finite, "
+                            "with a finite number of steps")
         if self.snapshot_stride < 1:
             raise SpecError("snapshot stride must be >= 1")
         if self.kind in _KAPPA_KINDS:
@@ -106,19 +108,23 @@ class FlowSpec:
 
 @dataclass
 class Trajectory:
-    """Time-stamped snapshots produced by one flow."""
+    """Snapshots of one flow: row i of ``states`` (and of ``r_states``, for the
+    generating flow) is the state at ``times[i]``; a list of rows is stacked."""
 
     spec: FlowSpec
     grid: Grid
     sign: int
     times: list
-    states: list
-    r_states: list | None = None
+    states: np.ndarray               # (snapshots, N)
+    r_states: np.ndarray | None = None
     stats: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise FlowError("trajectory timestamps must be strictly increasing")
+        self.states = np.asarray(self.states, dtype=np.complex128)
+        if self.r_states is not None:
+            self.r_states = np.asarray(self.r_states, dtype=np.complex128)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -133,14 +139,12 @@ class Trajectory:
 
     def conjugacy_violation(self) -> float:
         """max over snapshots of ||r - sign*conj(q)|| / ||q|| (L2)."""
-        worst = 0.0
-        for i in range(len(self.times)):
-            q = self.states[i]
-            dev = self.partner(i) - self.sign * np.conj(q)
-            qn = math.sqrt(float(np.sum(np.abs(q) ** 2)))
-            if qn > 0:
-                worst = max(worst, math.sqrt(float(np.sum(np.abs(dev) ** 2))) / qn)
-        return worst
+        if self.r_states is None:
+            return 0.0
+        dev = self.r_states - self.sign * np.conj(self.states)
+        qn = np.sqrt(np.sum(np.abs(self.states) ** 2, axis=1))
+        devn = np.sqrt(np.sum(np.abs(dev) ** 2, axis=1))
+        return float(np.max(devn[qn > 0] / qn[qn > 0], initial=0.0))
 
 
 class Integrator:
@@ -153,7 +157,10 @@ class Integrator:
         xi = grid.xi
         ximax = float(np.max(np.abs(xi)))
         order = DISPERSION_ORDER[spec.kind]
-        gate = spec.dt * ximax ** order
+        try:
+            gate = spec.dt * ximax ** order
+        except OverflowError:  # max|xi|^order overflows on a tiny box
+            gate = math.inf
         if gate > STABILITY_BOUND:
             raise UnstableStep(
                 f"dt * max|xi|^{order} = {gate:.1f} exceeds the "
@@ -326,9 +333,17 @@ def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory
     pair = spec.kind == "a_flow"
     q = f.values.copy()
     r = (f.r.copy() if r0 is None else np.asarray(r0, np.complex128)) if pair else None
+    snapshots = 1 - (-n_steps // spec.snapshot_stride)  # 1 + ceil(steps / stride)
+    try:
+        states = np.empty((snapshots, f.grid.points), dtype=np.complex128)
+        r_states = np.empty_like(states) if pair else None
+    except (ValueError, MemoryError) as exc:
+        raise SpecError(f"{snapshots:.3g} snapshots of {f.grid.points} points "
+                        f"do not fit in memory: {exc}") from exc
     times = [0.0]
-    states = [q.copy()]
-    r_states = [r.copy()] if pair else None
+    states[0] = q
+    if pair:
+        r_states[0] = r
     started = _time.perf_counter()
     # overflow and NaN in a failing step are caught by the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -351,10 +366,10 @@ def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory
                     (n - 1) * spec.dt,
                 )
             if n % spec.snapshot_stride == 0 or n == n_steps:
-                times.append(n * spec.dt)
-                states.append(q.copy())
+                states[len(times)] = q
                 if pair:
-                    r_states.append(r.copy())
+                    r_states[len(times)] = r
+                times.append(n * spec.dt)
     stats = {"steps": n_steps, "wall_time": _time.perf_counter() - started,
              **stepper.fp_stats()}
     return Trajectory(spec, f.grid, f.sign, times, states, r_states, stats)

@@ -7,7 +7,6 @@ microscopic conservation laws; no integration-by-parts rewrites.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,4 +284,4 @@ def telescoping_residual(triple_a: GreensTriple, triple_b: GreensTriple,
              + dealiased_mul(triple_a.g21, triple_b.g12)
              - 0.5 * dealiased_mul(triple_a.gamma + 1.0, triple_b.gamma + 1.0))
     res = lhs - diff(inner, grid)
-    return math.sqrt(grid.dx * float(np.sum(np.abs(res) ** 2)))
+    return grid.l2_norm(res)

@@ -98,7 +98,7 @@ class GreensTriple:
         """L2 norm of gamma + gamma^2/2 - 2 g12 g21."""
         res = (self.gamma + 0.5 * dealiased_mul(self.gamma, self.gamma)
                - 2.0 * dealiased_mul(self.g12, self.g21))
-        return math.sqrt(grid.dx * float(np.sum(np.abs(res) ** 2)))
+        return grid.l2_norm(res)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +107,10 @@ class GreensTriple:
 
 @lru_cache(maxsize=64)
 def _gate_weight(grid: Grid) -> np.ndarray:
-    # H^{-1/4} weight (4 + xi^2)^(-1/4); even on the lattice, so it also
-    # weighs the coefficients of r for the norm of conj(r)
-    w = (4.0 + grid.xi * grid.xi) ** -0.25
+    # H^{-1/4} weight (4 + xi^2)^(-1/4), 0 where xi^2 overflows (a tiny box);
+    # even on the lattice, so it also weighs r's coefficients for |conj(r)|
+    with np.errstate(over="ignore"):
+        w = (4.0 + grid.xi * grid.xi) ** -0.25
     w.setflags(write=False)
     return w
 
@@ -151,11 +152,13 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
     q_hat = np.fft.fft(q)
     r_hat = np.fft.fft(r)
     weight = _gate_weight(grid)
-    size = math.sqrt(parseval * max(float(np.sum(weight * np.abs(q_hat) ** 2)),
-                                    float(np.sum(weight * np.abs(r_hat) ** 2))))
+    # huge data overflows the squares to size inf, which the gate rejects
+    with np.errstate(over="ignore"):
+        size = math.sqrt(parseval * max(float(np.sum(weight * np.abs(q_hat) ** 2)),
+                                        float(np.sum(weight * np.abs(r_hat) ** 2))))
     if size > delta:
         raise DataTooLarge(
-            f"|q| in H^(-1/4) is {size:.3f} > {delta}; outside the contraction gate"
+            f"|q| in H^(-1/4) is {size:.3g} > {delta}; outside the contraction gate"
         )
     q_fine = to_fine_grid(q_hat)
     r_fine = to_fine_grid(r_hat)
@@ -334,8 +337,7 @@ class OperatorPair:
         return (float(np.linalg.norm(self.lam)), float(np.linalg.norm(self.gam)))
 
 
-def operator_pair(f: Field, kappa: float, r: np.ndarray | None = None,
-                  validate: bool = True) -> OperatorPair:
+def operator_pair(f: Field, kappa: float, r: np.ndarray | None = None) -> OperatorPair:
     grid, q, rr = _field_qr(f, r)
     _check_kappa(kappa)
     if grid.points > ORACLE_MAX_POINTS:
@@ -345,7 +347,7 @@ def operator_pair(f: Field, kappa: float, r: np.ndarray | None = None,
     lam = half_m @ (q[:, None] * half_p)
     gam = half_p @ (rr[:, None] * half_m)
     pair = OperatorPair(kappa, lam, gam)
-    if validate and r is None:
+    if r is None:
         a, b = pair.hs_norms()
         scale = max(a, b)
         if scale > 0 and abs(a - b) > 1e-10 * scale:

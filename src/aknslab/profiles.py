@@ -12,7 +12,9 @@ def gaussian(grid: Grid, amplitude: float = 0.1, width: float = 1.0,
     """amplitude * exp(-(x/width)^2)."""
     if width <= 0:
         raise SpectralError(f"gaussian width must be positive, got {width}")
-    return Field(grid, amplitude * np.exp(-((grid.x / width) ** 2)), sign)
+    # far from the centre of a huge box x^2 overflows; the Gaussian there is 0
+    with np.errstate(over="ignore"):
+        return Field(grid, amplitude * np.exp(-((grid.x / width) ** 2)), sign)
 
 
 def constant(grid: Grid, amplitude: complex, sign: int = +1) -> Field:

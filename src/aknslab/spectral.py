@@ -94,6 +94,10 @@ class Grid:
         """Grid quadrature of int f dx (spectrally accurate on the torus)."""
         return self.dx * complex(np.sum(values))
 
+    def l2_norm(self, values: np.ndarray) -> float:
+        """Grid L2 norm, sqrt(dx * sum |v|^2)."""
+        return math.sqrt(self.dx * float(np.sum(np.abs(values) ** 2)))
+
 
 @dataclass
 class Field:
@@ -131,7 +135,7 @@ class Field:
         return Field(self.grid, self.values.copy() if values is None else values, self.sign)
 
     def l2_norm(self) -> float:
-        return math.sqrt(self.grid.dx * float(np.sum(np.abs(self.values) ** 2)))
+        return self.grid.l2_norm(self.values)
 
     def boundary_decay(self) -> float:
         """max |q| over the outer 5% of nodes, relative to max |q|."""

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -29,8 +27,7 @@ def rng():
     return np.random.default_rng(20260809)
 
 
-def l2(grid, values):
-    return math.sqrt(grid.dx * float(np.sum(np.abs(values) ** 2)))
+l2 = Grid.l2_norm  # l2(grid, values), the grid L2 norm
 
 
 def rel_l2(grid, values, reference):

@@ -1,310 +1,22 @@
-"""Acceptance suite: every criterion at its stated tolerance, one printed
-pass/fail line per criterion.
+"""Acceptance suite: every row of the property table in ``aknslab.selftest``
+at its stated tolerance.  Each group of the table is one test and prints one
+[PASS]/[FAIL] line per row.
 
-Run as  pytest tests/test_acceptance.py -v -s  to see the lines.  Desk scale
-throughout: N <= 1024, L <= 512.
+Run as  pytest tests/test_acceptance.py -v -s  to see the lines.
 """
 
-import math
-
-import numpy as np
-import pytest
-
-from aknslab.diagnostics import (
-    conserved_drift,
-    kappa_convergence_study,
-    log_lambda_fit,
-    micro_residual,
-    norm_inflation_experiment,
-    residual_refinement,
-    scale_family_norm_sq,
-    scale_family_norm_sq_callable,
-)
-from aknslab.flows import FlowSpec, evolve
-from aknslab.hierarchy import (
-    expansion_error,
-    hamiltonians,
-    poisson_bracket,
-    telescoping_residual,
-)
-from aknslab.lax import (
-    greens_fixed_point,
-    greens_oracle,
-    greens_series,
-    pdet_integral,
-    pdet_trace,
-    triple_at_minus_kappa,
-)
-from aknslab.profiles import gaussian, plane_wave, random_schwartz
-from aknslab.spectral import Field, Grid, diff, partition_constant, sobolev_norm
-
-from conftest import l2, rel_l2
-
-GRID = Grid(64.0, 256)
-KAPPAS = (1.0, 2.0, 4.0, 8.0)
-N_FIELDS = 20
+from aknslab.selftest import GROUPS, format_row
 
 
-def report(criterion: str, passed: bool, detail: str) -> None:
-    print(f"[{'PASS' if passed else 'FAIL'}] {criterion}: {detail}")
-    assert passed, f"{criterion}: {detail}"
+def _group_test(group):
+    def test():
+        rows = group()
+        for row in rows:
+            print(format_row(row))
+        assert all(row[4] for row in rows), [row[0] for row in rows if not row[4]]
+    return test
 
 
-@pytest.fixture(scope="module")
-def field_set():
-    rng = np.random.default_rng(5011)
-    fields = []
-    for i in range(N_FIELDS):
-        norm = 0.1 + 0.1 * rng.random()
-        sign = +1 if i % 2 == 0 else -1
-        fields.append(random_schwartz(GRID, rng, norm=norm, sign=sign))
-    return fields
-
-
-@pytest.fixture(scope="module")
-def triple_table(field_set):
-    table = {}
-    for i, f in enumerate(field_set):
-        for kappa in KAPPAS:
-            table[i, kappa] = greens_fixed_point(f, kappa, tol=1e-13)
-    return table
-
-
-def test_criterion_1_oracle_equivalence(field_set, triple_table):
-    worst = 0.0
-    for i, f in enumerate(field_set):
-        for kappa in KAPPAS:
-            fp = triple_table[i, kappa]
-            oracle = greens_oracle(f, kappa)
-            for part in ("g12", "g21", "gamma"):
-                dev = rel_l2(GRID, getattr(fp, part), getattr(oracle, part))
-                worst = max(worst, dev)
-    ratios = []
-    for f in field_set[:5]:
-        errs = []
-        for scale in (1.0, 0.5):
-            trial = Field(GRID, scale * f.values, f.sign)
-            s = greens_series(trial, 2.0, 3)
-            o = greens_oracle(trial, 2.0)
-            errs.append(l2(GRID, s.g12 - o.g12))
-        ratios.append(errs[0] / errs[1])
-    scaling_ok = all(16.0 <= r <= 64.0 for r in ratios)
-    report("criterion 1 (oracle equivalence)",
-           worst <= 1e-7 and scaling_ok,
-           f"max rel dev {worst:.2e} (<=1e-7); amplitude-halving ratios "
-           f"{[f'{r:.1f}' for r in ratios]} in [16, 64]")
-
-
-def test_criterion_2_identity_suite(field_set, triple_table):
-    from aknslab.spectral import dealiased_mul
-
-    worst_quad = worst_deriv = worst_sym = worst_tel = 0.0
-    for i, f in enumerate(field_set):
-        q, r = f.values, f.r
-        qnorm = f.l2_norm()
-        for kappa in KAPPAS:
-            tr = triple_table[i, kappa]
-            worst_quad = max(worst_quad, tr.quadratic_residual(GRID))
-            res12 = (diff(tr.g12, GRID) - 2 * kappa * tr.g12
-                     - dealiased_mul(q, tr.gamma + 1))
-            res21 = (diff(tr.g21, GRID) + 2 * kappa * tr.g21
-                     - dealiased_mul(r, tr.gamma + 1))
-            resg = (diff(tr.gamma, GRID)
-                    - 2.0 * (dealiased_mul(q, tr.g21) + dealiased_mul(r, tr.g12)))
-            worst_deriv = max(worst_deriv,
-                              max(l2(GRID, v) for v in (res12, res21, resg)) / qnorm)
-            direct = greens_fixed_point(f, -kappa, tol=1e-13)
-            image = triple_at_minus_kappa(f, tr)
-            worst_sym = max(worst_sym,
-                            max(l2(GRID, direct.g12 - image.g12),
-                                l2(GRID, direct.gamma - image.gamma)))
-        worst_tel = max(worst_tel, telescoping_residual(
-            triple_table[i, 2.0], triple_table[i, 4.0], GRID))
-    ok = max(worst_quad, worst_deriv, worst_sym, worst_tel) <= 1e-7
-    report("criterion 2 (identity suite)", ok,
-           f"quadratic {worst_quad:.2e}, derivative {worst_deriv:.2e}, "
-           f"symmetry {worst_sym:.2e}, telescoping {worst_tel:.2e} (all <=1e-7)")
-
-
-def test_criterion_3_determinant_consistency(field_set, triple_table):
-    worst_gap = 0.0
-    for i, f in enumerate(field_set):
-        for kappa in KAPPAS:
-            det_i = pdet_integral(f, kappa, triple_table[i, kappa])
-            det_t = pdet_trace(f, kappa, 8)
-            worst_gap = max(worst_gap, abs(det_i - det_t.value))
-    f = gaussian(GRID, 0.1)
-    h = 1e-3
-    tr = greens_fixed_point(f, 2.0, tol=1e-13)
-    fd = (pdet_integral(f, 2.0 + h, greens_fixed_point(f, 2.0 + h, tol=1e-13))
-          - pdet_integral(f, 2.0 - h, greens_fixed_point(f, 2.0 - h, tol=1e-13))) / (2 * h)
-    dgap = abs(fd - GRID.integrate(tr.gamma))
-    errs = [expansion_error(f, k, pdet_integral(f, k, greens_fixed_point(f, k, tol=1e-13)))
-            for k in (8.0, 16.0, 32.0)]
-    ratios = [errs[0] / errs[1], errs[1] / errs[2]]
-    ratio_ok = all(24.0 <= r <= 40.0 for r in ratios)
-    part = abs(partition_constant() - 512.0 / 7.0)
-    ok = worst_gap <= 1e-7 and dgap <= 1e-6 and ratio_ok and part <= 1e-8
-    report("criterion 3 (determinant consistency)", ok,
-           f"integral-vs-trace {worst_gap:.2e} (<=1e-7); dA/dk gap {dgap:.2e} "
-           f"(<=1e-6); expansion ratios {[f'{r:.1f}' for r in ratios]} in [24, 40]; "
-           f"partition {part:.1e} (<=1e-8)")
-
-
-def test_criterion_4_gradient_check():
-    # kappa = 1 and a sizable perturbation keep the third variation well
-    # above the fixed-point noise floor at eps = 1e-4
-    rng = np.random.default_rng(77)
-    f = gaussian(GRID, 0.18)
-    tr = greens_fixed_point(f, 1.0, tol=1e-14)
-    pert = random_schwartz(GRID, rng, norm=0.5)
-    pairing = (GRID.integrate(pert.values * tr.g21)
-               - f.sign * GRID.integrate(np.conj(pert.values) * tr.g12))
-    errs = []
-    for eps in (1e-3, 1e-4):
-        fp = Field(GRID, f.values + eps * pert.values, f.sign)
-        fm = Field(GRID, f.values - eps * pert.values, f.sign)
-        fd = (pdet_integral(fp, 1.0, greens_fixed_point(fp, 1.0, tol=1e-14))
-              - pdet_integral(fm, 1.0, greens_fixed_point(fm, 1.0, tol=1e-14))) / (2 * eps)
-        errs.append(abs(fd - pairing))
-    ratio = errs[0] / errs[1]
-    report("criterion 4 (gradient check)", 50.0 <= ratio <= 200.0,
-           f"eps-halving error ratio {ratio:.1f} in [50, 200] "
-           f"(errors {errs[0]:.2e} -> {errs[1]:.2e})")
-
-
-def test_criterion_5_conservation():
-    grid = Grid(64.0, 512)
-    f = gaussian(grid, 0.1)
-    lines = []
-    ok = True
-    targets = {"nls": ("mass", "h_nls"), "mkdv": ("mass", "momentum", "h_mkdv")}
-    for kind, names in targets.items():
-        traj = evolve(f, FlowSpec(kind, 1e-3, 1.0, snapshot_stride=500))
-        rep = conserved_drift(traj, kappas=(1.0, 2.0, 4.0))
-        drift = max(rep.relative_drift[n] for n in names)
-        alpha_drift = max(rep.relative_drift[f"alpha({k:g})"] for k in (1, 2, 4))
-        ok = ok and drift <= 1e-6 and alpha_drift <= 1e-6
-        lines.append(f"{kind}: H-drift {drift:.1e}, alpha-drift {alpha_drift:.1e}")
-    for kind in ("nls_kappa", "mkdv_kappa"):
-        traj = evolve(f, FlowSpec(kind, 1e-3, 1.0, kappa=8.0, snapshot_stride=1000))
-        rep = conserved_drift(traj, kappas=(1.0, 2.0, 4.0))
-        alpha_drift = max(rep.relative_drift[f"alpha({k:g})"] for k in (1, 2, 4))
-        ok = ok and alpha_drift <= 1e-6
-        lines.append(f"{kind}(k=8): alpha-drift {alpha_drift:.1e}")
-    report("criterion 5 (conservation)", ok, "; ".join(lines) + " (all <=1e-6)")
-
-
-def test_criterion_6_commutation():
-    f = gaussian(GRID, 0.1)
-    t2 = greens_fixed_point(f, 2.0, tol=1e-13)
-    t4 = greens_fixed_point(f, 4.0, tol=1e-13)
-    bracket = abs(poisson_bracket((t2.g21, -t2.g12), (t4.g21, -t4.g12), GRID))
-
-    def defect(star, t, n=8):
-        dt = t / n
-        full = evolve(f, FlowSpec(star, dt, t, scheme="rk4_spectral")).states[-1]
-        mid = evolve(f, FlowSpec(f"{star}_diff", dt, t, kappa=8.0)).states[-1]
-        out = evolve(Field(GRID, mid, f.sign),
-                     FlowSpec(f"{star}_kappa", dt, t, kappa=8.0)).states[-1]
-        return l2(GRID, out - full)
-
-    ratios = []
-    for star in ("nls", "mkdv"):
-        ds = [defect(star, t) for t in (0.08, 0.04, 0.02)]
-        ratios.extend([ds[0] / ds[1], ds[1] / ds[2]])
-    ok = bracket <= 1e-8 and all(r >= 3.5 for r in ratios)
-    report("criterion 6 (commutation)", ok,
-           f"bracket {bracket:.1e} (<=1e-8); splitting-defect ratios "
-           f"{[f'{r:.1f}' for r in ratios]} (all >=3.5)")
-
-
-def test_criterion_7_microscopic_conservation():
-    lines = []
-    ok = True
-    # residual bound and the integrated identity for every flavor at dt = 1e-3
-    cases = (("nls", "nls", None), ("mkdv", "mkdv", None),
-             ("tilde_mkdv", "mkdv", None), ("a_flow", "a_flow", 8.0),
-             ("nls_diff", "nls_diff", 8.0), ("mkdv_diff", "mkdv_diff", 8.0))
-    f = gaussian(GRID, 0.1)
-    worst_point = worst_gap = 0.0
-    for flavor, kind, kappa in cases:
-        traj = evolve(f, FlowSpec(kind, 1e-3, 0.02, kappa=kappa, fp_tol=1e-13))
-        rep = micro_residual(traj, 2.0, flavor, h_count=9)
-        worst_point = max(worst_point, rep.pointwise_l1)
-        worst_gap = max(worst_gap, rep.max_rel_gap())
-    ok = ok and worst_point <= 1e-5 and worst_gap <= 1e-5
-    lines.append(f"all flavors: pointwise {worst_point:.1e}, "
-                 f"integrated {worst_gap:.1e} (<=1e-5)")
-    # refinement slope measured where the scheme error dominates the floor
-    g512 = Grid(64.0, 512)
-    modulated = Field(g512, 0.15 * np.exp(-g512.x**2) * np.exp(2j * g512.x))
-    nls_reps = residual_refinement(modulated, 2.0, "nls", (1.6e-2, 8e-3, 4e-3),
-                                   window=0.096, scheme="rk4_spectral")
-    mkdv_reps = residual_refinement(gaussian(GRID, 0.1), 2.0, "mkdv",
-                                    (8e-3, 4e-3, 2e-3), window=0.096,
-                                    scheme="rk4_spectral")
-    ratios = []
-    for reps in (nls_reps, mkdv_reps):
-        ratios.extend(reps[i].pointwise_l1 / reps[i + 1].pointwise_l1
-                      for i in range(len(reps) - 1))
-    ok = ok and all(r >= 8.0 for r in ratios)
-    lines.append(f"refinement ratios {[f'{r:.1f}' for r in ratios]} (>=8)")
-    report("criterion 7 (microscopic conservation)", ok, "; ".join(lines))
-
-
-def test_criterion_8_kappa_convergence():
-    f = gaussian(GRID, 0.1)
-    lines = []
-    ok = True
-    for star in ("nls", "mkdv"):
-        rows = kappa_convergence_study(f, star, 4.0, (8.0, 16.0, 32.0), 0.1,
-                                       dt=2e-3, snapshot_stride=10)
-        defects = [d for _, d in rows]
-        monotone = defects[0] > defects[1] > defects[2]
-        ok = ok and monotone
-        lines.append(f"{star}: " + " > ".join(f"{d:.2e}" for d in defects))
-    report("criterion 8 (kappa convergence of difference flows)", ok,
-           "; ".join(lines) + " (monotone decreasing)")
-
-
-def test_criterion_9_norm_inflation_dichotomy():
-    rep = norm_inflation_experiment("even", 0.3, (8.0, 64.0, 512.0), -0.5,
-                                    window=1.0, dt=1e-3, snapshot_stride=25)
-    crossing_ok = rep.t1_found and rep.t1 <= 1.0
-    idx = rep.times.index(rep.t1) if rep.t1_found else 0
-    sign_ok = (rep.production_rate.imag < 0 and rep.predicted_imag_sign == -1
-               and math.copysign(1.0, rep.mean_series[idx].imag) == -1.0)
-    lams = np.array([8.0, 64.0, 512.0])
-    nonzero_mean = np.array([scale_family_norm_sq_callable(
-        lambda e: np.exp(-e * e), lam, -0.5) for lam in lams])
-    _, _, res_analytic = log_lambda_fit(lams, nonzero_mean)
-    _, _, res_evolved = rep.evolved_log_fit
-    fits_ok = res_analytic <= 0.10 and res_evolved <= 0.10
-    band_ok = rep.initial_band <= 2.0
-    ok = crossing_ok and sign_ok and fits_ok and band_ok
-    report("criterion 9 (norm inflation dichotomy)", ok,
-           f"t1 {rep.t1} (<=1); production sign matches ({rep.production_rate.imag:.2e}); "
-           f"log-fit residuals {res_analytic:.3f}/{res_evolved:.3f} (<=0.10); "
-           f"mean-zero band {rep.initial_band:.2f} (<=2)")
-
-
-def test_criterion_10_integrator_order():
-    g = Grid(8 * np.pi, 128)
-    wave = plane_wave(g, 1.0, 1.0)
-    ratios = []
-    for kind, omega in (("nls", 1.0 + 2.0), ("mkdv", -1.0 - 6.0)):
-        errs = []
-        for dt in (0.02, 0.01, 0.005):
-            traj = evolve(wave, FlowSpec(kind, dt, 1.0, scheme="rk4_spectral"))
-            exact = np.exp(1j * (g.x - omega))
-            errs.append(float(np.max(np.abs(traj.states[-1] - exact))))
-        ratios.extend([errs[0] / errs[1], errs[1] / errs[2]])
-    order_ok = all(12.0 <= r <= 20.0 for r in ratios)
-    real_data = gaussian(GRID, 0.1)
-    traj = evolve(real_data, FlowSpec("mkdv", 1e-3, 1.0, snapshot_stride=1000))
-    leakage = float(np.max(np.abs(traj.states[-1].imag)))
-    ok = order_ok and leakage <= 1e-12
-    report("criterion 10 (integrator order)", ok,
-           f"dt-halving ratios {[f'{r:.1f}' for r in ratios]} in [12, 20]; "
-           f"mkdv reality leakage {leakage:.1e} (<=1e-12)")
+# one named test per group, so a failure names its group
+for _group in GROUPS:
+    globals()[f"test_{_group.__name__}"] = _group_test(_group)

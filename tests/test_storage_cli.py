@@ -2,9 +2,11 @@
 
 import contextlib
 import copy
+import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,10 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from aknslab import selftest
 from aknslab.cli import _run_flow, main
 from aknslab.config import ConfigError, ExperimentConfig, config_reference
 from aknslab.diagnostics import micro_residual
 from aknslab.flows import FlowSpec, evolve
+from aknslab.lax import LaxError
 from aknslab.profiles import gaussian
 from aknslab.spectral import Field, Grid
 from aknslab.storage import (
@@ -194,6 +198,7 @@ class TestCli:
         {"flow": {"kind": "nls_kappa"}},
         {"flow": {"t_final": 1e-3, "dt": 3e-4}},
         {"flow": {"kind": "nls_diff", "kappa": 8.0, "scheme": "splitting4"}},
+        {"diagnostics": {"radii": [8.0]}},
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, tree):
         path = tmp_path / "bad.json"
@@ -249,6 +254,28 @@ class TestCli:
         assert 20.0 <= errs[0] / errs[1] <= 45.0
         assert 20.0 <= errs[1] / errs[2] <= 45.0
 
+    def test_selftest_runs_every_group(self, tmp_path, monkeypatch):
+        # the real table runs in test_acceptance.py; fake groups stand in.  A
+        # failed row and a group that raises each fail the run, and both report
+        def raising():
+            raise LaxError("diverged, twice")
+
+        rows = [("small", 0.5, -math.inf, 1.0, True), ("ratio", 16.0, 12.0, 20.0, True)]
+        failing = ("strict", 1.0, -math.inf, 1.0, False)
+        tables = {}
+        for out, groups, code in (("pass", (lambda: rows[:1], lambda: rows[1:]), 0),
+                                  ("fail", (lambda: [failing], raising, lambda: rows), 1)):
+            monkeypatch.setattr(selftest, "GROUPS", groups)
+            assert main(["selftest", "--out", str(tmp_path / out)]) == code
+            with open(tmp_path / out / "selftest" / "selftest.csv", newline="") as fh:
+                tables[out] = list(csv.reader(fh))
+        assert tables["pass"] == [["check", "passed", "measured", "lower", "upper"],
+                                  ["small", "true", "0.5", "-inf", "1.0"],
+                                  ["ratio", "true", "16.0", "12.0", "20.0"]]
+        assert [row[:2] for row in tables["fail"][1:]] == [
+            ["strict", "false"], ["raising raised LaxError: diverged; twice", "false"],
+            ["small", "true"], ["ratio", "true"]]
+
     def test_entry_point_runs(self, tmp_path, base_config):
         path, _ = base_config
         proc = subprocess.run(
@@ -274,12 +301,25 @@ SMALL = {"grid": {"length": 32.0, "points": 64},
          "diagnostics": {"kappas": [2.0]}}
 
 
+def assert_exits_cleanly(tree):
+    """``green`` and ``evolve`` on ``tree`` exit 0, 2 or 3 with at most one
+    line on stderr; a traceback or an escaped RuntimeWarning fails by raising."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(tree, fh)
+        for sub in ("green", "evolve"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([sub, "--config", path, "--out", tmp])
+            assert code in (0, 2, 3), (sub, tree, err.getvalue())
+            assert len(err.getvalue().splitlines()) <= 1, (sub, tree, err.getvalue())
+
+
 class TestConfigProperty:
     @given(st.lists(st.tuples(st.sampled_from(TARGETS), st.sampled_from(BAD_VALUES)),
                     min_size=1, max_size=2))
     def test_mutated_config_exits_cleanly(self, mutations):
-        # any config reaches exit 0, 2 or 3 with at most one line on stderr;
-        # a traceback or an escaped RuntimeWarning fails the test by raising
         tree = copy.deepcopy(SMALL)
         for (section, key), value in mutations:
             value = copy.deepcopy(value)  # sampled values are shared objects
@@ -289,13 +329,17 @@ class TestConfigProperty:
                 if not isinstance(tree.get(section), dict):
                     tree[section] = {}
                 tree[section][key] = value
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "cfg.json")
-            with open(path, "w") as fh:
-                json.dump(tree, fh)
-            for sub in ("green", "evolve"):
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = main([sub, "--config", path, "--out", tmp])
-                assert code in (0, 2, 3), (sub, tree, err.getvalue())
-                assert len(err.getvalue().splitlines()) <= 1, (sub, tree, err.getvalue())
+        assert_exits_cleanly(tree)
+
+    # huge and tiny magnitudes overflow squares, powers and the step count on
+    # the way; a t_final of 1e300 asks for more snapshots than an array holds
+    @pytest.mark.parametrize("changes", [
+        {"data": {"amplitude": 1e155}}, {"data": {"amplitude": 1e200}},
+        {"data": {"amplitude": 1e-300}}, {"grid": {"length": 1e-300}},
+        {"grid": {"length": 1e300}}, {"flow": {"t_final": 1e300}},
+        {"flow": {"t_final": 1e300, "dt": 1e-300}}])
+    def test_extreme_magnitude_exits_cleanly(self, changes):
+        tree = copy.deepcopy(SMALL)
+        for section, fields in changes.items():
+            tree.setdefault(section, {}).update(fields)
+        assert_exits_cleanly(tree)
