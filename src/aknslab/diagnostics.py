@@ -246,15 +246,15 @@ def local_smoothing_norm(traj: Trajectory, sigma: float, kappa: float = 1.0,
     best_kappa = 0.0
     for h in h_lattice(grid, h_count):
         psi6 = bump(grid.x - h, cutoff_scale) ** 6
-        plain_t = np.empty(len(traj))
-        kappa_t = np.empty(len(traj))
-        for i in range(len(traj)):
-            coeffs = grid.fft(psi6 * traj.states[i])
-            mags = np.abs(coeffs) ** 2
-            plain_t[i] = grid.dxi * float(np.sum(w_plain * mags))
-            kappa_t[i] = grid.dxi * float(np.sum(w_kappa * mags))
-        best_plain = max(best_plain, float(simpson(plain_t, x=times)))
-        best_kappa = max(best_kappa, float(simpson(kappa_t, x=times)))
+        # a huge box overflows the squared coefficients: reported, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            mags = np.abs(grid.fft(psi6 * traj.states)) ** 2
+            plain = float(simpson(grid.dxi * np.sum(w_plain * mags, axis=1), x=times))
+            kap = float(simpson(grid.dxi * np.sum(w_kappa * mags, axis=1), x=times))
+        if not (math.isfinite(plain) and math.isfinite(kap)):
+            raise DiagnosticsError(f"localized norm at h={h:.3g} is not finite")
+        best_plain = max(best_plain, plain)
+        best_kappa = max(best_kappa, kap)
     return LocalSmoothingReport(sigma, kappa, float(times[-1] - times[0]),
                                 best_plain, best_kappa, h_count)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lax import LaxError, fixed_point_raw
-from .spectral import Field, Grid, dealiased_product
+from .spectral import Field, Grid, dealiased_mul
 
 KINDS = ("nls", "mkdv", "a_flow", "nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
 _KAPPA_KINDS = KINDS[2:]
@@ -243,10 +243,10 @@ class Integrator:
         kap = self.spec.kappa
         r = self.sign * np.conj(q)
         if kind == "nls":
-            return -2j * dealiased_product(q, q, r)
+            return -2j * dealiased_mul(q, q, r)
         if kind == "mkdv":
             qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
-            return 6.0 * dealiased_product(q, r, qp)
+            return 6.0 * dealiased_mul(q, r, qp)
         inv_m, inv_p = self._pm_symbols()
         qh = np.fft.fft(q)
         if kind == "nls_kappa":
@@ -260,13 +260,13 @@ class Integrator:
         if kind == "nls_diff":
             gp, gm = self._g12_pm(q)
             linear_part = np.fft.ifft(-(inv_m + inv_p) * qh)
-            return (-2j * dealiased_product(q, q, r)
+            return (-2j * dealiased_mul(q, q, r)
                     + 4j * kap**3 * ((gp - gm) - linear_part))
         # mkdv_diff
         gp, gm = self._g12_pm(q)
         linear_part = np.fft.ifft((-inv_m + inv_p) * qh)
         qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
-        return (6.0 * dealiased_product(q, r, qp)
+        return (6.0 * dealiased_mul(q, r, qp)
                 - 8.0 * kap**4 * ((gp + gm) - linear_part))
 
     # -- steppers ------------------------------------------------------------

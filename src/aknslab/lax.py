@@ -40,9 +40,9 @@ from .spectral import (
     apply_multiplier,
     dealiased_mul,
     fractional_symbol,
-    from_fine_grid,
     inverse_shift_symbol,
-    to_fine_grid,
+    pad,
+    truncate,
 )
 
 #: Smallness gate for the contraction regime (norm of q in H^{-1/4}).
@@ -131,13 +131,14 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
 
     The iteration lives in Fourier space: gamma is held as its N raw
     ``np.fft`` coefficients (one transform of ``gamma0`` on a warm start),
-    and q and r are transformed and put on the 2N padded grid once per
-    solve.  Each iteration pads gamma, forms gamma q and gamma r there and
+    and q and r are transformed and padded to 3N/2 points once per solve.
+    Each iteration pads gamma, forms gamma q and gamma r there and
     truncates them, applies (2 kappa -/+ d)^{-1} as a coefficient multiply,
     pads g12 and g21, and truncates 2 g12 g21 - gamma^2/2 once: six
-    transforms of size 2N.  The products are the same pairwise Galerkin
-    products ``dealiased_mul`` forms, through the same padding, and the
-    residual is the L2 norm of the update by Parseval.
+    transforms of size 3N/2.  Every product is quadratic, so ``pad`` and
+    ``truncate`` at 3N/2 give the Galerkin products ``dealiased_mul`` forms
+    for two factors, and the residual is the L2 norm of the update by
+    Parseval.
 
     A solve of k iterations makes 6k + 14 transforms (one more on a warm
     start): four to set up q and r, and ten to return.  The returned g12 and
@@ -160,26 +161,26 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
         raise DataTooLarge(
             f"|q| in H^(-1/4) is {size:.3g} > {delta}; outside the contraction gate"
         )
-    q_fine = to_fine_grid(q_hat)
-    r_fine = to_fine_grid(r_hat)
+    m = 3 * n // 2  # every product below is quadratic
+    q_fine = pad(q_hat, m)
+    r_fine = pad(r_hat, m)
     gamma_hat = (np.zeros(n, dtype=np.complex128) if gamma0 is None
                  else np.fft.fft(gamma0))
     damping = 1.0
     prev_res = np.inf
     growths = 0
     for it in range(1, max_iter + 1):
-        gamma_fine = to_fine_grid(gamma_hat)
-        g12_fine = to_fine_grid(-inv_m * (q_hat + from_fine_grid(gamma_fine * q_fine, n)))
-        g21_fine = to_fine_grid(inv_p * (r_hat + from_fine_grid(gamma_fine * r_fine, n)))
-        update = from_fine_grid(
-            2.0 * g12_fine * g21_fine - 0.5 * gamma_fine * gamma_fine, n)
+        gamma_fine = pad(gamma_hat, m)
+        g12_fine = pad(-inv_m * (q_hat + truncate(gamma_fine * q_fine, n)), m)
+        g21_fine = pad(inv_p * (r_hat + truncate(gamma_fine * r_fine, n)), m)
+        update = truncate(2.0 * g12_fine * g21_fine - 0.5 * gamma_fine * gamma_fine, n)
         diff = update - gamma_hat
         res = math.sqrt(parseval * float(np.sum(np.abs(diff) ** 2)))
         gamma_hat = gamma_hat + damping * diff
         if res < tol:
-            gamma_fine = to_fine_grid(gamma_hat)
-            gamma_q = np.fft.ifft(from_fine_grid(gamma_fine * q_fine, n))
-            gamma_r = np.fft.ifft(from_fine_grid(gamma_fine * r_fine, n))
+            gamma_fine = pad(gamma_hat, m)
+            gamma_q = np.fft.ifft(truncate(gamma_fine * q_fine, n))
+            gamma_r = np.fft.ifft(truncate(gamma_fine * r_fine, n))
             g12 = -apply_multiplier(q + gamma_q, inv_m, grid)
             g21 = apply_multiplier(r + gamma_r, inv_p, grid)
             return g12, g21, np.fft.ifft(gamma_hat), it, res
@@ -229,9 +230,8 @@ def series_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float, order: in
     gamma = -2.0 * dealiased_mul(mq, pr)
     if order == 3:
         g12_3 = 2.0 * apply_multiplier(
-            dealiased_mul(q, dealiased_mul(pr, mq)), inv_m, grid)
-        g21_3 = -2.0 * apply_multiplier(
-            dealiased_mul(r, dealiased_mul(mq, pr)), inv_p, grid)
+            dealiased_mul(q, pr, mq), inv_m, grid)
+        g21_3 = -2.0 * apply_multiplier(dealiased_mul(r, mq, pr), inv_p, grid)
         gamma_4 = (2.0 * (dealiased_mul(g12, g21_3) + dealiased_mul(g12_3, g21))
                    - 0.5 * dealiased_mul(gamma, gamma))
         g12 = g12 + g12_3

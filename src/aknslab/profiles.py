@@ -33,7 +33,11 @@ def plane_wave(grid: Grid, amplitude: complex, xi0: float, sign: int = +1) -> Fi
 
 def spectral_profile(grid: Grid, profile, sign: int = +1) -> Field:
     """Field with prescribed transform: q_hat(xi_k) = profile(xi_k)."""
-    coeffs = np.asarray(profile(grid.xi), dtype=np.complex128)
+    # on a tiny box xi^2 overflows and the profile is inf * 0 there
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.asarray(profile(grid.xi), dtype=np.complex128)
+    if not np.all(np.isfinite(coeffs)):
+        raise SpectralError("profile is not finite on the frequency lattice")
     return Field(grid, grid.ifft(coeffs), sign)
 
 

@@ -175,7 +175,8 @@ def apply_multiplier(f, symbol, grid: Grid | None = None):
         return Field(f.grid, out, f.sign)
     if grid is None:
         raise SpectralError("grid required when applying a multiplier to a raw array")
-    m = np.asarray(symbol(grid.xi) if callable(symbol) else symbol, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        m = np.asarray(symbol(grid.xi) if callable(symbol) else symbol, dtype=np.complex128)
     if m.shape != grid.xi.shape:
         raise SpectralError(f"symbol shape {m.shape} does not match lattice {grid.xi.shape}")
     bad = ~np.isfinite(m)
@@ -221,56 +222,43 @@ def diff(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dealiased products (2x zero padding: exact Galerkin product of two
-# band-limited factors, so cubic terms built pairwise are alias-free)
+# Dealiased products (zero padding: a product of d band-limited factors is
+# alias-free on (d+1)N/2 points, so each product is padded and truncated once)
 
 
-def _upsample(coeffs: np.ndarray, m: int) -> np.ndarray:
+def pad(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Values on m >= N points of the band-limited function whose N raw
+    ``np.fft`` coefficients are ``coeffs`` (modes -N/2 .. N/2-1)."""
     n = coeffs.shape[0]
     h = n // 2
     out = np.zeros(m, dtype=np.complex128)
     out[:h] = coeffs[:h]
     out[m - h:] = coeffs[n - h:]
-    return out
+    return np.fft.ifft(out) * (m / n)
 
 
-def _downsample(coeffs: np.ndarray, n: int) -> np.ndarray:
-    m = coeffs.shape[0]
+def truncate(values: np.ndarray, n: int) -> np.ndarray:
+    """The N raw ``np.fft`` coefficients (modes -N/2 .. N/2-1) of values on
+    a padded grid.  Applied to a product of ``pad`` factors it gives the
+    Galerkin product; it is linear, so a sum of products truncates once."""
+    m = values.shape[0]
     h = n // 2
+    full = np.fft.fft(values)
     out = np.empty(n, dtype=np.complex128)
-    out[:h] = coeffs[:h]
-    out[n - h:] = coeffs[m - h:]
-    return out
+    out[:h] = full[:h]
+    out[n - h:] = full[m - h:]
+    return out * (n / m)
 
 
-def to_fine_grid(coeffs: np.ndarray) -> np.ndarray:
-    """Values on the 2N padded grid of the band-limited function whose N raw
-    ``np.fft`` coefficients are ``coeffs``."""
-    return np.fft.ifft(_upsample(coeffs, 2 * coeffs.shape[0])) * 2.0
-
-
-def from_fine_grid(values: np.ndarray, n: int) -> np.ndarray:
-    """The N raw ``np.fft`` coefficients of the coarse band of values on the
-    2N padded grid.  Applied to a product of two ``to_fine_grid`` factors it
-    gives the Galerkin product; it is linear, so a sum of such products may
-    be truncated once."""
-    return _downsample(np.fft.fft(values), n) * 0.5
-
-
-def dealiased_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise product of two grid functions with zero-padded transforms."""
-    prod = np.fft.fft(to_fine_grid(np.fft.fft(a)) * to_fine_grid(np.fft.fft(b)))
-    # halving after the inverse transform (not before, as in from_fine_grid)
-    # keeps this product bit-identical on subnormal data
-    return np.fft.ifft(_downsample(prod, a.shape[0])) * 0.5
-
-
-def dealiased_product(*factors: np.ndarray) -> np.ndarray:
-    """Left-to-right dealiased product of several factors."""
-    out = factors[0]
+def dealiased_mul(*factors: np.ndarray) -> np.ndarray:
+    """Galerkin product of d grid functions: each factor is transformed and
+    padded once to (d+1)N/2 points, multiplied there and truncated once."""
+    n = factors[0].shape[0]
+    m = (len(factors) + 1) * n // 2
+    prod = pad(np.fft.fft(factors[0]), m)
     for f in factors[1:]:
-        out = dealiased_mul(out, f)
-    return out
+        prod *= pad(np.fft.fft(f), m)
+    return np.fft.ifft(truncate(prod, n))
 
 
 # ---------------------------------------------------------------------------

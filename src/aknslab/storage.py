@@ -9,6 +9,7 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -34,10 +35,10 @@ def fmt(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -10,6 +10,7 @@ from aknslab.diagnostics import (
     DiagnosticsError,
     conserved_drift,
     equicontinuity_tail,
+    h_lattice,
     kappa_convergence_study,
     local_smoothing_norm,
     log_lambda_fit,
@@ -24,6 +25,8 @@ from aknslab.diagnostics import (
 from aknslab.flows import FlowSpec, Trajectory, evolve
 from aknslab.profiles import gaussian, mean_zero_even, plane_wave
 from aknslab.spectral import Field, Grid, bump, sobolev_norm
+
+from scipy.integrate import simpson
 
 from conftest import l2
 
@@ -101,6 +104,24 @@ class TestLocalSmoothing:
                                -0.25) ** 2
                   for h in np.linspace(-16.0, 16.0, 9))
         assert abs(rep.value - rep.window * sup) <= 1e-12 * rep.value
+
+    def test_matches_snapshot_loop(self, grid, small_gaussian):
+        # the per-snapshot loop the whole-trajectory transform replaced
+        traj = evolve(small_gaussian, FlowSpec("nls", 1e-3, 0.05, snapshot_stride=5))
+        rep = local_smoothing_norm(traj, -0.25, kappa=2.0, h_count=5)
+        xi = grid.xi
+        weights = ((4.0 + xi * xi) ** -0.25,
+                   (4.0 + xi * xi) ** 0.75 / (4.0 * 2.0 * 2.0 + xi * xi))
+        best = [0.0, 0.0]
+        for h in h_lattice(grid, 5):
+            psi6 = bump(grid.x - h) ** 6
+            for k, w in enumerate(weights):
+                series = np.empty(len(traj))
+                for i in range(len(traj)):
+                    mags = np.abs(grid.fft(psi6 * traj.states[i])) ** 2
+                    series[i] = grid.dxi * float(np.sum(w * mags))
+                best[k] = max(best[k], float(simpson(series, x=np.asarray(traj.times))))
+        assert (rep.value, rep.value_kappa) == tuple(best)
 
     def test_translation_robustness(self, grid, small_gaussian):
         spec = FlowSpec("nls", 1e-3, 0.1, snapshot_stride=10)

@@ -231,7 +231,7 @@ class TestIdentities:
 
     def test_biham_expansion_of_g12(self, grid):
         # -g12 = q/(2k) + q'/(2k)^2 + (q'' - 2 q^2 r)/(2k)^3 + O(k^-4)
-        from aknslab.spectral import diff, dealiased_product
+        from aknslab.spectral import dealiased_mul, diff
 
         f = gaussian(grid, 0.1)
         q, r = f.values, f.r
@@ -239,7 +239,7 @@ class TestIdentities:
         for kappa in (8.0, 16.0):
             tr = fixed(f, kappa)
             expansion = (q / (2 * kappa) + diff(q, grid) / (2 * kappa) ** 2
-                         + (diff(q, grid, 2) - 2 * dealiased_product(q, q, r))
+                         + (diff(q, grid, 2) - 2 * dealiased_mul(q, q, r))
                          / (2 * kappa) ** 3)
             residuals.append(l2(grid, -tr.g12 - expansion))
         ratio = residuals[0] / residuals[1]

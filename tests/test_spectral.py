@@ -18,8 +18,10 @@ from aknslab.spectral import (
     derivative_symbol,
     fractional_symbol,
     inverse_shift_symbol,
+    pad,
     partition_constant,
     sobolev_norm,
+    truncate,
     weighted_norm_sq,
 )
 
@@ -178,6 +180,30 @@ class TestDealiasing:
         clean = dealiased_mul(a, a)
         # the two differ exactly by the wrapped-around modes
         assert l2(grid, aliased - clean) > 1e-6
+
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_galerkin_product_of_full_band_factors(self, degree, n):
+        # reference: the exact product by direct convolution of the centred
+        # coefficients (modes -N/2 .. N/2-1), truncated to the same band
+        rng = np.random.default_rng(10 * degree + n)
+        coeffs = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                  for _ in range(degree)]
+        exact = np.fft.fftshift(coeffs[0])
+        for c in coeffs[1:]:
+            exact = np.convolve(exact, np.fft.fftshift(c))
+        low = (degree - 1) * n // 2  # index of mode -N/2 in the exact product
+        reference = np.fft.ifftshift(exact[low:low + n])
+        product = dealiased_mul(*(n * np.fft.ifft(c) for c in coeffs))
+        got = np.fft.fft(product) / n
+        assert np.linalg.norm(got - reference) <= 1e-13 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_truncate_inverts_pad(self, n):
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for m in (3 * n // 2, 2 * n, 5 * n // 2):
+            assert np.max(np.abs(truncate(pad(c, m), n) - c)) <= 1e-14 * np.max(np.abs(c))
 
 
 class TestCutoffs:

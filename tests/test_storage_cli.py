@@ -110,6 +110,23 @@ class TestConfig:
         assert lines[1] == "0.1,1.0+2.0j"
         assert lines[2] == "1e-17,true"
 
+    def test_csv_quotes_text_fields(self, tmp_path):
+        # a comma-free row is the plain comma join; a comma or a quote in a
+        # text field is quoted, so the row reads back whole
+        path = str(tmp_path / "t.csv")
+        plain = ["plain", 0.5, -1 - 2j, False]
+        quoted = ["a,b", 'say "x"', 3, float("-inf")]
+        write_csv(path, ["name", "note", "value", "flag"], [plain, quoted])
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert data == (b"name,note,value,flag\n"
+                        b"plain,0.5,-1.0-2.0j,false\n"
+                        b'"a,b","say ""x""",3,-inf\n')
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["plain", "0.5", "-1.0-2.0j", "false"]
+        assert rows[2] == ["a,b", 'say "x"', "3", "-inf"]
+
 
 def run_cli(args, cwd):
     return main(args)
@@ -302,17 +319,20 @@ SMALL = {"grid": {"length": 32.0, "points": 64},
 
 
 def assert_exits_cleanly(tree):
-    """``green`` and ``evolve`` on ``tree`` exit 0, 2 or 3 with at most one
-    line on stderr; a traceback or an escaped RuntimeWarning fails by raising."""
+    """Every subcommand but ``selftest`` on ``tree`` exits 0, 2 or 3 (``sweep``
+    also 1, its property failure) with at most one line on stderr; a
+    traceback or an escaped RuntimeWarning fails by raising."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(tree, fh)
-        for sub in ("green", "evolve"):
+        for sub in ("green", "evolve", "conserved", "smoothing", "micro", "inflate",
+                    "sweep"):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main([sub, "--config", path, "--out", tmp])
-            assert code in (0, 2, 3), (sub, tree, err.getvalue())
+            allowed = (0, 1, 2, 3) if sub == "sweep" else (0, 2, 3)
+            assert code in allowed, (sub, tree, err.getvalue())
             assert len(err.getvalue().splitlines()) <= 1, (sub, tree, err.getvalue())
 
 
