@@ -90,13 +90,18 @@ def cmd_conserved(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _run_flow(cfg: ExperimentConfig):
+def _run_flow(cfg: ExperimentConfig, min_snapshots: int = 1):
+    """Evolve the config's field.  A flow that would record fewer than
+    ``min_snapshots`` snapshots is a usage error, raised before any step."""
     f = cfg.make_field()
     spec = flows.FlowSpec(cfg.flow.kind, cfg.flow.dt, cfg.flow.t_final,
                           scheme=cfg.flow.scheme,
                           snapshot_stride=cfg.flow.snapshot_stride,
                           kappa=cfg.flow.kappa or None,
                           fp_tol=cfg.flow.fp_tol)
+    if spec.snapshots < min_snapshots:
+        raise ConfigError(f"need at least {min_snapshots} snapshots, but flow.t_final, "
+                          f"dt and snapshot_stride give {spec.snapshots}")
     return f, flows.evolve(f, spec)
 
 
@@ -130,7 +135,7 @@ def cmd_smoothing(cfg: ExperimentConfig) -> int:
 
 def cmd_micro(cfg: ExperimentConfig) -> int:
     out = _prepare_out(cfg, "micro")
-    _, traj = _run_flow(cfg)
+    _, traj = _run_flow(cfg, min_snapshots=diagnostics.STENCIL_SNAPSHOTS)
     rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa,
                                      cfg.diagnostics.flavor,
                                      h_count=cfg.diagnostics.h_count,

@@ -37,6 +37,9 @@ FLAVOR_FLOW = {"nls": "nls", "mkdv": "mkdv", "tilde_mkdv": "mkdv",
 DEFAULT_H_COUNT_INTEGRATED = 9
 DEFAULT_H_COUNT_SUP = 33
 
+#: Snapshots the fourth-order centred time stencil of ``micro_residual`` needs.
+STENCIL_SNAPSHOTS = 5
+
 
 class DiagnosticsError(RuntimeError):
     pass
@@ -145,8 +148,9 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
             f"but the trajectory is {traj.spec.kind!r}"
         )
     times = np.asarray(traj.times)
-    if len(times) < 5:
-        raise DiagnosticsError("need at least five snapshots for the stencil")
+    if len(times) < STENCIL_SNAPSHOTS:
+        raise DiagnosticsError(
+            f"need at least {STENCIL_SNAPSHOTS} snapshots for the stencil")
     steps = np.diff(times)
     delta = float(steps[0])
     if np.max(np.abs(steps - delta)) > 1e-9 * delta:

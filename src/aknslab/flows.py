@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lax import LaxError, fixed_point_raw
-from .spectral import Field, Grid, dealiased_mul
+from .spectral import Field, Grid, apply_multiplier, dealiased_mul
 
 KINDS = ("nls", "mkdv", "a_flow", "nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
 _KAPPA_KINDS = KINDS[2:]
@@ -100,6 +100,15 @@ class FlowSpec:
         elif self.kappa is not None:
             raise SpecError(f"flow kind {self.kind!r} takes no kappa")
 
+    @property
+    def steps(self) -> int:
+        return int(round(self.t_final / self.dt))
+
+    @property
+    def snapshots(self) -> int:
+        """Snapshots ``evolve`` records: 1 + ceil(steps / stride)."""
+        return 1 - (-self.steps // self.snapshot_stride)
+
     def as_dict(self) -> dict:
         return {"kind": self.kind, "dt": self.dt, "t_final": self.t_final,
                 "scheme": self.scheme, "snapshot_stride": self.snapshot_stride,
@@ -167,7 +176,12 @@ class Integrator:
                 f"{spec.scheme} bound {STABILITY_BOUND:.0f}"
             )
         self.mu = self._linear_symbol(xi)
-        self._warm: dict[float, np.ndarray] = {}
+        if spec.kind in _KAPPA_KINDS[1:]:  # the regularized and difference flows
+            # (2 kappa - d)^{-1} and (2 kappa + d)^{-1}, the leading Green's terms
+            self._inv_m = 1.0 / (2.0 * spec.kappa - 1j * xi)
+            self._inv_p = 1.0 / (2.0 * spec.kappa + 1j * xi)
+        # every solve is at spec.kappa, so the last gamma is the warm start
+        self._warm: np.ndarray | None = None
         self.fp_solves = 0
         self.fp_iterations = 0
         self.fp_min_iterations = math.inf
@@ -194,23 +208,19 @@ class Integrator:
             return -1j * xi**4 / denom
         return 1j * xi**5 / denom  # mkdv_diff
 
-    def _pm_symbols(self) -> tuple[np.ndarray, np.ndarray]:
-        kap = self.spec.kappa
-        xi = self.grid.xi
-        return (1.0 / (2.0 * kap - 1j * xi), 1.0 / (2.0 * kap + 1j * xi))
-
     def _solve(self, q: np.ndarray, r: np.ndarray, kappa: float):
-        """Warm-started fixed point at ``kappa``; records its work."""
+        """Warm-started fixed point at ``kappa``; records its work and
+        returns (g12, g21, gamma)."""
         g12, g21, gamma, iters, res = fixed_point_raw(
             self.grid, q, r, kappa, tol=self.spec.fp_tol,
-            gamma0=self._warm.get(kappa))
-        self._warm[kappa] = gamma
+            gamma0=self._warm)
+        self._warm = gamma
         self.fp_solves += 1
         self.fp_iterations += iters
         self.fp_min_iterations = min(self.fp_min_iterations, iters)
         self.fp_max_iterations = max(self.fp_max_iterations, iters)
         self.fp_worst_residual = max(self.fp_worst_residual, res)
-        return g12, g21
+        return g12, g21, gamma
 
     def fp_stats(self) -> dict:
         """Fixed-point iterations per solve (min, mean, max) and the largest
@@ -223,16 +233,26 @@ class Integrator:
                 "fp_worst_residual": self.fp_worst_residual}
 
     def _g12_pm(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g12 at +/-kappa with warm-started fixed points."""
+        """g12 at +/-kappa from one warm-started fixed point at +kappa.
+
+        With r slaved to q, gamma(-kappa) = conj gamma(kappa), so
+        g12(-kappa) = (2 kappa + d)^{-1} [q (1 + conj gamma(kappa))]: one
+        quadratic product and one multiplier instead of a second solve.  It
+        applies the lattice symbol of (2 kappa + d)^{-1} itself, so unlike the
+        conjugation image of g21(kappa) it has no error at the unpaired
+        Nyquist mode; what remains is the O(|q_hat(N/2)|) gap between
+        gamma(-kappa) and conj gamma(kappa) left by the kept -N/2 mode.
+        """
         kap = self.spec.kappa
-        r = self.sign * np.conj(q)
-        return self._solve(q, r, kap)[0], self._solve(q, r, -kap)[0]
+        gp, _, gamma = self._solve(q, self.sign * np.conj(q), kap)
+        gm = apply_multiplier(q + dealiased_mul(np.conj(gamma), q), self._inv_p, self.grid)
+        return gp, gm
 
     def rhs(self, q: np.ndarray, r: np.ndarray | None = None):
         """Full right-hand side dq/dt (and dr/dt for the generating flow)."""
         if self.spec.kind == "a_flow":
             rr = self.sign * np.conj(q) if r is None else r
-            g12, g21 = self._solve(q, rr, self.spec.kappa)
+            g12, g21, _ = self._solve(q, rr, self.spec.kappa)
             return 1j * g12, 1j * g21
         lin = np.fft.ifft(self.mu * np.fft.fft(q))
         return lin + self.nonlinear(q)
@@ -247,23 +267,20 @@ class Integrator:
         if kind == "mkdv":
             qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
             return 6.0 * dealiased_mul(q, r, qp)
-        inv_m, inv_p = self._pm_symbols()
+        inv_m, inv_p = self._inv_m, self._inv_p
         qh = np.fft.fft(q)
+        gp, gm = self._g12_pm(q)
         if kind == "nls_kappa":
-            gp, gm = self._g12_pm(q)
             linear_part = np.fft.ifft(-(inv_m + inv_p) * qh)
             return -4j * kap**3 * ((gp - gm) - linear_part)
         if kind == "mkdv_kappa":
-            gp, gm = self._g12_pm(q)
             linear_part = np.fft.ifft((-inv_m + inv_p) * qh)
             return 8.0 * kap**4 * ((gp + gm) - linear_part)
         if kind == "nls_diff":
-            gp, gm = self._g12_pm(q)
             linear_part = np.fft.ifft(-(inv_m + inv_p) * qh)
             return (-2j * dealiased_mul(q, q, r)
                     + 4j * kap**3 * ((gp - gm) - linear_part))
         # mkdv_diff
-        gp, gm = self._g12_pm(q)
         linear_part = np.fft.ifft((-inv_m + inv_p) * qh)
         qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
         return (6.0 * dealiased_mul(q, r, qp)
@@ -325,7 +342,7 @@ def _rk4_plain(q: np.ndarray, h: float, rhs) -> np.ndarray:
 def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory:
     """Integrate to t_final, snapshotting every ``snapshot_stride`` steps."""
     stepper = Integrator(f.grid, f.sign, spec)
-    n_steps = int(round(spec.t_final / spec.dt))
+    n_steps = spec.steps
     if abs(n_steps * spec.dt - spec.t_final) > 1e-9 * max(1.0, spec.t_final):
         raise SpecError(
             f"t_final {spec.t_final} is not an integer number of steps of {spec.dt}"
@@ -333,7 +350,7 @@ def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory
     pair = spec.kind == "a_flow"
     q = f.values.copy()
     r = (f.r.copy() if r0 is None else np.asarray(r0, np.complex128)) if pair else None
-    snapshots = 1 - (-n_steps // spec.snapshot_stride)  # 1 + ceil(steps / stride)
+    snapshots = spec.snapshots
     try:
         states = np.empty((snapshots, f.grid.points), dtype=np.complex128)
         r_states = np.empty_like(states) if pair else None

@@ -457,7 +457,16 @@ def alpha(f: Field, kappa: float, tol: float = 1e-12) -> float:
 
 
 def triple_at_minus_kappa(f: Field, triple: GreensTriple) -> GreensTriple:
-    """Conjugation image of a triple at -kappa (slaved partner only)."""
+    """Conjugation image of a triple at -kappa (slaved partner only).
+
+    The image is exact only away from the unpaired Nyquist mode.  On the
+    lattice the +kappa solve's g21 carries the symbol 1/(2 kappa + i xi) at
+    xi_N = -N/2 dxi, so the image's g12 carries 1/(2 kappa - i xi_N) there,
+    where a solve at -kappa applies 1/(2 kappa + i xi_N).  Flows therefore
+    derive g12(-kappa) = (2 kappa + d)^{-1} [q (1 + conj gamma(kappa))] from
+    the +kappa gamma, which applies the lattice multiplier itself (see
+    ``flows.Integrator._g12_pm``).
+    """
     return GreensTriple(
         -triple.kappa,
         f.sign * np.conj(triple.g21),

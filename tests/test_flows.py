@@ -15,8 +15,8 @@ from aknslab.flows import (
     evolve,
     rescale,
 )
-from aknslab.lax import greens_fixed_point, pdet_integral
-from aknslab.profiles import gaussian, plane_wave
+from aknslab.lax import fixed_point_raw, greens_fixed_point, pdet_integral
+from aknslab.profiles import gaussian, plane_wave, random_schwartz
 from aknslab.spectral import Field, Grid
 
 from conftest import l2, rel_l2
@@ -277,6 +277,78 @@ class TestDifferenceFlows:
             moves.append(sobolev_norm(
                 Field(grid, traj.states[-1] - f.values), -0.5))
         assert moves[0] > moves[1] > moves[2]
+
+
+class TwoSolveIntegrator(Integrator):
+    """Reference: g12 at -kappa from its own warm-started fixed point, as the
+    integrator computed it before deriving it from the +kappa solve."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.warm_pm = {}
+
+    def _g12_pm(self, q):
+        r = self.sign * np.conj(q)
+        out = []
+        for kappa in (self.spec.kappa, -self.spec.kappa):
+            g12, _, gamma, _, _ = fixed_point_raw(self.grid, q, r, kappa, tol=self.spec.fp_tol,
+                                                  gamma0=self.warm_pm.get(kappa))
+            self.warm_pm[kappa] = gamma
+            out.append(g12)
+        return out[0], out[1]
+
+
+REGULARIZED_KINDS = ("nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
+
+
+class TestOneSolvePerStage:
+    """g12 at -kappa comes from the +kappa solve's gamma, not a second solve."""
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("kind", REGULARIZED_KINDS)
+    def test_minus_kappa_matches_direct_solve(self, grid, kind, sign):
+        q = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign).values
+        r = sign * np.conj(q)
+        for kappa in (8.0, 16.0, 32.0):
+            gp, gm = Integrator(grid, sign, FlowSpec(kind, 1e-3, 1e-3, kappa=kappa))._g12_pm(q)
+            assert np.array_equal(gp, fixed_point_raw(grid, q, r, kappa)[0])
+            assert rel_l2(grid, gm, fixed_point_raw(grid, q, r, -kappa)[0]) <= 1e-11
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("kind", REGULARIZED_KINDS)
+    def test_minus_kappa_with_nyquist_content(self, grid, kind, sign):
+        # the random profile is band-limited; add a small unpaired Nyquist mode.
+        # The kept -N/2 mode breaks gamma(-kappa) = conj gamma(kappa) by O(its
+        # size), but the derived value carries the lattice symbol, so it stays
+        # far closer to the direct solve than the pure conjugation image
+        q = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign).values
+        q = q + 1e-6 * (-1.0) ** np.arange(grid.points)
+        assert abs(np.fft.fft(q)[grid.points // 2]) > 1e-4
+        r = sign * np.conj(q)
+        for kappa in (8.0, 16.0, 32.0):
+            _, gm = Integrator(grid, sign, FlowSpec(kind, 1e-3, 1e-3, kappa=kappa))._g12_pm(q)
+            direct = fixed_point_raw(grid, q, r, -kappa)[0]
+            image = sign * np.conj(fixed_point_raw(grid, q, r, kappa)[1])
+            assert rel_l2(grid, gm, direct) <= 1e-9
+            assert rel_l2(grid, gm, direct) <= 1e-3 * rel_l2(grid, image, direct)
+
+    @pytest.mark.parametrize("kind", REGULARIZED_KINDS)
+    def test_matches_two_solve_route_over_200_steps(self, grid, kind):
+        f = gaussian(grid, 0.1)
+        spec = FlowSpec(kind, 1e-3, 0.2, kappa=8.0, snapshot_stride=200)
+        reference = TwoSolveIntegrator(grid, f.sign, spec)
+        q = f.values.copy()
+        for _ in range(200):
+            q = reference.step(q)
+        assert rel_l2(grid, evolve(f, spec).states[-1], q) <= 1e-11
+
+    @pytest.mark.parametrize("kind", REGULARIZED_KINDS)
+    def test_one_solve_per_rk4_stage(self, grid, small_gaussian, kind):
+        stepper = Integrator(grid, 1, FlowSpec(kind, 1e-3, 3e-3, kappa=8.0))
+        q = small_gaussian.values.copy()
+        for _ in range(3):
+            q = stepper.step(q)
+        assert stepper.fp_solves == 4 * 3
 
 
 class TestRescale:

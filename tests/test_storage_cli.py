@@ -132,6 +132,12 @@ def run_cli(args, cwd):
     return main(args)
 
 
+# a valid flow of three snapshots: micro's time stencil needs five, and it
+# must say so before stepping the flow
+TOO_FEW_FOR_MICRO = {"grid": {"length": 64, "points": 64},
+                     "flow": {"t_final": 0.01, "dt": 0.001, "snapshot_stride": 5}}
+
+
 class TestCli:
     @pytest.fixture()
     def base_config(self, tmp_path):
@@ -216,11 +222,13 @@ class TestCli:
         {"flow": {"t_final": 1e-3, "dt": 3e-4}},
         {"flow": {"kind": "nls_diff", "kappa": 8.0, "scheme": "splitting4"}},
         {"diagnostics": {"radii": [8.0]}},
+        TOO_FEW_FOR_MICRO,
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, tree):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(tree))
-        assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 2
+        command = "micro" if tree is TOO_FEW_FOR_MICRO else "evolve"
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_numerical_error_exit_code(self, tmp_path):
