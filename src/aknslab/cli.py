@@ -134,10 +134,16 @@ def cmd_smoothing(cfg: ExperimentConfig) -> int:
 
 
 def cmd_micro(cfg: ExperimentConfig) -> int:
+    flavor = cfg.diagnostics.flavor
+    if flavor not in diagnostics.FLAVORS:
+        raise ConfigError(f"unknown diagnostics.flavor {flavor!r}; "
+                          f"choose from {', '.join(diagnostics.FLAVORS)}")
+    if diagnostics.FLAVOR_FLOW[flavor] != cfg.flow.kind:
+        raise ConfigError(f"diagnostics.flavor {flavor!r} pairs with flow.kind "
+                          f"{diagnostics.FLAVOR_FLOW[flavor]!r}, got {cfg.flow.kind!r}")
     out = _prepare_out(cfg, "micro")
     _, traj = _run_flow(cfg, min_snapshots=diagnostics.STENCIL_SNAPSHOTS)
-    rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa,
-                                     cfg.diagnostics.flavor,
+    rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa, flavor,
                                      h_count=cfg.diagnostics.h_count,
                                      fp_tol=cfg.flow.fp_tol)
     write_csv(os.path.join(out, "integrated.csv"),
@@ -193,9 +199,13 @@ def cmd_inflate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
+    # the nls or mkdv family of flow.kind picks the difference flow
+    star = cfg.flow.kind.split("_")[0]
+    if star not in ("nls", "mkdv"):
+        raise ConfigError(f"sweep runs the nls or mkdv difference flow; "
+                          f"flow.kind {cfg.flow.kind!r} is neither")
     out = _prepare_out(cfg, "sweep")
     f = cfg.make_field()
-    star = "nls" if cfg.flow.kind.startswith("nls") else "mkdv"
     rows = diagnostics.kappa_convergence_study(
         f, star, cfg.diagnostics.varkappa, tuple(cfg.diagnostics.sweep_kappas),
         cfg.flow.t_final, s=cfg.diagnostics.s, dt=cfg.flow.dt,

@@ -16,10 +16,9 @@ from scipy.interpolate import CubicSpline
 
 from .flows import FlowError, FlowSpec, Integrator, Trajectory, evolve
 from .hierarchy import FLAVORS, current, density, HierarchyError
-from .lax import GreensTriple, alpha as alpha_of, fixed_point_raw
+from .lax import FixedPointChain, GreensTriple, alpha as alpha_of, greens_fixed_point
 from .profiles import mean_zero_even, mean_zero_odd
 from .spectral import (
-    CUTOFF_SCALE,
     Cutoff,
     Field,
     Grid,
@@ -27,7 +26,6 @@ from .spectral import (
     bump,
     diff,
     sobolev_norm,
-    weighted_norm_sq,
 )
 
 #: Which flow kind each current flavor is conserved under.
@@ -115,23 +113,13 @@ class ResidualReport:
 
 
 def _triples_along(traj: Trajectory, param: float, fp_tol: float) -> list[GreensTriple]:
-    out = []
-    warm = None
-    for i in range(len(traj)):
-        q = traj.states[i]
-        r = traj.partner(i)
-        g12, g21, gamma, iters, res = fixed_point_raw(
-            traj.grid, q, r, param, tol=fp_tol, gamma0=warm)
-        warm = gamma
-        out.append(GreensTriple(param, g12, g21, gamma, "fixed_point",
-                                {"iterations": iters, "residual": res}))
-    return out
+    chain = FixedPointChain(traj.grid, param, fp_tol)
+    return [chain.solve(traj.states[i], traj.partner(i)) for i in range(len(traj))]
 
 
 def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
                    h_count: int = DEFAULT_H_COUNT_INTEGRATED,
-                   fp_tol: float = 1e-13,
-                   cutoff_scale: float = CUTOFF_SCALE) -> ResidualReport:
+                   fp_tol: float = 1e-13) -> ResidualReport:
     """Pointwise and integrated residual of d_t(density) + d_x(current) = 0.
 
     Pointwise: fourth-order centred time stencil on uniformly spaced
@@ -156,17 +144,15 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     if np.max(np.abs(steps - delta)) > 1e-9 * delta:
         raise DiagnosticsError("snapshots must be uniformly spaced in time")
     grid = traj.grid
-    tuple_needed = {"a_flow": 1, "nls_diff": 2, "mkdv_diff": 2}.get(flavor, 0)
     vk_triples = _triples_along(traj, varkappa, fp_tol)
     kap = traj.spec.kappa
-    kap_triples: list[tuple[GreensTriple, ...]] = []
-    if tuple_needed == 1:
-        plus = _triples_along(traj, kap, fp_tol)
-        kap_triples = [(t,) for t in plus]
-    elif tuple_needed == 2:
-        plus = _triples_along(traj, kap, fp_tol)
-        minus = _triples_along(traj, -kap, fp_tol)
-        kap_triples = list(zip(plus, minus))
+    # the kappa-flows' currents also take the triples at kappa (and -kappa)
+    extras: list[tuple[GreensTriple, ...]] = [()] * len(traj)
+    if flavor == "a_flow":
+        extras = [(t,) for t in _triples_along(traj, kap, fp_tol)]
+    elif flavor in ("nls_diff", "mkdv_diff"):
+        extras = list(zip(_triples_along(traj, kap, fp_tol),
+                          _triples_along(traj, -kap, fp_tol)))
 
     tilde = flavor == "tilde_mkdv"
     rhos = []
@@ -175,8 +161,7 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
         f = traj.field(i)
         r = traj.partner(i)
         rhos.append(density(f, vk_triples[i], tilde=tilde, r=r))
-        extra = kap_triples[i] if tuple_needed else ()
-        currents.append(current(f, flavor, vk_triples[i], extra, r=r))
+        currents.append(current(f, flavor, vk_triples[i], extras[i], r=r))
 
     l1 = 0.0
     sup = 0.0
@@ -190,8 +175,8 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     rows = []
     floor = 1e-300
     for h in h_lattice(grid, h_count):
-        psi12 = Cutoff(grid, float(h), 12, cutoff_scale).samples()
-        phi = Cutoff(grid, float(h), 12, cutoff_scale).antiderivative()
+        psi12 = Cutoff(grid, float(h), 12).samples()
+        phi = Cutoff(grid, float(h), 12).antiderivative()
         flux = np.array([grid.dx * float(np.sum((j * psi12).real))
                          + 1j * grid.dx * float(np.sum((j * psi12).imag))
                          for j in currents])
@@ -232,8 +217,7 @@ class LocalSmoothingReport:
 
 
 def local_smoothing_norm(traj: Trajectory, sigma: float, kappa: float = 1.0,
-                         h_count: int = DEFAULT_H_COUNT_SUP,
-                         cutoff_scale: float = CUTOFF_SCALE) -> LocalSmoothingReport:
+                         h_count: int = DEFAULT_H_COUNT_SUP) -> LocalSmoothingReport:
     """sup over cutoff centres of the time-integrated localized norms.
 
     value:       sup_h int ||psi_h^6 q(t)||_{H^sigma}^2 dt
@@ -249,7 +233,7 @@ def local_smoothing_norm(traj: Trajectory, sigma: float, kappa: float = 1.0,
     best_plain = 0.0
     best_kappa = 0.0
     for h in h_lattice(grid, h_count):
-        psi6 = bump(grid.x - h, cutoff_scale) ** 6
+        psi6 = bump(grid.x - h) ** 6
         # a huge box overflows the squared coefficients: reported, not warned
         with np.errstate(over="ignore", invalid="ignore"):
             mags = np.abs(grid.fft(psi6 * traj.states)) ** 2
@@ -312,8 +296,7 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
                             dt: float = 1e-3,
                             h_count: int = DEFAULT_H_COUNT_INTEGRATED,
                             snapshot_stride: int = 20,
-                            fp_tol: float = 1e-12,
-                            cutoff_scale: float = CUTOFF_SCALE) -> list:
+                            fp_tol: float = 1e-12) -> list:
     """Defect of the difference flow against the identity, per kappa.
 
     For each kappa, evolve under the star-difference flow to ``t_final`` and
@@ -327,14 +310,14 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
         raise DiagnosticsError(f"varkappa must be >= 4, got {varkappa}")
     grid = q0.grid
     centres = h_lattice(grid, h_count)
-    psis = [bump(grid.x - h, cutoff_scale) ** 12 for h in centres]
+    psis = [bump(grid.x - h) ** 12 for h in centres]
 
     def sup_h_norm(delta_g: np.ndarray) -> float:
         return max(
             sobolev_norm(Field(grid, psi * delta_g), s + 1.0) for psi in psis
         )
 
-    g12_ref, _, _, _, _ = fixed_point_raw(grid, q0.values, q0.r, varkappa, tol=fp_tol)
+    g12_ref = greens_fixed_point(q0, varkappa, tol=fp_tol).g12
     rows = []
     for kap in kappas:
         if kap < 2.0 * varkappa:
@@ -345,12 +328,10 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
                         snapshot_stride=snapshot_stride, fp_tol=fp_tol)
         traj = evolve(q0, spec)
         defect = 0.0
-        warm = None
+        # snapshot 0 is q0 itself; the chain starts cold at snapshot 1
+        chain = FixedPointChain(grid, varkappa, fp_tol)
         for i in range(1, len(traj)):
-            g12_t, _, gamma, _, _ = fixed_point_raw(
-                grid, traj.states[i], traj.partner(i), varkappa,
-                tol=fp_tol, gamma0=warm)
-            warm = gamma
+            g12_t = chain.solve(traj.states[i], traj.partner(i)).g12
             defect = max(defect, sup_h_norm(g12_t - g12_ref))
         rows.append((float(kap), defect))
     return rows
@@ -384,9 +365,9 @@ def scale_family_norm_sq(f: Field, lam: float, sigma: float) -> float:
     return lam * val
 
 
-def scale_family_norm_sq_callable(profile_hat, lam: float, sigma: float,
-                                  band: float = 40.0) -> float:
-    """Same quadrature for an analytic transform profile."""
+def scale_family_norm_sq_callable(profile_hat, lam: float, sigma: float) -> float:
+    """Same quadrature for an analytic transform profile, over |eta| <= 40."""
+    band = 40.0
 
     def integrand(e):
         return (4.0 + (lam * e) ** 2) ** sigma * abs(profile_hat(e)) ** 2

@@ -6,9 +6,11 @@ flows.  All schemes integrate the full linearization exactly in Fourier
 space; for the kappa-regularized and difference flows that linearization is
 the bounded rational symbol produced by the leading Green's-function term,
 so the step size never couples to kappa.  Every kind takes Lawson-RK4
-(``rk4_spectral``); nls and mkdv also take fourth-order Yoshida splitting
-(``splitting4``).  ``evolve`` is the one way to step a flow; a single step
-is ``evolve(f, FlowSpec(kind, dt, dt, ...))``.
+(``rk4_spectral``); nls also takes fourth-order Yoshida splitting
+(``splitting4``), whose nonlinear substep is an exact pointwise phase.
+``evolve`` is the one way to step a flow; a single step is
+``evolve(f, FlowSpec(kind, dt, dt, ...))``.  The kappa-kinds make their
+Green's solves through one ``lax.FixedPointChain`` per integrator.
 
 The generating flow evolves q and its partner r as independent unknowns (its
 Hamiltonian is complex, so it does not preserve r = sign * conj(q)); the
@@ -24,17 +26,17 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .lax import LaxError, fixed_point_raw
+from .lax import FixedPointChain, LaxError
 from .spectral import Field, Grid, apply_multiplier, dealiased_mul
 
 KINDS = ("nls", "mkdv", "a_flow", "nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
 _KAPPA_KINDS = KINDS[2:]
 
-#: The schemes each kind accepts; the first is its default.  Only the two full
-#: equations take splitting: every other kind's nonlinear part needs Green's
-#: solves, and splitting makes three times as many of them per step.
-SCHEMES = {"nls": ("splitting4", "rk4_spectral"), "mkdv": ("rk4_spectral", "splitting4"),
-           **{kind: ("rk4_spectral",) for kind in _KAPPA_KINDS}}
+#: The schemes each kind accepts; the first is its default.  Only nls takes
+#: splitting: its nonlinear substep has an exact pointwise solution, where
+#: every other kind would need an inner Runge-Kutta step.
+SCHEMES = {"nls": ("splitting4", "rk4_spectral"),
+           **{kind: ("rk4_spectral",) for kind in KINDS[1:]}}
 
 #: Exponent of the dispersive symbol entering the step-size gate.
 DISPERSION_ORDER = {"nls": 2, "nls_kappa": 2, "nls_diff": 2,
@@ -180,13 +182,8 @@ class Integrator:
             # (2 kappa - d)^{-1} and (2 kappa + d)^{-1}, the leading Green's terms
             self._inv_m = 1.0 / (2.0 * spec.kappa - 1j * xi)
             self._inv_p = 1.0 / (2.0 * spec.kappa + 1j * xi)
-        # every solve is at spec.kappa, so the last gamma is the warm start
-        self._warm: np.ndarray | None = None
-        self.fp_solves = 0
-        self.fp_iterations = 0
-        self.fp_min_iterations = math.inf
-        self.fp_max_iterations = 0
-        self.fp_worst_residual = 0.0
+        # every solve is at spec.kappa; the full equations make none
+        self.chain = FixedPointChain(grid, spec.kappa, spec.fp_tol)
 
     # -- linearization ------------------------------------------------------
 
@@ -208,30 +205,6 @@ class Integrator:
             return -1j * xi**4 / denom
         return 1j * xi**5 / denom  # mkdv_diff
 
-    def _solve(self, q: np.ndarray, r: np.ndarray, kappa: float):
-        """Warm-started fixed point at ``kappa``; records its work and
-        returns (g12, g21, gamma)."""
-        g12, g21, gamma, iters, res = fixed_point_raw(
-            self.grid, q, r, kappa, tol=self.spec.fp_tol,
-            gamma0=self._warm)
-        self._warm = gamma
-        self.fp_solves += 1
-        self.fp_iterations += iters
-        self.fp_min_iterations = min(self.fp_min_iterations, iters)
-        self.fp_max_iterations = max(self.fp_max_iterations, iters)
-        self.fp_worst_residual = max(self.fp_worst_residual, res)
-        return g12, g21, gamma
-
-    def fp_stats(self) -> dict:
-        """Fixed-point iterations per solve (min, mean, max) and the largest
-        final residual over every solve so far; empty before the first."""
-        if not self.fp_solves:
-            return {}
-        return {"fp_iterations": {"min": self.fp_min_iterations,
-                                  "mean": self.fp_iterations / self.fp_solves,
-                                  "max": self.fp_max_iterations},
-                "fp_worst_residual": self.fp_worst_residual}
-
     def _g12_pm(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """g12 at +/-kappa from one warm-started fixed point at +kappa.
 
@@ -243,17 +216,16 @@ class Integrator:
         Nyquist mode; what remains is the O(|q_hat(N/2)|) gap between
         gamma(-kappa) and conj gamma(kappa) left by the kept -N/2 mode.
         """
-        kap = self.spec.kappa
-        gp, _, gamma = self._solve(q, self.sign * np.conj(q), kap)
-        gm = apply_multiplier(q + dealiased_mul(np.conj(gamma), q), self._inv_p, self.grid)
-        return gp, gm
+        plus = self.chain.solve(q, self.sign * np.conj(q))
+        conj_gamma_q = dealiased_mul(np.conj(plus.gamma), q)
+        return plus.g12, apply_multiplier(q + conj_gamma_q, self._inv_p, self.grid)
 
     def rhs(self, q: np.ndarray, r: np.ndarray | None = None):
         """Full right-hand side dq/dt (and dr/dt for the generating flow)."""
         if self.spec.kind == "a_flow":
             rr = self.sign * np.conj(q) if r is None else r
-            g12, g21, _ = self._solve(q, rr, self.spec.kappa)
-            return 1j * g12, 1j * g21
+            triple = self.chain.solve(q, rr)
+            return 1j * triple.g12, 1j * triple.g21
         lin = np.fft.ifft(self.mu * np.fft.fft(q))
         return lin + self.nonlinear(q)
 
@@ -318,12 +290,9 @@ class Integrator:
     def _strang(self, q: np.ndarray, tau: float) -> np.ndarray:
         half = np.exp(self.mu * (0.5 * tau))
         q = np.fft.ifft(half * np.fft.fft(q))
-        if self.spec.kind == "nls":
-            # i q' = 2 q^2 r has the exact pointwise phase solution
-            qr = (q * (self.sign * np.conj(q))).real
-            q = q * np.exp(-2j * tau * qr)
-        else:
-            q = _rk4_plain(q, tau, self.nonlinear)
+        # i q' = 2 q^2 r has the exact pointwise phase solution
+        qr = (q * (self.sign * np.conj(q))).real
+        q = q * np.exp(-2j * tau * qr)
         return np.fft.ifft(half * np.fft.fft(q))
 
 
@@ -388,7 +357,7 @@ def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory
                     r_states[len(times)] = r
                 times.append(n * spec.dt)
     stats = {"steps": n_steps, "wall_time": _time.perf_counter() - started,
-             **stepper.fp_stats()}
+             **stepper.chain.stats()}
     return Trajectory(spec, f.grid, f.sign, times, states, r_states, stats)
 
 

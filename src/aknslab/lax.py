@@ -13,9 +13,10 @@ spectral parameter kappa, |kappa| >= 1:
                             g21 =  (2k+d)^{-1}[r(1+gamma)],
                             gamma = 2 g12 g21 - gamma^2/2.
 
-Its kernel ``fixed_point_raw``, which every flow, diagnostic and CLI path
-calls, checks the H^{-1/4} smallness gate ``DELTA_GATE`` on every solve, at
-no extra transform.
+Its kernel ``fixed_point_raw`` checks the H^{-1/4} smallness gate
+``DELTA_GATE`` on every solve, at no extra transform.  Callers outside this
+module solve through ``greens_fixed_point``, or through ``FixedPointChain``
+for a sequence of solves at one kappa (flow stages, trajectory snapshots).
 
 The determinant A(kappa) comes either from the trace series over the
 Hilbert-Schmidt pair (Lambda, Gamma) or from integrating the density
@@ -48,6 +49,9 @@ from .spectral import (
 #: Smallness gate for the contraction regime (norm of q in H^{-1/4}).
 DELTA_GATE = 0.25
 
+#: Smallest |2 + gamma| the density and the currents divide by.
+DENSITY_GUARD = 0.5
+
 #: Dense-oracle limits.
 ORACLE_MAX_POINTS = 1024
 ORACLE_MIN_KAPPA_L = 40.0
@@ -63,7 +67,7 @@ class DataTooLarge(LaxError):
 
 
 class NonContraction(LaxError):
-    """Fixed-point residual grew repeatedly; data too large for this route."""
+    """Fixed-point residual grew or missed the tolerance; data too large."""
 
 
 class IllConditioned(LaxError):
@@ -121,8 +125,9 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
                     delta: float = DELTA_GATE):
     """Iterate the three coupled identities from gamma = 0 (or a warm start).
 
-    Returns (g12, g21, gamma, iterations, residual).  Residual growth over
-    three consecutive iterations aborts; a single growth engages damping 1/2.
+    Returns (g12, g21, gamma, iterations, residual).  The first residual
+    growth raises ``NonContraction``: inside the gate the iteration contracts,
+    so a growth means the data are too large for this route.
 
     Every solve first checks the contraction gate: ``DataTooLarge`` when
     max(|q|, |conj r|) in H^{-1/4} exceeds ``delta``.  The two norms are
@@ -166,9 +171,7 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
     r_fine = pad(r_hat, m)
     gamma_hat = (np.zeros(n, dtype=np.complex128) if gamma0 is None
                  else np.fft.fft(gamma0))
-    damping = 1.0
     prev_res = np.inf
-    growths = 0
     for it in range(1, max_iter + 1):
         gamma_fine = pad(gamma_hat, m)
         g12_fine = pad(-inv_m * (q_hat + truncate(gamma_fine * q_fine, n)), m)
@@ -176,7 +179,7 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
         update = truncate(2.0 * g12_fine * g21_fine - 0.5 * gamma_fine * gamma_fine, n)
         diff = update - gamma_hat
         res = math.sqrt(parseval * float(np.sum(np.abs(diff) ** 2)))
-        gamma_hat = gamma_hat + damping * diff
+        gamma_hat = gamma_hat + diff
         if res < tol:
             gamma_fine = pad(gamma_hat, m)
             gamma_q = np.fft.ifft(truncate(gamma_fine * q_fine, n))
@@ -185,15 +188,10 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
             g21 = apply_multiplier(r + gamma_r, inv_p, grid)
             return g12, g21, np.fft.ifft(gamma_hat), it, res
         if res >= prev_res:
-            growths += 1
-            damping = 0.5
-            if growths >= 3:
-                raise NonContraction(
-                    f"fixed point diverging at kappa={kappa}: residual {res:.3e} "
-                    "grew three times; reduce the data or use the dense oracle"
-                )
-        else:
-            growths = 0
+            raise NonContraction(
+                f"fixed point diverging at kappa={kappa}: residual {res:.3e} "
+                f"grew from {prev_res:.3e}; reduce the data or use the dense oracle"
+            )
         prev_res = res
     raise NonContraction(
         f"fixed point did not reach tol={tol:.1e} in {max_iter} iterations "
@@ -203,14 +201,53 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
 
 def greens_fixed_point(f: Field, kappa: float, tol: float = 1e-12,
                        max_iter: int = 200, r: np.ndarray | None = None,
-                       gamma0: np.ndarray | None = None,
                        delta: float = DELTA_GATE) -> GreensTriple:
+    """One cold solve; ``FixedPointChain`` warm-starts a sequence of them."""
     grid, q, rr = _field_qr(f, r)
     g12, g21, gamma, iters, res = fixed_point_raw(
-        grid, q, rr, kappa, tol=tol, max_iter=max_iter, gamma0=gamma0, delta=delta
+        grid, q, rr, kappa, tol=tol, max_iter=max_iter, delta=delta
     )
     return GreensTriple(kappa, g12, g21, gamma, "fixed_point",
                         {"iterations": iters, "residual": res, "tol": tol})
+
+
+class FixedPointChain:
+    """Fixed-point solves at one kappa and tolerance, each warm-started from
+    the gamma of the previous one (the first is cold), with their work
+    counted."""
+
+    def __init__(self, grid: Grid, kappa: float, tol: float = 1e-12):
+        self.grid = grid
+        self.kappa = kappa
+        self.tol = tol
+        self.gamma: np.ndarray | None = None  # the next solve's warm start
+        self.solves = 0
+        self.iterations = 0
+        self.min_iterations = math.inf
+        self.max_iterations = 0
+        self.worst_residual = 0.0
+
+    def solve(self, q: np.ndarray, r: np.ndarray) -> GreensTriple:
+        g12, g21, gamma, iters, res = fixed_point_raw(
+            self.grid, q, r, self.kappa, tol=self.tol, gamma0=self.gamma)
+        self.gamma = gamma
+        self.min_iterations = min(self.min_iterations, iters)
+        self.max_iterations = max(self.max_iterations, iters)
+        self.iterations += iters
+        self.solves += 1
+        self.worst_residual = max(self.worst_residual, res)
+        return GreensTriple(self.kappa, g12, g21, gamma, "fixed_point",
+                            {"iterations": iters, "residual": res, "tol": self.tol})
+
+    def stats(self) -> dict:
+        """Iterations per solve (min, mean, max) and the largest final
+        residual over every solve so far; empty before the first."""
+        if not self.solves:
+            return {}
+        return {"fp_iterations": {"min": self.min_iterations,
+                                  "mean": self.iterations / self.solves,
+                                  "max": self.max_iterations},
+                "fp_worst_residual": self.worst_residual}
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +418,7 @@ def _power_radius(mat: np.ndarray, iters: int = 60, seed: int = 7) -> float:
 
 
 def pdet_trace(f: Field, kappa: float, order: int = 8,
-               r: np.ndarray | None = None,
-               pair: OperatorPair | None = None) -> TraceDeterminant:
+               r: np.ndarray | None = None) -> TraceDeterminant:
     """Determinant from the alternating trace series, truncated at ``order``.
 
     The spectral radius of Lambda*Gamma is estimated first; radius >= 1 means
@@ -396,8 +432,7 @@ def pdet_trace(f: Field, kappa: float, order: int = 8,
     if order < 1:
         raise LaxError(f"truncation order must be >= 1, got {order}")
     grid, q, rr = _field_qr(f, r)
-    if pair is None:
-        pair = operator_pair(f, kappa, r=r)
+    pair = operator_pair(f, kappa, r=r)
     prod = pair.lam @ pair.gam
     radius = _power_radius(prod)
     if radius >= 1.0:
@@ -416,23 +451,22 @@ def pdet_trace(f: Field, kappa: float, order: int = 8,
     return TraceDeterminant(total, order, abs(term), radius)
 
 
-def density_denominator(triple: GreensTriple, guard: float = 0.5) -> np.ndarray:
+def density_denominator(triple: GreensTriple) -> np.ndarray:
     """2 + gamma, the denominator of the density and the currents; raises
-    when |2 + gamma| comes within ``guard`` of zero."""
+    when |2 + gamma| comes within ``DENSITY_GUARD`` of zero."""
     denom = 2.0 + triple.gamma
     small = float(np.min(np.abs(denom)))
-    if small < guard:
+    if small < DENSITY_GUARD:
         raise LaxError(
-            f"density denominator |2 + gamma| reaches {small:.3f} < {guard}; "
+            f"density denominator |2 + gamma| reaches {small:.3f} < {DENSITY_GUARD}; "
             "data too large"
         )
     return denom
 
 
-def density_raw(q: np.ndarray, r: np.ndarray, triple: GreensTriple,
-                guard: float = 0.5) -> np.ndarray:
+def density_raw(q: np.ndarray, r: np.ndarray, triple: GreensTriple) -> np.ndarray:
     """The conserved density (q g21 - r g12) / (2 + gamma)."""
-    denom = density_denominator(triple, guard)
+    denom = density_denominator(triple)
     return (dealiased_mul(q, triple.g21) - dealiased_mul(r, triple.g12)) / denom
 
 

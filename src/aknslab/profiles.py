@@ -54,26 +54,24 @@ def mean_zero_odd(grid: Grid, amplitude: float, sign: int = +1) -> Field:
 
 
 def random_schwartz(grid: Grid, rng: np.random.Generator, norm: float = 0.1,
-                    norm_sigma: float = -0.25, sign: int = +1,
-                    x_width: float = 4.0, xi_width: float = 2.5,
-                    band_fraction: float = 2.0 / 3.0) -> Field:
-    """Random smooth, spatially localized field normalized in H^norm_sigma.
+                    sign: int = +1) -> Field:
+    """Random smooth, spatially localized field of size ``norm`` in H^(-1/4).
 
-    Complex noise is shaped by a Gaussian in frequency, localized by a
-    Gaussian envelope in space, and finally band-limited to a fraction of
-    the lattice, so spectral tails and boundary values both sit at machine
-    level on a sensible box.
+    Complex noise is shaped by a Gaussian of width 2.5 in frequency,
+    localized by a Gaussian envelope of width 4 in space, and finally
+    band-limited to 2/3 of the lattice's band, so spectral tails and
+    boundary values both sit at machine level on a sensible box.
     """
     n = grid.points
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    shaped = noise * np.exp(-((grid.xi / xi_width) ** 2))
-    values = np.fft.ifft(shaped) * np.exp(-((grid.x / x_width) ** 2))
-    cut = band_fraction * float(np.max(np.abs(grid.xi)))
+    shaped = noise * np.exp(-((grid.xi / 2.5) ** 2))
+    values = np.fft.ifft(shaped) * np.exp(-((grid.x / 4.0) ** 2))
+    cut = 2.0 / 3.0 * float(np.max(np.abs(grid.xi)))
     spectrum = np.fft.fft(values)
     spectrum[np.abs(grid.xi) > cut] = 0.0
     values = np.fft.ifft(spectrum)
     f = Field(grid, values, sign)
-    current = sobolev_norm(f, norm_sigma)
+    current = sobolev_norm(f, -0.25)
     if current == 0.0:
         raise SpectralError("degenerate random field")
     return Field(grid, values * (norm / current), sign)

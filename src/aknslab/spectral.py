@@ -22,8 +22,9 @@ from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
-#: Decay scale of the cutoff sech(x / CUTOFF_SCALE).  Kept configurable; the
-#: default matches the slowly-varying choice used throughout the diagnostics.
+#: Decay scale of the cutoff sech(x / CUTOFF_SCALE), the slowly-varying choice
+#: every diagnostic uses.  ``Cutoff`` and ``bump`` default to it; their tests
+#: check the cutoff algebra at smaller scales.
 CUTOFF_SCALE = 99.0
 
 

@@ -23,12 +23,26 @@ from aknslab.diagnostics import (
     tightness_profile,
 )
 from aknslab.flows import FlowSpec, Trajectory, evolve
+from aknslab.hierarchy import current, density
+from aknslab.lax import GreensTriple, fixed_point_raw
 from aknslab.profiles import gaussian, mean_zero_even, plane_wave
 from aknslab.spectral import Field, Grid, bump, sobolev_norm
 
 from scipy.integrate import simpson
 
 from conftest import l2
+
+
+def hand_triples(traj, param, tol, start=0):
+    """Triples along the snapshots from ``start`` on, each solve warm-started
+    by hand from the previous gamma: the reference for the solve chains."""
+    out, warm = [], None
+    for i in range(start, len(traj)):
+        g12, g21, gamma, _, _ = fixed_point_raw(traj.grid, traj.states[i], traj.partner(i),
+                                                param, tol=tol, gamma0=warm)
+        warm = gamma
+        out.append(GreensTriple(param, g12, g21, gamma, "fixed_point"))
+    return out
 
 
 def frozen_trajectory(grid, field, n=11, dt=0.01):
@@ -89,6 +103,27 @@ class TestMicroResidual:
         rep = micro_residual(traj, 2.0, flavor)
         assert rep.pointwise_l1 <= 1e-5
         assert rep.max_rel_gap() <= 1e-5
+
+    @pytest.mark.parametrize("flavor,kind,kappa", [
+        ("nls", "nls", None),
+        ("a_flow", "a_flow", 8.0),
+        ("mkdv_diff", "mkdv_diff", 8.0),
+    ])
+    def test_samples_match_hand_warm_started_solves(self, grid, flavor, kind, kappa):
+        traj = evolve(gaussian(grid, 0.1), FlowSpec(kind, 2e-3, 0.01, kappa=kappa))
+        rep = micro_residual(traj, 2.0, flavor)
+        vk = hand_triples(traj, 2.0, 1e-13)
+        if flavor == "nls":
+            extra = [()] * len(traj)
+        elif flavor == "a_flow":
+            extra = [(t,) for t in hand_triples(traj, kappa, 1e-13)]
+        else:
+            extra = list(zip(hand_triples(traj, kappa, 1e-13),
+                             hand_triples(traj, -kappa, 1e-13)))
+        for i in range(len(traj)):
+            f, r = traj.field(i), traj.partner(i)
+            assert np.array_equal(rep.densities[i], density(f, vk[i], r=r))
+            assert np.array_equal(rep.currents[i], current(f, flavor, vk[i], extra[i], r=r))
 
 
 class TestLocalSmoothing:
@@ -214,6 +249,20 @@ class TestKappaConvergence:
         d2 = kappa_convergence_study(f, "nls", 4.0, (8.0,), 0.02, dt=2e-3,
                                      snapshot_stride=5)[0][1]
         assert 1.5 <= d1 / d2 <= 3.0
+
+    def test_rows_match_hand_warm_started_solves(self, grid):
+        f = gaussian(grid, 0.1)
+        rows = kappa_convergence_study(f, "mkdv", 4.0, (8.0, 16.0), 0.02, dt=2e-3,
+                                       snapshot_stride=2)
+        g12_ref = fixed_point_raw(grid, f.values, f.r, 4.0, tol=1e-12)[0]
+        psis = [bump(grid.x - h) ** 12 for h in h_lattice(grid, 9)]
+        for kappa, defect in rows:
+            traj = evolve(f, FlowSpec("mkdv_diff", 2e-3, 0.02, kappa=kappa,
+                                      snapshot_stride=2))
+            # the chain starts cold at snapshot 1, where q has moved off q0
+            want = max(sobolev_norm(Field(grid, psi * (t.g12 - g12_ref)), 0.75)
+                       for t in hand_triples(traj, 4.0, 1e-12, start=1) for psi in psis)
+            assert defect == want
 
     def test_parameter_gates(self, grid, small_gaussian):
         with pytest.raises(DiagnosticsError):

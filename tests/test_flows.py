@@ -45,9 +45,9 @@ class TestFlowSpec:
         for kind in ("nls", "mkdv"):
             with pytest.raises(SpecError):
                 FlowSpec(kind, 1e-3, 1.0, scheme="etd4")
-        # splitting4 only for the two full equations
-        for kind, kappa in (("a_flow", 2.0), ("nls_kappa", 4.0), ("mkdv_kappa", 4.0),
-                            ("nls_diff", 8.0), ("mkdv_diff", 8.0)):
+        # splitting4 only for nls
+        for kind, kappa in (("mkdv", None), ("a_flow", 2.0), ("nls_kappa", 4.0),
+                            ("mkdv_kappa", 4.0), ("nls_diff", 8.0), ("mkdv_diff", 8.0)):
             for scheme in ("splitting4", "etd4"):
                 with pytest.raises(SpecError):
                     FlowSpec(kind, 1e-3, 1.0, scheme=scheme, kappa=kappa)
@@ -348,7 +348,7 @@ class TestOneSolvePerStage:
         q = small_gaussian.values.copy()
         for _ in range(3):
             q = stepper.step(q)
-        assert stepper.fp_solves == 4 * 3
+        assert stepper.chain.solves == 4 * 3
 
 
 class TestRescale:

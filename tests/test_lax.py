@@ -8,6 +8,7 @@ import pytest
 from aknslab.lax import (
     DataTooLarge,
     DivergentSeries,
+    FixedPointChain,
     GreensTriple,
     LaxError,
     NonContraction,
@@ -227,6 +228,38 @@ class TestFixedPointKernel:
         # the kernel's own smallness gate fires first at the default delta
         with pytest.raises(DataTooLarge):
             fixed_point_raw(grid, f.values, f.r, 1.0, max_iter=400)
+
+    def test_first_growth_raises(self, grid):
+        # far past the gate (13x) the residual of this solve grows at
+        # iteration 3; halving the step from there would still converge, but
+        # the kernel stops at the first growth rather than search past the gate
+        q = random_schwartz(grid, np.random.default_rng(5)).values
+        q *= 3.2 / sobolev_norm(Field(grid, q), -0.25)
+        with pytest.raises(NonContraction, match="grew from"):
+            fixed_point_raw(grid, q, np.conj(q), 1.0, delta=99.0)
+
+
+class TestFixedPointChain:
+    def test_warm_starts_from_the_previous_solve(self, grid):
+        f = random_schwartz(grid, np.random.default_rng(3), norm=0.1)
+        chain = FixedPointChain(grid, 4.0, tol=1e-13)
+        assert chain.stats() == {}
+        first = chain.solve(f.values, f.r)
+        q1, r1 = 1.01 * f.values, 0.99 * f.r
+        second = chain.solve(q1, r1)
+        cold = fixed_point_raw(grid, f.values, f.r, 4.0, tol=1e-13)
+        warm = fixed_point_raw(grid, q1, r1, 4.0, tol=1e-13, gamma0=first.gamma)
+        for triple, want in ((first, cold), (second, warm)):
+            assert triple.kappa == 4.0 and triple.method == "fixed_point"
+            for k, part in enumerate(("g12", "g21", "gamma")):
+                assert np.array_equal(getattr(triple, part), want[k])
+            assert (triple.meta["iterations"], triple.meta["residual"]) == want[3:]
+        iters = [cold[3], warm[3]]
+        assert chain.solves == 2
+        assert chain.stats() == {"fp_iterations": {"min": min(iters),
+                                                   "mean": sum(iters) / 2,
+                                                   "max": max(iters)},
+                                 "fp_worst_residual": max(cold[4], warm[4])}
 
 
 class TestDeterminant:

@@ -136,6 +136,11 @@ def run_cli(args, cwd):
 # must say so before stepping the flow
 TOO_FEW_FOR_MICRO = {"grid": {"length": 64, "points": 64},
                      "flow": {"t_final": 0.01, "dt": 0.001, "snapshot_stride": 5}}
+# a micro flavor that is unknown or does not pair with the flow, and a sweep
+# of a flow with no difference flow: usage errors, also before stepping
+UNKNOWN_FLAVOR = {"diagnostics": {"flavor": "kdv"}}
+MISPAIRED_FLAVOR = {"flow": {"kind": "nls"}, "diagnostics": {"flavor": "mkdv"}}
+SWEEP_OF_A_FLOW = {"flow": {"kind": "a_flow", "kappa": 2.0}}
 
 
 class TestCli:
@@ -223,11 +228,18 @@ class TestCli:
         {"flow": {"kind": "nls_diff", "kappa": 8.0, "scheme": "splitting4"}},
         {"diagnostics": {"radii": [8.0]}},
         TOO_FEW_FOR_MICRO,
+        {"flow": {"kind": "mkdv", "scheme": "splitting4"}},
+        UNKNOWN_FLAVOR,
+        MISPAIRED_FLAVOR,
+        SWEEP_OF_A_FLOW,
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, tree):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(tree))
-        command = "micro" if tree is TOO_FEW_FOR_MICRO else "evolve"
+        if any(tree is t for t in (TOO_FEW_FOR_MICRO, UNKNOWN_FLAVOR, MISPAIRED_FLAVOR)):
+            command = "micro"
+        else:
+            command = "sweep" if tree is SWEEP_OF_A_FLOW else "evolve"
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
