@@ -34,6 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .spectral import (
     Field,
@@ -288,28 +289,59 @@ def greens_series(f: Field, kappa: float, order: int = 3,
 
 # ---------------------------------------------------------------------------
 # Dense oracle
+#
+# The only dense work is one inverse (and, in the trace series, a few matrix
+# powers).  Every other factor is a diagonal scaling or a Fourier multiplier,
+# applied by the FFT along one axis, and only diagonals are read:
+# diag(A B) = sum_j A_ij B_ji costs O(N^2) once both factors are known.
 
 
-def _multiplier_matrix(grid: Grid, symbol) -> np.ndarray:
-    m = np.asarray(symbol(grid.xi), dtype=np.complex128)
-    eye = np.eye(grid.points, dtype=np.complex128)
-    return np.fft.ifft(m[:, None] * np.fft.fft(eye, axis=0), axis=0)
+def _multiplier_matrix(m: np.ndarray) -> np.ndarray:
+    """The matrix of the multiplier C v = ifft(m * fft(v)) with symbol values
+    m on the lattice: the circulant C_ij = c[(i - j) mod N], c = ifft(m)."""
+    return scipy.linalg.circulant(np.fft.ifft(m))
+
+
+def _apply_right(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """mat @ C for the multiplier C with symbol values m: C^T = F diag(m) F^{-1},
+    so each row a of mat becomes fft(m * ifft(a))."""
+    return np.fft.fft(m * np.fft.ifft(mat, axis=1), axis=1)
+
+
+def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """diag(a @ b) without forming the product: sum_j a_ij b_ji."""
+    return np.einsum("ij,ji->i", a, b)
 
 
 def greens_oracle(f: Field, kappa: float, r: np.ndarray | None = None) -> GreensTriple:
     """Brute-force triple from the dense discrete Lax operator.
 
-    Builds the 2N x 2N operator and forms the kernel difference
-    (L^{-1} - L0^{-1}) / dx = -L^{-1} V L0^{-1} / dx.  The kernel difference
-    is continuous across the diagonal but has derivative kinks there, so a
+    Builds the 2N x 2N operator L = L0 + V, with L0 = diag(kappa - d,
+    kappa + d) and V = [[0, q], [-r, 0]], and reads the diagonals of the
+    kernel difference (L^{-1} - L0^{-1}) / dx.  That difference is
+    continuous across the diagonal but has derivative kinks there, so a
     band-limited diagonal read is only first-order accurate.  The first four
     terms of the resolvent expansion carry those kinks; they are subtracted
-    as dense matrices (same biased read) and re-added as their exact
-    multiplier-form diagonals.  Everything of order five and higher still
-    comes from the dense inverse alone.
+    from the dense kernel (same biased read) and re-added as their exact
+    multiplier-form diagonals.  With W = -V L0^{-1} the subtracted kernel is
 
-    The condition number of the dense operator is reported in the metadata
-    and gates against near-singular data.
+        L^{-1} - L0^{-1}(1 + W + W^2 + W^3 + W^4) = (L^{-1} - R3) W,
+        R3 = L0^{-1}(1 + W + W^2 + W^3),
+
+    so everything of order five and higher still comes from the dense
+    inverse alone.
+
+    ``np.linalg.inv`` of L is the only cubic step.  W's blocks, -Q C+ and
+    R C-, are a diagonal scaling times a block of L0^{-1}, which is a
+    Fourier multiplier.  So each power of W in R3 costs one FFT apply along
+    the rows per block row, subtracted in place from the inverse, and each
+    block diagonal of (L^{-1} - R3) W is an O(N^2) read,
+    diag(A D C)_i = sum_j A_ij d_j C_ji.
+
+    The 1-norm condition number of L is reported in the metadata.
+    ``IllConditioned`` is raised when it exceeds ``ORACLE_MAX_COND`` or is
+    not finite, and when the triple is not finite (data far past every gate
+    overflow the series terms).
     """
     grid, q, rr = _field_qr(f, r)
     _check_kappa(kappa)
@@ -324,38 +356,57 @@ def greens_oracle(f: Field, kappa: float, r: np.ndarray | None = None) -> Greens
             f"kappa*L = {abs(kappa) * grid.length:.1f} < {ORACLE_MIN_KAPPA_L}; "
             "periodization error would pollute the oracle"
         )
-    k_minus = _multiplier_matrix(grid, lambda xi: kappa - 1j * xi)
-    k_plus = _multiplier_matrix(grid, lambda xi: kappa + 1j * xi)
-    lax = np.block([[k_minus, np.diag(q)], [-np.diag(rr), k_plus]])
-    inv0_m = _multiplier_matrix(grid, inverse_shift_symbol(kappa, -1))
-    inv0_p = _multiplier_matrix(grid, inverse_shift_symbol(kappa, +1))
-    zero = np.zeros((n, n), dtype=np.complex128)
-    lax0_inv = np.block([[inv0_m, zero], [zero, inv0_p]])
-    try:
-        lax_inv = np.linalg.inv(lax)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"discrete Lax operator singular at kappa={kappa}") from exc
-    cond = (np.linalg.norm(lax, 1) * np.linalg.norm(lax_inv, 1))
-    if cond > ORACLE_MAX_COND:
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
+        xi = grid.xi
+        lax = np.block([[_multiplier_matrix(kappa - 1j * xi), np.diag(q)],
+                        [-np.diag(rr), _multiplier_matrix(kappa + 1j * xi)]])
+        try:
+            lax_inv = np.linalg.inv(lax)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(f"discrete Lax operator singular at kappa={kappa}") from exc
+        cond = float(np.linalg.norm(lax, 1) * np.linalg.norm(lax_inv, 1))
+        del lax
+        if not cond <= ORACLE_MAX_COND:
+            raise IllConditioned(
+                f"discrete Lax operator ill-conditioned (cond ~ {cond:.2e}) at kappa={kappa}"
+            )
+        inv_m = inverse_shift_symbol(kappa, -1)(xi)
+        inv_p = inverse_shift_symbol(kappa, +1)(xi)
+        c_m = _multiplier_matrix(inv_m)
+        c_p = _multiplier_matrix(inv_p)
+        # L^{-1} - R3 in place, one term of R3 at a time: block row 0 of
+        # L0^{-1} W^k is C- (W^0), -C- Q C+, C- Q C+ R C-, ... alternating
+        # between block columns 0 and 1; block row 1 starts from C+ in column 1
+        err = lax_inv
+        top, bottom = c_m, c_p
+        err[:n, :n] -= top
+        err[n:, n:] -= bottom
+        for k in range(3):
+            if k % 2 == 0:
+                top = -_apply_right(top * q, inv_p)
+                bottom = _apply_right(bottom * rr, inv_m)
+                err[:n, n:] -= top
+                err[n:, :n] -= bottom
+            else:
+                top = _apply_right(top * rr, inv_m)
+                bottom = -_apply_right(bottom * q, inv_p)
+                err[:n, :n] -= top
+                err[n:, n:] -= bottom
+        # block (i, 0) of (L^{-1} - R3) W is err[i, 1] R C-, block (i, 1) is -err[i, 0] Q C+
+        d11 = _diag_of_product(err[:n, n:] * rr, c_m) / grid.dx
+        d12 = -_diag_of_product(err[:n, :n] * q, c_p) / grid.dx
+        d21 = _diag_of_product(err[n:, n:] * rr, c_m) / grid.dx
+        d22 = -_diag_of_product(err[n:, :n] * q, c_p) / grid.dx
+        sgn = 1.0 if kappa > 0 else -1.0
+        s12, s21, sgam = series_raw(grid, q, rr, kappa, 3)
+        g12 = sgn * d12 + s12
+        g21 = sgn * d21 + s21
+        gamma = sgn * (d11 + d22) + sgam
+    if not all(np.all(np.isfinite(v)) for v in (g12, g21, gamma)):
         raise IllConditioned(
-            f"discrete Lax operator ill-conditioned (cond ~ {cond:.2e}) at kappa={kappa}"
+            f"oracle triple not finite at kappa={kappa} (cond ~ {cond:.2e}); data too large"
         )
-    pot = np.block([[zero, np.diag(q)], [-np.diag(rr), zero]])
-    tail = -(lax_inv @ (pot @ lax0_inv))
-    step = pot @ lax0_inv
-    acc = lax0_inv
-    for order in range(1, 5):
-        acc = acc @ step
-        tail -= ((-1.0) ** order) * acc
-    tail /= grid.dx
-    sgn = 1.0 if kappa > 0 else -1.0
-    d11 = np.diagonal(tail[:n, :n])
-    d22 = np.diagonal(tail[n:, n:])
-    d12 = np.diagonal(tail[:n, n:])
-    d21 = np.diagonal(tail[n:, :n])
-    s12, s21, sgam = series_raw(grid, q, rr, kappa, 3)
-    return GreensTriple(kappa, sgn * d12 + s12, sgn * d21 + s21,
-                        sgn * (d11 + d22) + sgam, "oracle", {"cond": float(cond)})
+    return GreensTriple(kappa, g12, g21, gamma, "oracle", {"cond": cond})
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +425,23 @@ class OperatorPair:
         return (float(np.linalg.norm(self.lam)), float(np.linalg.norm(self.gam)))
 
 
+def _half_symbols(grid: Grid, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice values of the symbols of (kappa - d)^{-1/2} and (kappa + d)^{-1/2}."""
+    return (fractional_symbol(kappa, -1, 0.5)(grid.xi),
+            fractional_symbol(kappa, +1, 0.5)(grid.xi))
+
+
 def operator_pair(f: Field, kappa: float, r: np.ndarray | None = None) -> OperatorPair:
+    """Lambda = H- Q H+ and Gamma = H+ R H-, with H-/+ = (kappa -/+ d)^{-1/2}:
+    each is the matrix of one multiplier, column-scaled by q or r, times the
+    other by one FFT apply along the rows."""
     grid, q, rr = _field_qr(f, r)
     _check_kappa(kappa)
     if grid.points > ORACLE_MAX_POINTS:
         raise LaxError(f"dense operator pair capped at N={ORACLE_MAX_POINTS}")
-    half_m = _multiplier_matrix(grid, fractional_symbol(kappa, -1, 0.5))
-    half_p = _multiplier_matrix(grid, fractional_symbol(kappa, +1, 0.5))
-    lam = half_m @ (q[:, None] * half_p)
-    gam = half_p @ (rr[:, None] * half_m)
+    h_m, h_p = _half_symbols(grid, kappa)
+    lam = _apply_right(_multiplier_matrix(h_m) * q, h_p)
+    gam = _apply_right(_multiplier_matrix(h_p) * rr, h_m)
     pair = OperatorPair(kappa, lam, gam)
     if r is None:
         a, b = pair.hs_norms()
@@ -421,32 +480,45 @@ def pdet_trace(f: Field, kappa: float, order: int = 8,
                r: np.ndarray | None = None) -> TraceDeterminant:
     """Determinant from the alternating trace series, truncated at ``order``.
 
-    The spectral radius of Lambda*Gamma is estimated first; radius >= 1 means
+    The spectral radius of P = Lambda*Gamma is estimated first, by 60 steps
+    of power iteration; a radius that is not below 1 (or not finite) means
     the series diverges (data outside the small ball) and raises.
 
     tr(Lambda Gamma) has a slowly decaying tail in the frequency direction
     that a band-limited matrix trace truncates at first order, so the m = 1
     term uses its exact closed form sgn(kappa) * int r (2k-d)^{-1} q dx; all
     higher traces come from the dense pair.
+
+    P = Lambda H+ R H- is two FFT applies.  The cubic work is the powers
+    P^2 .. P^h, h = ceil(order / 2) (three matrix products at order 8):
+    tr(P^m) = tr(P^a P^b) = sum_ij (P^a)_ij (P^b)_ji with a = floor(m/2),
+    b = ceil(m/2) is an O(N^2) read.
     """
     if order < 1:
         raise LaxError(f"truncation order must be >= 1, got {order}")
     grid, q, rr = _field_qr(f, r)
-    pair = operator_pair(f, kappa, r=r)
-    prod = pair.lam @ pair.gam
-    radius = _power_radius(prod)
-    if radius >= 1.0:
-        raise DivergentSeries(
-            f"spectral radius of Lambda*Gamma is {radius:.3f} >= 1 at kappa={kappa}"
-        )
+    # huge data overflow the dense products; the radius gate rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = operator_pair(f, kappa, r=r)
+        h_m, h_p = _half_symbols(grid, kappa)
+        prod = _apply_right(_apply_right(pair.lam, h_p) * rr, h_m)
+        radius = _power_radius(prod)
+        if not radius < 1.0:
+            raise DivergentSeries(
+                f"spectral radius of Lambda*Gamma is {radius:.3f}, not below 1, at kappa={kappa}"
+            )
+        traces = [np.sum(_diag_of_product(prod, prod))]  # tr(P^m), m = 2, 3, ...
+        low = high = prod
+        while len(traces) < order - 1:
+            low, high = high, high @ prod
+            traces += [np.sum(_diag_of_product(low, high)),
+                       np.sum(_diag_of_product(high, high))]
     sgn = 1.0 if kappa > 0 else -1.0
     mq = apply_multiplier(q, inverse_shift_symbol(2.0 * kappa, -1), grid)
     term = sgn * grid.integrate(rr * mq)
     total = term
-    power = prod
-    for m in range(2, order + 1):
-        power = power @ prod
-        term = sgn * ((-1.0) ** (m - 1) / m) * np.trace(power)
+    for m, trace in zip(range(2, order + 1), traces):
+        term = sgn * ((-1.0) ** (m - 1) / m) * trace
         total += term
     return TraceDeterminant(total, order, abs(term), radius)
 

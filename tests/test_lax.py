@@ -1,6 +1,7 @@
 """Green's triples by three routes, and the determinant by two."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from aknslab.lax import (
     DivergentSeries,
     FixedPointChain,
     GreensTriple,
+    IllConditioned,
     LaxError,
     NonContraction,
+    _power_radius,
     alpha,
     density_raw,
     fixed_point_raw,
@@ -21,6 +24,7 @@ from aknslab.lax import (
     operator_pair,
     pdet_integral,
     pdet_trace,
+    series_raw,
     triple_at_minus_kappa,
 )
 from aknslab.profiles import constant, gaussian, plane_wave, random_schwartz
@@ -30,6 +34,7 @@ from aknslab.spectral import (
     apply_multiplier,
     dealiased_mul,
     diff,
+    fractional_symbol,
     inverse_shift_symbol,
     sobolev_norm,
 )
@@ -42,7 +47,72 @@ def fixed(f, kappa, **kw):
     return greens_fixed_point(f, kappa, **kw)
 
 
+def dense_multiplier_matrix(grid, symbol):
+    """The multiplier as a dense matrix: the transform of each unit vector."""
+    m = np.asarray(symbol(grid.xi), dtype=np.complex128)
+    eye = np.eye(grid.points, dtype=np.complex128)
+    return np.fft.ifft(m[:, None] * np.fft.fft(eye, axis=0), axis=0)
+
+
+def dense_reference_oracle(grid, q, r, kappa):
+    """The oracle written with 2N x 2N products throughout: the tail
+    -L^{-1} V L0^{-1} minus the first four resolvent terms, read on the block
+    diagonals.  Returns (g12, g21, gamma, cond)."""
+    n = grid.points
+    k_minus = dense_multiplier_matrix(grid, lambda xi: kappa - 1j * xi)
+    k_plus = dense_multiplier_matrix(grid, lambda xi: kappa + 1j * xi)
+    lax = np.block([[k_minus, np.diag(q)], [-np.diag(r), k_plus]])
+    zero = np.zeros((n, n), dtype=np.complex128)
+    lax0_inv = np.block([
+        [dense_multiplier_matrix(grid, inverse_shift_symbol(kappa, -1)), zero],
+        [zero, dense_multiplier_matrix(grid, inverse_shift_symbol(kappa, +1))]])
+    lax_inv = np.linalg.inv(lax)
+    cond = np.linalg.norm(lax, 1) * np.linalg.norm(lax_inv, 1)
+    pot = np.block([[zero, np.diag(q)], [-np.diag(r), zero]])
+    tail = -(lax_inv @ (pot @ lax0_inv))
+    step = pot @ lax0_inv
+    acc = lax0_inv
+    for order in range(1, 5):
+        acc = acc @ step
+        tail -= ((-1.0) ** order) * acc
+    tail /= grid.dx
+    sgn = 1.0 if kappa > 0 else -1.0
+    s12, s21, sgam = series_raw(grid, q, r, kappa, 3)
+    return (sgn * np.diagonal(tail[:n, n:]) + s12,
+            sgn * np.diagonal(tail[n:, :n]) + s21,
+            sgn * (np.diagonal(tail[:n, :n]) + np.diagonal(tail[n:, n:])) + sgam,
+            float(cond))
+
+
 class TestOracle:
+    def test_matches_dense_reference(self):
+        cases = [(points, kappa, sign, False) for points in (64, 128)
+                 for kappa in (1.0, -2.0, 4.0) for sign in (+1, -1)]
+        cases.append((128, -2.0, -1, True))
+        for points, kappa, sign, independent in cases:
+            grid = Grid(64.0, points)
+            rng = np.random.default_rng(points)
+            f = random_schwartz(grid, rng, norm=0.15, sign=sign)
+            r = random_schwartz(grid, rng, norm=0.15).values if independent else None
+            got = greens_oracle(f, kappa, r=r)
+            want = dense_reference_oracle(grid, f.values, f.r if r is None else r, kappa)
+            case = (points, kappa, sign, independent)
+            for k, part in enumerate(("g12", "g21", "gamma")):
+                assert rel_l2(grid, getattr(got, part), want[k]) <= 1e-12, (case, part)
+            assert abs(got.meta["cond"] - want[3]) <= 1e-12 * want[3], case
+        zero = greens_oracle(Field(Grid(64.0, 64), np.zeros(64)), 4.0)
+        for part in (zero.g12, zero.g21, zero.gamma):
+            assert np.all(part == 0.0)
+
+    def test_non_finite_triple_raises(self):
+        # far past every gate the operator is well conditioned (cond ~ 1:
+        # the potential dominates) but the subtracted series terms overflow
+        f = constant(Grid(64.0, 64), 1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditioned, match="not finite"):
+                greens_oracle(f, 2.0)
+
     def test_zero_field(self, grid):
         f = Field(grid, np.zeros(grid.points))
         tr = greens_oracle(f, 2.0)
@@ -318,6 +388,44 @@ class TestDeterminant:
         det_p = pdet_integral(f, 2.0, fixed(f, 2.0))
         det_m = pdet_integral(f, -2.0, fixed(f, -2.0))
         assert abs(det_p + np.conj(det_m)) < 1e-12
+
+    def test_trace_matches_dense_reference(self):
+        grid = Grid(64.0, 128)
+        f = random_schwartz(grid, np.random.default_rng(2), norm=0.15)
+        q, r = f.values, f.r
+        for kappa in (1.0, -2.0, 4.0):
+            half_m = dense_multiplier_matrix(grid, fractional_symbol(kappa, -1, 0.5))
+            half_p = dense_multiplier_matrix(grid, fractional_symbol(kappa, +1, 0.5))
+            lam = half_m @ (q[:, None] * half_p)
+            gam = half_p @ (r[:, None] * half_m)
+            pair = operator_pair(f, kappa)
+            assert rel_l2(grid, pair.lam, lam) <= 1e-12
+            assert rel_l2(grid, pair.gam, gam) <= 1e-12
+            prod = lam @ gam
+            radius = _power_radius(prod)
+            sgn = 1.0 if kappa > 0 else -1.0
+            mq = apply_multiplier(q, inverse_shift_symbol(2.0 * kappa, -1), grid)
+            term = sgn * grid.integrate(r * mq)
+            total = term
+            power = prod
+            for order in range(1, 11):
+                if order > 1:
+                    power = power @ prod
+                    term = sgn * ((-1.0) ** (order - 1) / order) * np.trace(power)
+                    total += term
+                got = pdet_trace(f, kappa, order)
+                assert abs(got.value - total) <= 1e-12 * abs(total), (kappa, order)
+                assert abs(got.last_term - abs(term)) <= 1e-12 * abs(term), (kappa, order)
+                assert abs(got.spectral_radius - radius) <= 1e-13 * radius
+
+    def test_overflowing_data_raise_divergent_series(self):
+        # the dense products overflow to inf and nan; a nan radius is no
+        # evidence of convergence
+        f = constant(Grid(64.0, 64), 1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentSeries):
+                pdet_trace(f, 2.0, 4)
 
     def test_trace_divergence_error(self, grid):
         f = gaussian(grid, 3.0)
