@@ -112,9 +112,9 @@ class ResidualReport:
         return max(row[4] for row in self.integrated)
 
 
-def _triples_along(traj: Trajectory, param: float, fp_tol: float) -> list[GreensTriple]:
-    chain = FixedPointChain(traj.grid, param, fp_tol)
-    return [chain.solve(traj.states[i], traj.partner(i)) for i in range(len(traj))]
+def _triples_along(fields: list[Field], param: float, fp_tol: float) -> list[GreensTriple]:
+    chain = FixedPointChain(fields[0].grid, param, fp_tol)
+    return [chain.solve(f.values, f.r) for f in fields]
 
 
 def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
@@ -144,24 +144,21 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     if np.max(np.abs(steps - delta)) > 1e-9 * delta:
         raise DiagnosticsError("snapshots must be uniformly spaced in time")
     grid = traj.grid
-    vk_triples = _triples_along(traj, varkappa, fp_tol)
+    fields = [traj.field(i) for i in range(len(traj))]
+    vk_triples = _triples_along(fields, varkappa, fp_tol)
     kap = traj.spec.kappa
     # the kappa-flows' currents also take the triples at kappa (and -kappa)
     extras: list[tuple[GreensTriple, ...]] = [()] * len(traj)
     if flavor == "a_flow":
-        extras = [(t,) for t in _triples_along(traj, kap, fp_tol)]
+        extras = [(t,) for t in _triples_along(fields, kap, fp_tol)]
     elif flavor in ("nls_diff", "mkdv_diff"):
-        extras = list(zip(_triples_along(traj, kap, fp_tol),
-                          _triples_along(traj, -kap, fp_tol)))
+        extras = list(zip(_triples_along(fields, kap, fp_tol),
+                          _triples_along(fields, -kap, fp_tol)))
 
     tilde = flavor == "tilde_mkdv"
-    rhos = []
-    currents = []
-    for i in range(len(traj)):
-        f = traj.field(i)
-        r = traj.partner(i)
-        rhos.append(density(f, vk_triples[i], tilde=tilde, r=r))
-        currents.append(current(f, flavor, vk_triples[i], extras[i], r=r))
+    rhos = [density(f, vk, tilde=tilde) for f, vk in zip(fields, vk_triples)]
+    currents = [current(f, flavor, vk, extra)
+                for f, vk, extra in zip(fields, vk_triples, extras)]
 
     l1 = 0.0
     sup = 0.0
@@ -331,7 +328,8 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
         # snapshot 0 is q0 itself; the chain starts cold at snapshot 1
         chain = FixedPointChain(grid, varkappa, fp_tol)
         for i in range(1, len(traj)):
-            g12_t = chain.solve(traj.states[i], traj.partner(i)).g12
+            f = traj.field(i)
+            g12_t = chain.solve(f.values, f.r).g12
             defect = max(defect, sup_h_norm(g12_t - g12_ref))
         rows.append((float(kap), defect))
     return rows

@@ -15,7 +15,8 @@ Green's solves through one ``lax.FixedPointChain`` per integrator.
 The generating flow evolves q and its partner r as independent unknowns (its
 Hamiltonian is complex, so it does not preserve r = sign * conj(q)); the
 departure of r from the slaved partner is a measured diagnostic, not an
-enforced constraint.
+enforced constraint.  It starts from ``Field.r``, and ``Trajectory.field(i)``
+carries snapshot i's own r as ``partner``, so diagnostics see the evolved pair.
 """
 
 from __future__ import annotations
@@ -141,12 +142,9 @@ class Trajectory:
         return len(self.times)
 
     def field(self, i: int) -> Field:
-        return Field(self.grid, self.states[i], self.sign)
-
-    def partner(self, i: int) -> np.ndarray:
-        if self.r_states is not None:
-            return self.r_states[i]
-        return self.sign * np.conj(self.states[i])
+        """Snapshot i, with partner ``r_states[i]`` when the flow evolved one."""
+        partner = None if self.r_states is None else self.r_states[i]
+        return Field(self.grid, self.states[i], self.sign, partner)
 
     def conjugacy_violation(self) -> float:
         """max over snapshots of ||r - sign*conj(q)|| / ||q|| (L2)."""
@@ -308,7 +306,7 @@ def _rk4_plain(q: np.ndarray, h: float, rhs) -> np.ndarray:
 # Driving loop
 
 
-def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory:
+def evolve(f: Field, spec: FlowSpec) -> Trajectory:
     """Integrate to t_final, snapshotting every ``snapshot_stride`` steps."""
     stepper = Integrator(f.grid, f.sign, spec)
     n_steps = spec.steps
@@ -318,7 +316,7 @@ def evolve(f: Field, spec: FlowSpec, r0: np.ndarray | None = None) -> Trajectory
         )
     pair = spec.kind == "a_flow"
     q = f.values.copy()
-    r = (f.r.copy() if r0 is None else np.asarray(r0, np.complex128)) if pair else None
+    r = f.r.copy() if pair else None
     snapshots = spec.snapshots
     try:
         states = np.empty((snapshots, f.grid.points), dtype=np.complex128)
@@ -375,4 +373,5 @@ def rescale(f: Field, lam: float, m: int) -> tuple[Field, float]:
     if lam == 1.0:
         return f.copy(), 1.0
     target = Grid(f.grid.length / lam, f.grid.points)
-    return Field(target, lam * f.values, f.sign), float(lam) ** m
+    partner = None if f.partner is None else lam * f.partner
+    return Field(target, lam * f.values, f.sign, partner), float(lam) ** m

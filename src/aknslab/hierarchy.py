@@ -41,16 +41,15 @@ class HamiltonianValue:
                 "h_nls": self.h_nls, "h_mkdv": self.h_mkdv}
 
 
-def hamiltonians(f: Field, r: np.ndarray | None = None,
-                 check_real: bool = True) -> HamiltonianValue:
+def hamiltonians(f: Field, check_real: bool = True) -> HamiltonianValue:
     """Mass, momentum, and the two cubic-hierarchy Hamiltonians.
 
     M = int q r,  P = (1/i) int q r',  H_nls = int q'r' + q^2 r^2,
-    H_mkdv = (1/i) int q'r'' + 3 q^2 r r'.
+    H_mkdv = (1/i) int q'r'' + 3 q^2 r r'.  With a slaved partner they are
+    real, and ``check_real`` raises on imaginary leakage above 1e-10.
     """
     grid = f.grid
-    q = f.values
-    rr = f.r if r is None else np.asarray(r, dtype=np.complex128)
+    q, rr = f.values, f.r
     qp = diff(q, grid)
     rp = diff(rr, grid)
     rpp = diff(rr, grid, 2)
@@ -66,7 +65,7 @@ def hamiltonians(f: Field, r: np.ndarray | None = None,
         raise HierarchyError("Hamiltonians are not finite; the data is too large")
     scale = max(float(np.max(np.abs(values))), f.l2_norm() ** 2, 1e-300)
     leakage = float(np.max(np.abs(values.imag))) / scale
-    if check_real and r is None and leakage > 1e-10:
+    if check_real and f.partner is None and leakage > 1e-10:
         raise HierarchyError(
             f"Hamiltonians have imaginary leakage {leakage:.3e} > 1e-10"
         )
@@ -155,24 +154,21 @@ class DensityCurrent:
 
 
 def density_current(f: Field, flavor: str, triple_vk: GreensTriple,
-                    kappa_triples: tuple = (),
-                    r: np.ndarray | None = None) -> DensityCurrent:
+                    kappa_triples: tuple = ()) -> DensityCurrent:
     """Bundle the density and its flavor-matched current at one parameter."""
-    rho = density(f, triple_vk, tilde=flavor == "tilde_mkdv", r=r)
-    j = current(f, flavor, triple_vk, kappa_triples, r=r)
+    rho = density(f, triple_vk, tilde=flavor == "tilde_mkdv")
+    j = current(f, flavor, triple_vk, kappa_triples)
     return DensityCurrent(flavor, triple_vk.kappa, rho, j)
 
 
-def density(f: Field, triple: GreensTriple, tilde: bool = False,
-            r: np.ndarray | None = None) -> np.ndarray:
+def density(f: Field, triple: GreensTriple, tilde: bool = False) -> np.ndarray:
     """Conserved density at the triple's parameter.
 
     The plain flavor is (q g21 - r g12)/(2 + gamma); the tilde flavor is the
     mass-shifted variant q r - 2*varkappa*rho used for the higher-regularity
     momentum-level law.
     """
-    q = f.values
-    rr = f.r if r is None else np.asarray(r, dtype=np.complex128)
+    q, rr = f.values, f.r
     rho = density_raw(q, rr, triple)
     if not tilde:
         return rho
@@ -213,8 +209,7 @@ def generating_current(triple_vk: GreensTriple, triple_k: GreensTriple) -> np.nd
 
 
 def current(f: Field, flavor: str, triple_vk: GreensTriple,
-            kappa_triples: tuple[GreensTriple, ...] = (),
-            r: np.ndarray | None = None) -> np.ndarray:
+            kappa_triples: tuple[GreensTriple, ...] = ()) -> np.ndarray:
     """Current matched to ``flavor`` at the parameter of ``triple_vk``.
 
     ``kappa_triples`` supplies the generating-parameter triples: (at +kappa,)
@@ -224,8 +219,7 @@ def current(f: Field, flavor: str, triple_vk: GreensTriple,
     if flavor not in FLAVORS:
         raise HierarchyError(f"unknown current flavor {flavor!r}")
     grid = f.grid
-    q = f.values
-    rr = f.r if r is None else np.asarray(r, dtype=np.complex128)
+    q, rr = f.values, f.r
     vk = triple_vk.kappa
 
     if flavor == "a_flow":

@@ -22,9 +22,9 @@ The determinant A(kappa) comes either from the trace series over the
 Hilbert-Schmidt pair (Lambda, Gamma) or from integrating the density
 (q g21 - r g12)/(2 + gamma).
 
-All entry points accept an explicit conjugate-partner array ``r``; by default
-it is the field's slaved partner sign * conj(q).  The explicit form is what
-the generating flow needs, where q and r evolve as independent unknowns.
+Field-level entry points read the conjugate partner as ``Field.r`` (the
+generating flow's independent ``partner``, else sign * conj(q)); only the
+``*_raw`` kernels take q and r as two arrays.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ def _check_kappa(kappa: float) -> None:
         raise LaxError(f"spectral parameter must be real with |kappa| >= 1, got {kappa}")
 
 
-def _field_qr(f: Field, r: np.ndarray | None) -> tuple[Grid, np.ndarray, np.ndarray]:
-    return f.grid, f.values, (f.r if r is None else np.asarray(r, dtype=np.complex128))
-
-
 @dataclass
 class GreensTriple:
     """Diagonal Green's data at one spectral parameter."""
@@ -130,8 +126,9 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
     growth raises ``NonContraction``: inside the gate the iteration contracts,
     so a growth means the data are too large for this route.
 
-    Every solve first checks the contraction gate: ``DataTooLarge`` when
-    max(|q|, |conj r|) in H^{-1/4} exceeds ``delta``.  The two norms are
+    Every solve first checks the contraction gate: ``DataTooLarge`` unless
+    both |q| and |conj r| in H^{-1/4} are at most ``delta`` (so non-finite
+    data, whose norms are nan, never pass).  The two norms are
     weighted sums over the raw coefficients of q and r the iteration needs
     anyway, so the gate costs no extra transform on any path.
 
@@ -156,17 +153,18 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
     inv_p = inverse_shift_symbol(2.0 * kappa, +1)(grid.xi)
     n = grid.points
     parseval = grid.dx / n
-    q_hat = np.fft.fft(q)
-    r_hat = np.fft.fft(r)
     weight = _gate_weight(grid)
-    # huge data overflows the squares to size inf, which the gate rejects
-    with np.errstate(over="ignore"):
-        size = math.sqrt(parseval * max(float(np.sum(weight * np.abs(q_hat) ** 2)),
-                                        float(np.sum(weight * np.abs(r_hat) ** 2))))
-    if size > delta:
-        raise DataTooLarge(
-            f"|q| in H^(-1/4) is {size:.3g} > {delta}; outside the contraction gate"
-        )
+    # huge data overflow the squares to size inf, and non-finite data give a
+    # nan size; the gate rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_hat = np.fft.fft(q)
+        r_hat = np.fft.fft(r)
+        sizes = [math.sqrt(parseval * float(np.sum(weight * np.abs(h) ** 2)))
+                 for h in (q_hat, r_hat)]
+    if not (sizes[0] <= delta and sizes[1] <= delta):
+        detail = ("the data is not finite" if math.isnan(sum(sizes))
+                  else f"|q| in H^(-1/4) is {max(sizes):.3g} > {delta}")
+        raise DataTooLarge(f"{detail}; outside the contraction gate")
     m = 3 * n // 2  # every product below is quadratic
     q_fine = pad(q_hat, m)
     r_fine = pad(r_hat, m)
@@ -201,12 +199,10 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
 
 
 def greens_fixed_point(f: Field, kappa: float, tol: float = 1e-12,
-                       max_iter: int = 200, r: np.ndarray | None = None,
-                       delta: float = DELTA_GATE) -> GreensTriple:
+                       max_iter: int = 200, delta: float = DELTA_GATE) -> GreensTriple:
     """One cold solve; ``FixedPointChain`` warm-starts a sequence of them."""
-    grid, q, rr = _field_qr(f, r)
     g12, g21, gamma, iters, res = fixed_point_raw(
-        grid, q, rr, kappa, tol=tol, max_iter=max_iter, delta=delta
+        f.grid, f.values, f.r, kappa, tol=tol, max_iter=max_iter, delta=delta
     )
     return GreensTriple(kappa, g12, g21, gamma, "fixed_point",
                         {"iterations": iters, "residual": res, "tol": tol})
@@ -278,12 +274,10 @@ def series_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float, order: in
     return g12, g21, gamma
 
 
-def greens_series(f: Field, kappa: float, order: int = 3,
-                  r: np.ndarray | None = None) -> GreensTriple:
+def greens_series(f: Field, kappa: float, order: int = 3) -> GreensTriple:
     """Triple from the explicit paraproducts: g12, g21 through ``order``
     (1 or 3), gamma through ``order + 1``."""
-    grid, q, rr = _field_qr(f, r)
-    g12, g21, gamma = series_raw(grid, q, rr, kappa, order)
+    g12, g21, gamma = series_raw(f.grid, f.values, f.r, kappa, order)
     return GreensTriple(kappa, g12, g21, gamma, f"series({order})", {"order": order})
 
 
@@ -313,7 +307,7 @@ def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ji->i", a, b)
 
 
-def greens_oracle(f: Field, kappa: float, r: np.ndarray | None = None) -> GreensTriple:
+def greens_oracle(f: Field, kappa: float) -> GreensTriple:
     """Brute-force triple from the dense discrete Lax operator.
 
     Builds the 2N x 2N operator L = L0 + V, with L0 = diag(kappa - d,
@@ -343,7 +337,7 @@ def greens_oracle(f: Field, kappa: float, r: np.ndarray | None = None) -> Greens
     not finite, and when the triple is not finite (data far past every gate
     overflow the series terms).
     """
-    grid, q, rr = _field_qr(f, r)
+    grid, q, rr = f.grid, f.values, f.r
     _check_kappa(kappa)
     n = grid.points
     if n > ORACLE_MAX_POINTS:
@@ -431,25 +425,28 @@ def _half_symbols(grid: Grid, kappa: float) -> tuple[np.ndarray, np.ndarray]:
             fractional_symbol(kappa, +1, 0.5)(grid.xi))
 
 
-def operator_pair(f: Field, kappa: float, r: np.ndarray | None = None) -> OperatorPair:
+def operator_pair(f: Field, kappa: float) -> OperatorPair:
     """Lambda = H- Q H+ and Gamma = H+ R H-, with H-/+ = (kappa -/+ d)^{-1/2}:
     each is the matrix of one multiplier, column-scaled by q or r, times the
-    other by one FFT apply along the rows."""
-    grid, q, rr = _field_qr(f, r)
+    other by one FFT apply along the rows.  Their Hilbert-Schmidt norms must
+    be finite, and agree to 1e-10 when the partner is slaved."""
+    grid = f.grid
     _check_kappa(kappa)
     if grid.points > ORACLE_MAX_POINTS:
         raise LaxError(f"dense operator pair capped at N={ORACLE_MAX_POINTS}")
     h_m, h_p = _half_symbols(grid, kappa)
-    lam = _apply_right(_multiplier_matrix(h_m) * q, h_p)
-    gam = _apply_right(_multiplier_matrix(h_p) * rr, h_m)
-    pair = OperatorPair(kappa, lam, gam)
-    if r is None:
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms raise below
+        lam = _apply_right(_multiplier_matrix(h_m) * f.values, h_p)
+        gam = _apply_right(_multiplier_matrix(h_p) * f.r, h_m)
+        pair = OperatorPair(kappa, lam, gam)
         a, b = pair.hs_norms()
-        scale = max(a, b)
-        if scale > 0 and abs(a - b) > 1e-10 * scale:
-            raise LaxError(
-                f"Hilbert-Schmidt norms of the pair differ: {a:.12e} vs {b:.12e}"
-            )
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DivergentSeries(f"Hilbert-Schmidt norms not finite at kappa={kappa}; "
+                              "data too large")
+    if f.partner is None and not abs(a - b) <= 1e-10 * max(a, b):
+        raise LaxError(
+            f"Hilbert-Schmidt norms of the pair differ: {a:.12e} vs {b:.12e}"
+        )
     return pair
 
 
@@ -476,8 +473,7 @@ def _power_radius(mat: np.ndarray, iters: int = 60, seed: int = 7) -> float:
     return float(radius)
 
 
-def pdet_trace(f: Field, kappa: float, order: int = 8,
-               r: np.ndarray | None = None) -> TraceDeterminant:
+def pdet_trace(f: Field, kappa: float, order: int = 8) -> TraceDeterminant:
     """Determinant from the alternating trace series, truncated at ``order``.
 
     The spectral radius of P = Lambda*Gamma is estimated first, by 60 steps
@@ -496,10 +492,10 @@ def pdet_trace(f: Field, kappa: float, order: int = 8,
     """
     if order < 1:
         raise LaxError(f"truncation order must be >= 1, got {order}")
-    grid, q, rr = _field_qr(f, r)
+    grid, q, rr = f.grid, f.values, f.r
     # huge data overflow the dense products; the radius gate rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        pair = operator_pair(f, kappa, r=r)
+        pair = operator_pair(f, kappa)
         h_m, h_p = _half_symbols(grid, kappa)
         prod = _apply_right(_apply_right(pair.lam, h_p) * rr, h_m)
         radius = _power_radius(prod)
@@ -542,15 +538,13 @@ def density_raw(q: np.ndarray, r: np.ndarray, triple: GreensTriple) -> np.ndarra
     return (dealiased_mul(q, triple.g21) - dealiased_mul(r, triple.g12)) / denom
 
 
-def pdet_integral(f: Field, kappa: float, triple: GreensTriple,
-                  r: np.ndarray | None = None) -> complex:
+def pdet_integral(f: Field, kappa: float, triple: GreensTriple) -> complex:
     """Determinant as the grid integral of the density."""
-    grid, q, rr = _field_qr(f, r)
     if triple.kappa != kappa:
         raise LaxError(
             f"triple computed at kappa={triple.kappa}, requested {kappa}"
         )
-    return grid.integrate(density_raw(q, rr, triple))
+    return f.grid.integrate(density_raw(f.values, f.r, triple))
 
 
 def alpha(f: Field, kappa: float, tol: float = 1e-12) -> float:

@@ -102,38 +102,48 @@ class Grid:
 
 @dataclass
 class Field:
-    """Complex grid function q plus the sign fixing the conjugate partner.
+    """Complex grid function q and its conjugate partner r.
 
-    sign=+1 is the defocusing convention (partner = conj(q)), sign=-1 the
-    focusing one (partner = -conj(q)).
+    By default r is slaved to q: sign=+1 is the defocusing convention
+    (r = conj(q)), sign=-1 the focusing one (r = -conj(q)).  A ``partner``
+    array makes r an independent unknown, as the generating flow needs.
     """
 
     grid: Grid
     values: np.ndarray
     sign: int = +1
+    partner: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.sign not in (+1, -1):
             raise SpectralError(f"sign must be +1 or -1, got {self.sign}")
-        v = np.asarray(self.values, dtype=np.complex128)
+        self.values = self._grid_array("values", self.values)
+        if self.partner is not None:
+            self.partner = self._grid_array("partner", self.partner)
+
+    def _grid_array(self, name: str, values) -> np.ndarray:
+        v = np.asarray(values, dtype=np.complex128)
         if v.shape != (self.grid.points,):
             raise SpectralError(
-                f"values shape {v.shape} does not match grid ({self.grid.points},)"
+                f"{name} shape {v.shape} does not match grid ({self.grid.points},)"
             )
         if not np.all(np.isfinite(v)):
-            raise SpectralError("field contains non-finite values")
-        self.values = v
+            raise SpectralError(f"non-finite entries in the field's {name}")
+        return v
 
     @property
     def r(self) -> np.ndarray:
-        """The conjugate partner sign * conj(q)."""
-        return self.sign * np.conj(self.values)
+        """The conjugate partner: ``partner`` when set, else sign * conj(q)."""
+        if self.partner is None:
+            return self.sign * np.conj(self.values)
+        return self.partner
 
     def hat(self) -> np.ndarray:
         return self.grid.fft(self.values)
 
-    def copy(self, values: np.ndarray | None = None) -> "Field":
-        return Field(self.grid, self.values.copy() if values is None else values, self.sign)
+    def copy(self) -> "Field":
+        return Field(self.grid, self.values.copy(), self.sign,
+                     None if self.partner is None else self.partner.copy())
 
     def l2_norm(self) -> float:
         return self.grid.l2_norm(self.values)

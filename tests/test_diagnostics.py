@@ -38,7 +38,8 @@ def hand_triples(traj, param, tol, start=0):
     by hand from the previous gamma: the reference for the solve chains."""
     out, warm = [], None
     for i in range(start, len(traj)):
-        g12, g21, gamma, _, _ = fixed_point_raw(traj.grid, traj.states[i], traj.partner(i),
+        f = traj.field(i)
+        g12, g21, gamma, _, _ = fixed_point_raw(traj.grid, f.values, f.r,
                                                 param, tol=tol, gamma0=warm)
         warm = gamma
         out.append(GreensTriple(param, g12, g21, gamma, "fixed_point"))
@@ -121,9 +122,9 @@ class TestMicroResidual:
             extra = list(zip(hand_triples(traj, kappa, 1e-13),
                              hand_triples(traj, -kappa, 1e-13)))
         for i in range(len(traj)):
-            f, r = traj.field(i), traj.partner(i)
-            assert np.array_equal(rep.densities[i], density(f, vk[i], r=r))
-            assert np.array_equal(rep.currents[i], current(f, flavor, vk[i], extra[i], r=r))
+            f = traj.field(i)
+            assert np.array_equal(rep.densities[i], density(f, vk[i]))
+            assert np.array_equal(rep.currents[i], current(f, flavor, vk[i], extra[i]))
 
 
 class TestLocalSmoothing:

@@ -18,6 +18,7 @@ from aknslab.flows import (
 from aknslab.lax import fixed_point_raw, greens_fixed_point, pdet_integral
 from aknslab.profiles import gaussian, plane_wave, random_schwartz
 from aknslab.spectral import Field, Grid
+from aknslab.storage import read_trajectory, write_trajectory
 
 from conftest import l2, rel_l2
 
@@ -170,7 +171,7 @@ class TestGeneratingFlow:
         spec = FlowSpec("a_flow", dt, dt, kappa=2.0)
         traj = evolve(f, spec)
         q1, r1 = traj.states[-1], traj.r_states[-1]
-        q2 = evolve(Field(grid, q1), spec, r0=r1).states[-1]
+        q2 = evolve(Field(grid, q1, partner=r1), spec).states[-1]
         m0, m1, m2 = (grid.integrate(v) for v in (f.values, q1, q2))
         rate = (-3 * m0 + 4 * m1 - m2) / (2 * dt)
         assert abs(rate - predicted) < 1e-8
@@ -180,11 +181,22 @@ class TestGeneratingFlow:
         traj = evolve(f, FlowSpec("a_flow", 1e-3, 0.1, kappa=2.0,
                                   snapshot_stride=100, fp_tol=1e-13))
         def det(i):
-            q, r = traj.states[i], traj.r_states[i]
-            tr = greens_fixed_point(Field(grid, q), 4.0, tol=1e-13, r=r)
-            return pdet_integral(Field(grid, q), 4.0, tr, r=r)
+            f = traj.field(i)
+            return pdet_integral(f, 4.0, greens_fixed_point(f, 4.0, tol=1e-13))
         d0, dT = det(0), det(len(traj) - 1)
         assert abs(dT - d0) <= 1e-8 * abs(d0)
+
+    @pytest.mark.parametrize("kind,kappa", [("a_flow", 2.0), ("nls", None)])
+    def test_snapshot_fields_carry_the_evolved_partner(self, tmp_path, grid, kind, kappa):
+        traj = evolve(gaussian(grid, 0.1, sign=-1),
+                      FlowSpec(kind, 1e-3, 0.004, kappa=kappa, snapshot_stride=2))
+        write_trajectory(str(tmp_path / "traj"), traj)
+        for t in (traj, read_trajectory(str(tmp_path / "traj"))):
+            for i in range(len(t)):
+                f = t.field(i)
+                want = t.r_states[i] if kind == "a_flow" else -np.conj(t.states[i])
+                assert np.array_equal(f.r, want)
+                assert (f.partner is None) == (kind != "a_flow")
 
     def test_conjugacy_violation_is_measured_not_projected(self, grid):
         f = gaussian(grid, 0.1)

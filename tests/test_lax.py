@@ -93,9 +93,10 @@ class TestOracle:
             grid = Grid(64.0, points)
             rng = np.random.default_rng(points)
             f = random_schwartz(grid, rng, norm=0.15, sign=sign)
-            r = random_schwartz(grid, rng, norm=0.15).values if independent else None
-            got = greens_oracle(f, kappa, r=r)
-            want = dense_reference_oracle(grid, f.values, f.r if r is None else r, kappa)
+            if independent:
+                f = Field(grid, f.values, sign, random_schwartz(grid, rng, norm=0.15).values)
+            got = greens_oracle(f, kappa)
+            want = dense_reference_oracle(grid, f.values, f.r, kappa)
             case = (points, kappa, sign, independent)
             for k, part in enumerate(("g12", "g21", "gamma")):
                 assert rel_l2(grid, getattr(got, part), want[k]) <= 1e-12, (case, part)
@@ -299,6 +300,16 @@ class TestFixedPointKernel:
         with pytest.raises(DataTooLarge):
             fixed_point_raw(grid, f.values, f.r, 1.0, max_iter=400)
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_data_rejected(self, grid, small_gaussian, which):
+        # max(size, nan) and nan > delta both let a nan through a naive gate
+        qr = [small_gaussian.values.copy(), small_gaussian.r]
+        qr[which][5] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataTooLarge, match="not finite"):
+                fixed_point_raw(grid, *qr, 2.0)
+
     def test_first_growth_raises(self, grid):
         # far past the gate (13x) the residual of this solve grows at
         # iteration 3; halving the step from there would still converge, but
@@ -476,6 +487,19 @@ class TestOperatorPair:
             f = random_schwartz(grid, rng, norm=0.15, sign=sign)
             a, b = operator_pair(f, 2.0).hs_norms()
             assert abs(a - b) <= 1e-10 * max(a, b)
+
+    def test_overflowed_norms_raise_divergent_series(self, grid, small_gaussian):
+        # at 1e155 both norms overflow to inf, and inf - inf must not pass
+        # the equality check; an explicit partner skips only that check
+        f = constant(Grid(64.0, 64), 1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in (f, Field(f.grid, f.values, partner=f.values)):
+                with pytest.raises(DivergentSeries, match="not finite"):
+                    operator_pair(g, 2.0)
+        q = small_gaussian.values
+        a, b = operator_pair(Field(grid, q, partner=2.0 * q), 2.0).hs_norms()
+        assert abs(b - 2.0 * a) <= 1e-12 * b
 
     def test_hs_scaling_constant_stable(self, grid):
         # ||Lambda||_HS <= C kappa^{-(s+1/2)} ||q||_{H^s_kappa}, C stable in kappa

@@ -1,10 +1,13 @@
 """Grid, transform, multiplier, norm, and cutoff contracts."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import aknslab
+from aknslab import diagnostics, flows, hierarchy, lax
 from aknslab.profiles import gaussian, plane_wave, random_schwartz
 from aknslab.spectral import (
     Cutoff,
@@ -71,6 +74,34 @@ class TestField:
         foc = gaussian(grid, 0.1, sign=-1)
         assert np.allclose(defo.r, np.conj(defo.values))
         assert np.allclose(foc.r, -np.conj(foc.values))
+
+    def test_explicit_partner(self, grid, small_gaussian):
+        q = small_gaussian.values
+        with pytest.raises(SpectralError, match="partner shape"):
+            Field(grid, q, partner=np.ones(grid.points - 1))
+        bad = np.ones(grid.points)
+        bad[3] = np.nan
+        with pytest.raises(SpectralError, match="non-finite"):
+            Field(grid, q, partner=bad)
+        f = Field(grid, q, -1, partner=2.0 * q)
+        assert f.partner.dtype == np.complex128 and np.array_equal(f.r, 2.0 * q)
+        copied = f.copy()
+        assert np.array_equal(copied.r, f.r) and copied.partner is not f.partner
+        assert small_gaussian.copy().partner is None
+
+
+def test_one_way_to_pass_the_partner():
+    """No public Field-level callable takes the partner as an ``r``/``r0``
+    argument: it travels on ``Field.partner``.  Only the raw-array kernels
+    (``*_raw``) take q and r as two arrays."""
+    callables = [obj for obj in map(aknslab.__dict__.get, aknslab.__all__) if callable(obj)]
+    callables += [lax.operator_pair, hierarchy.density, hierarchy.current]
+    for module in (lax, hierarchy, flows, diagnostics):
+        callables += [fn for name, fn in inspect.getmembers(module, inspect.isfunction)
+                      if fn.__module__ == module.__name__
+                      and not name.startswith("_") and not name.endswith("_raw")]
+    for fn in callables:
+        assert not {"r", "r0"} & set(inspect.signature(fn).parameters), fn.__qualname__
 
 
 class TestMultipliers:
