@@ -18,20 +18,17 @@ from .lax import (
     pdet_trace,
 )
 from .hierarchy import (
-    DensityCurrent,
     HamiltonianValue,
     current,
     density,
-    density_current,
     expansion_error,
     hamiltonians,
     poisson_bracket,
 )
-from .flows import FlowSpec, Trajectory, evolve, rescale
+from .flows import FlowSpec, Trajectory, evolve
 from .diagnostics import (
     InflationReport,
     ResidualReport,
-    equicontinuity_tail,
     kappa_convergence_study,
     local_smoothing_norm,
     micro_residual,
@@ -46,11 +43,11 @@ __all__ = [
     "Cutoff", "Field", "Grid", "apply_multiplier", "sobolev_norm",
     "GreensTriple", "OperatorPair", "alpha", "greens_fixed_point",
     "greens_oracle", "greens_series", "pdet_integral", "pdet_trace",
-    "DensityCurrent", "HamiltonianValue", "current", "density",
-    "density_current", "expansion_error", "hamiltonians", "poisson_bracket",
-    "FlowSpec", "Trajectory", "evolve", "rescale",
-    "InflationReport", "ResidualReport", "equicontinuity_tail",
-    "kappa_convergence_study", "local_smoothing_norm", "micro_residual",
-    "norm_inflation_experiment", "tightness_metric",
+    "HamiltonianValue", "current", "density", "expansion_error",
+    "hamiltonians", "poisson_bracket",
+    "FlowSpec", "Trajectory", "evolve",
+    "InflationReport", "ResidualReport", "kappa_convergence_study",
+    "local_smoothing_norm", "micro_residual", "norm_inflation_experiment",
+    "tightness_metric",
     "ExperimentConfig",
 ]

@@ -1,28 +1,27 @@
 """Everything measured on fields and trajectories: conserved-quantity drift,
-microscopic conservation residuals, local smoothing norms, equicontinuity
-tails, tightness, kappa-convergence of the difference flows, and the
-norm-inflation experiment.
+microscopic conservation residuals, local smoothing norms, tightness,
+kappa-convergence of the difference flows, and the norm-inflation
+experiment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
-from .flows import FlowError, FlowSpec, Integrator, Trajectory, evolve
-from .hierarchy import FLAVORS, current, density, HierarchyError
+from .flows import FlowSpec, Integrator, Trajectory, evolve
+from .hierarchy import FLAVORS, current, density
 from .lax import FixedPointChain, GreensTriple, alpha as alpha_of, greens_fixed_point
 from .profiles import mean_zero_even, mean_zero_odd
 from .spectral import (
     Cutoff,
     Field,
     Grid,
-    SpectralError,
     bump,
     diff,
     sobolev_norm,
@@ -245,15 +244,7 @@ def local_smoothing_norm(traj: Trajectory, sigma: float, kappa: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# Equicontinuity and tightness
-
-
-def equicontinuity_tail(f: Field, kappa: float, s: float) -> float:
-    """||q||_{H^s_kappa}; decreasing in kappa exactly when no norm hides at
-    high frequency."""
-    if s >= 0:
-        raise DiagnosticsError(f"equicontinuity tail needs s < 0, got {s}")
-    return sobolev_norm(f, s, kappa)
+# Tightness
 
 
 @lru_cache(maxsize=1)

@@ -357,21 +357,3 @@ def evolve(f: Field, spec: FlowSpec) -> Trajectory:
     stats = {"steps": n_steps, "wall_time": _time.perf_counter() - started,
              **stepper.chain.stats()}
     return Trajectory(spec, f.grid, f.sign, times, states, r_states, stats)
-
-
-def rescale(f: Field, lam: float, m: int) -> tuple[Field, float]:
-    """Scaling-symmetry image lam * q(lam x) and its time dilation lam^m.
-
-    The transform is exact on band-limited data: the coefficient array is
-    reinterpreted on the box of length L/lam, whose frequency lattice is the
-    source lattice scaled by lam (so the rescaled band always fits).
-    """
-    if lam <= 0:
-        raise FlowError(f"scaling factor must be positive, got {lam}")
-    if m < 0:
-        raise FlowError(f"flow order m must be nonnegative, got {m}")
-    if lam == 1.0:
-        return f.copy(), 1.0
-    target = Grid(f.grid.length / lam, f.grid.points)
-    partner = None if f.partner is None else lam * f.partner
-    return Field(target, lam * f.values, f.sign, partner), float(lam) ** m

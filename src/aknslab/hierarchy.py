@@ -104,61 +104,20 @@ def poisson_bracket(grad_f: tuple[np.ndarray, np.ndarray],
     return grid.integrate(fq * gr - fr * gq) / 1j
 
 
-def expansion_value(ham: HamiltonianValue, kappa: float) -> complex:
-    """Four-term large-kappa expansion of the determinant:
-    M/(2k) - iP/(2k)^2 - H_nls/(2k)^3 + iH_mkdv/(2k)^4."""
-    tk = 2.0 * kappa
-    return (ham.mass / tk - 1j * ham.momentum / tk**2
-            - ham.h_nls / tk**3 + 1j * ham.h_mkdv / tk**4)
-
-
-def expansion_error(f: Field, kappa: float, det: complex,
-                    n_terms: int = 4) -> float:
-    """|A(kappa) - truncated expansion|; requires kappa >= 4."""
+def expansion_error(f: Field, kappa: float, det: complex) -> float:
+    """|A(kappa) - four-term expansion|, the expansion being
+    M/(2k) - iP/(2k)^2 - H_nls/(2k)^3 + iH_mkdv/(2k)^4; requires kappa >= 4."""
     if kappa < 4.0:
         raise HierarchyError(f"expansion error requires kappa >= 4, got {kappa}")
-    if not 1 <= n_terms <= 4:
-        raise HierarchyError(f"n_terms must lie in 1..4, got {n_terms}")
     ham = hamiltonians(f)
     tk = 2.0 * kappa
     terms = [ham.mass / tk, -1j * ham.momentum / tk**2,
              -ham.h_nls / tk**3, 1j * ham.h_mkdv / tk**4]
-    return abs(det - sum(terms[:n_terms]))
+    return abs(det - sum(terms))
 
 
 # ---------------------------------------------------------------------------
 # Densities and currents
-
-
-@dataclass
-class DensityCurrent:
-    """A conserved density sample and its matched current sample."""
-
-    flavor: str
-    varkappa: float
-    density: np.ndarray
-    current: np.ndarray
-
-    def check_boundary_decay(self, grid: Grid, rtol: float = 1e-8) -> None:
-        edge = max(1, grid.points // 40)
-        peak = float(np.max(np.abs(self.current)))
-        if peak == 0.0:
-            return
-        tail = max(float(np.max(np.abs(self.current[:edge]))),
-                   float(np.max(np.abs(self.current[-edge:]))))
-        if tail > rtol * peak:
-            raise HierarchyError(
-                f"current does not decay at the boundary: tail/peak = "
-                f"{tail / peak:.2e} > {rtol:.0e}"
-            )
-
-
-def density_current(f: Field, flavor: str, triple_vk: GreensTriple,
-                    kappa_triples: tuple = ()) -> DensityCurrent:
-    """Bundle the density and its flavor-matched current at one parameter."""
-    rho = density(f, triple_vk, tilde=flavor == "tilde_mkdv")
-    j = current(f, flavor, triple_vk, kappa_triples)
-    return DensityCurrent(flavor, triple_vk.kappa, rho, j)
 
 
 def density(f: Field, triple: GreensTriple, tilde: bool = False) -> np.ndarray:
@@ -173,19 +132,6 @@ def density(f: Field, triple: GreensTriple, tilde: bool = False) -> np.ndarray:
     if not tilde:
         return rho
     return dealiased_mul(q, rr) - 2.0 * triple.kappa * rho
-
-
-def density_quadratic(f: Field, varkappa: float) -> np.ndarray:
-    """Leading (quadratic) part of the density,
-    (q * r/(2k+d) + q/(2k-d) * r) / 2."""
-    from .spectral import apply_multiplier, inverse_shift_symbol
-
-    grid = f.grid
-    q = f.values
-    rr = f.r
-    pr = apply_multiplier(rr, inverse_shift_symbol(2.0 * varkappa, +1), grid)
-    mq = apply_multiplier(q, inverse_shift_symbol(2.0 * varkappa, -1), grid)
-    return 0.5 * (dealiased_mul(q, pr) + dealiased_mul(mq, rr))
 
 
 def generating_current(triple_vk: GreensTriple, triple_k: GreensTriple) -> np.ndarray:

@@ -9,29 +9,33 @@ tests/test_acceptance.py runs each group as one test (about 40 s in all on a
 2-core machine).
 
 Rows named ``criterion N: ...`` are the acceptance criteria, a ``worst`` row
-being the maximum over 20 random fields at seed 5011 (and four kappas); the
-others are quick checks on one Gaussian and three fields drawn in order from
-``default_rng(0)``.  Shared data is built on first use, not at import.
+being the maximum over 20 random fields at seed 5011 (and four kappas), and
+a Hamiltonian ``worst`` row the maximum over the six pairs; rows named
+``compactness: ...`` follow tightness and equicontinuity along an nls flow;
+the others are quick checks on one Gaussian and three fields drawn in order
+from ``default_rng(0)``.  Shared data is built on first use, not at import.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .diagnostics import (DiagnosticsError, conserved_drift, kappa_convergence_study,
                           log_lambda_fit, micro_residual, norm_inflation_experiment,
-                          residual_refinement, scale_family_norm_sq_callable)
+                          residual_refinement, scale_family_norm_sq_callable, tightness_metric)
 from .flows import FlowError, FlowSpec, evolve
-from .hierarchy import HierarchyError, expansion_error, poisson_bracket, telescoping_residual
+from .hierarchy import (HierarchyError, expansion_error, hamiltonian_gradient, poisson_bracket,
+                        telescoping_residual)
 from .lax import (LaxError, greens_fixed_point, greens_oracle, greens_series, pdet_integral,
                   pdet_trace, triple_at_minus_kappa)
 from .profiles import gaussian, plane_wave, random_schwartz
 from .spectral import (Field, Grid, SpectralError, apply_multiplier, dealiased_mul, diff,
                        fractional_symbol, inverse_shift_symbol, partition_constant,
-                       weighted_norm_sq)
+                       sobolev_norm, weighted_norm_sq)
 
 Row = tuple[str, float, float, float, bool]  # (name, measured, lower, upper, passed)
 
@@ -229,6 +233,9 @@ def criterion_6_commutation() -> list[Row]:
     t2 = greens_fixed_point(f, 2.0, tol=1e-13)
     t4 = greens_fixed_point(f, 4.0, tol=1e-13)
     bracket = abs(poisson_bracket((t2.g21, -t2.g12), (t4.g21, -t4.g12), GRID))
+    grads = [hamiltonian_gradient(f, name) for name in ("mass", "momentum", "h_nls", "h_mkdv")]
+    worst_ham = (max(abs(poisson_bracket(a, b, GRID)) for a, b in combinations(grads, 2))
+                 / max(1.0, f.l2_norm() ** 2))
 
     def defect(star, t, n=8):
         dt = t / n
@@ -238,7 +245,9 @@ def criterion_6_commutation() -> list[Row]:
                      FlowSpec(f"{star}_kappa", dt, t, kappa=8.0)).states[-1]
         return GRID.l2_norm(out - full)
 
-    rows = [_row("criterion 6: Poisson bracket of A(2) and A(4)", bracket, upper=1e-8)]
+    rows = [_row("criterion 6: Poisson bracket of A(2) and A(4)", bracket, upper=1e-8),
+            ("criterion 6: four Hamiltonians pairwise Poisson bracket (worst)", worst_ham,
+             -math.inf, 1e-10, worst_ham < 1e-10)]
     times = (0.08, 0.04, 0.02)
     for star in ("nls", "mkdv"):
         ds = [defect(star, t) for t in times]
@@ -332,11 +341,28 @@ def criterion_10_integrator_order() -> list[Row]:
                         float(np.max(np.abs(traj.states[-1].imag))), upper=1e-12)]
 
 
+def compactness_along_flows() -> list[Row]:
+    # tightness: wide data so the far field is resolvable; unit-time nls
+    wide = gaussian(Grid(256.0, 512), 0.05, width=8.0)
+    traj = evolve(wide, FlowSpec("nls", 1e-3, 1.0, snapshot_stride=200))
+    tight = [tightness_metric(traj.field(i), 32.0, -0.25) for i in range(len(traj))]
+    # equicontinuity: the H^(-1/4) norm at kappa = 16 along nls
+    traj = evolve(gaussian(GRID, 0.1), FlowSpec("nls", 1e-3, 0.5, snapshot_stride=100))
+    tails = [sobolev_norm(traj.field(i), -0.25, 16.0) for i in range(len(traj))]
+    return [("compactness: tightness baseline strictly above 1e-14", tight[0],
+             1e-14, math.inf, tight[0] > 1e-14),
+            _row("compactness: tightness max/initial along nls", max(tight) / tight[0],
+                 upper=4.0),
+            _row("compactness: equicontinuity H^(-1/4)_16 max/initial along nls",
+                 max(tails) / tails[0], upper=4.0)]
+
+
 GROUPS = (spectral_transforms, criterion_1_oracle_equivalence, criterion_2_identity_suite,
           criterion_3_determinant_consistency, criterion_4_gradient_check,
           criterion_5_conservation, criterion_6_commutation,
           criterion_7_microscopic_conservation, criterion_8_kappa_convergence,
-          criterion_9_norm_inflation_dichotomy, criterion_10_integrator_order)
+          criterion_9_norm_inflation_dichotomy, criterion_10_integrator_order,
+          compactness_along_flows)
 
 
 def run_selftest() -> list[Row]:

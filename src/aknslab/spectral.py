@@ -100,13 +100,15 @@ class Grid:
         return math.sqrt(self.dx * float(np.sum(np.abs(values) ** 2)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Field:
     """Complex grid function q and its conjugate partner r.
 
     By default r is slaved to q: sign=+1 is the defocusing convention
     (r = conj(q)), sign=-1 the focusing one (r = -conj(q)).  A ``partner``
     array makes r an independent unknown, as the generating flow needs.
+    The field is frozen: ``values`` and ``partner`` cannot be rebound past
+    the validation below.
     """
 
     grid: Grid
@@ -117,9 +119,9 @@ class Field:
     def __post_init__(self) -> None:
         if self.sign not in (+1, -1):
             raise SpectralError(f"sign must be +1 or -1, got {self.sign}")
-        self.values = self._grid_array("values", self.values)
+        object.__setattr__(self, "values", self._grid_array("values", self.values))
         if self.partner is not None:
-            self.partner = self._grid_array("partner", self.partner)
+            object.__setattr__(self, "partner", self._grid_array("partner", self.partner))
 
     def _grid_array(self, name: str, values) -> np.ndarray:
         v = np.asarray(values, dtype=np.complex128)
@@ -140,10 +142,6 @@ class Field:
 
     def hat(self) -> np.ndarray:
         return self.grid.fft(self.values)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.sign,
-                     None if self.partner is None else self.partner.copy())
 
     def l2_norm(self) -> float:
         return self.grid.l2_norm(self.values)
@@ -173,19 +171,13 @@ class Field:
 # Fourier multipliers
 
 
-def apply_multiplier(f, symbol, grid: Grid | None = None):
-    """Apply a Fourier multiplier: inverse-transform of symbol(xi) * f_hat(xi).
+def apply_multiplier(values: np.ndarray, symbol, grid: Grid) -> np.ndarray:
+    """Apply a Fourier multiplier to grid values: the inverse transform of
+    symbol(xi) * values_hat(xi).
 
-    ``f`` may be a Field (returns a Field) or a raw array (requires ``grid``,
-    returns an array).  ``symbol`` is a callable on the frequency lattice or a
-    precomputed array.  Singular/non-finite symbol values raise, naming the
-    offending frequency.
+    ``symbol`` is a callable on the frequency lattice or a precomputed array.
+    Singular/non-finite symbol values raise, naming the offending frequency.
     """
-    if isinstance(f, Field):
-        out = apply_multiplier(f.values, symbol, f.grid)
-        return Field(f.grid, out, f.sign)
-    if grid is None:
-        raise SpectralError("grid required when applying a multiplier to a raw array")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         m = np.asarray(symbol(grid.xi) if callable(symbol) else symbol, dtype=np.complex128)
     if m.shape != grid.xi.shape:
@@ -196,7 +188,7 @@ def apply_multiplier(f, symbol, grid: Grid | None = None):
         raise SingularSymbolError(
             f"multiplier symbol singular on the lattice at xi = {grid.xi[k]:.6g}"
         )
-    return np.fft.ifft(m * np.fft.fft(np.asarray(f, dtype=np.complex128)))
+    return np.fft.ifft(m * np.fft.fft(np.asarray(values, dtype=np.complex128)))
 
 
 def derivative_symbol(order: int = 1):

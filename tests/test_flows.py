@@ -1,7 +1,5 @@
 """Time integration of the seven flows."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from aknslab.flows import (
     Trajectory,
     UnstableStep,
     evolve,
-    rescale,
 )
 from aknslab.lax import fixed_point_raw, greens_fixed_point, pdet_integral
 from aknslab.profiles import gaussian, plane_wave, random_schwartz
@@ -361,33 +358,3 @@ class TestOneSolvePerStage:
         for _ in range(3):
             q = stepper.step(q)
         assert stepper.chain.solves == 4 * 3
-
-
-class TestRescale:
-    def test_identity(self, grid, small_gaussian):
-        out, tdil = rescale(small_gaussian, 1.0, 2)
-        assert tdil == 1.0
-        assert np.array_equal(out.values, small_gaussian.values)
-
-    def test_l2_scaling_exact(self, grid, small_gaussian):
-        lam = 4.0
-        out, tdil = rescale(small_gaussian, lam, 2)
-        assert tdil == 16.0
-        assert abs(out.l2_norm() ** 2 - lam * small_gaussian.l2_norm() ** 2) \
-            <= 1e-14 * small_gaussian.l2_norm() ** 2
-        assert out.grid.length == grid.length / lam
-
-    def test_pointwise_meaning(self, grid, small_gaussian):
-        # q_lam(x) = lam q(lam x) on the shrunken box
-        lam = 2.0
-        out, _ = rescale(small_gaussian, lam, 3)
-        j = grid.points // 3
-        x_new = out.grid.x[j]
-        expected = lam * 0.1 * np.exp(-((lam * x_new) ** 2))
-        assert abs(out.values[j] - expected) < 1e-12
-
-    def test_validation(self, grid, small_gaussian):
-        with pytest.raises(FlowError):
-            rescale(small_gaussian, -1.0, 2)
-        with pytest.raises(FlowError):
-            rescale(small_gaussian, 2.0, -1)

@@ -9,18 +9,16 @@ from aknslab.hierarchy import (
     HierarchyError,
     current,
     density,
-    density_quadratic,
     expansion_error,
-    expansion_value,
     generating_current,
     hamiltonian_gradient,
     hamiltonians,
     poisson_bracket,
-    telescoping_residual,
 )
 from aknslab.lax import greens_fixed_point, pdet_integral
 from aknslab.profiles import constant, gaussian, plane_wave, random_schwartz
-from aknslab.spectral import Field, Grid, apply_multiplier, inverse_shift_symbol
+from aknslab.spectral import (Field, Grid, apply_multiplier, dealiased_mul, diff,
+                              inverse_shift_symbol)
 
 from conftest import l2, rel_l2
 
@@ -72,22 +70,13 @@ class TestExpansion:
         f = Field(grid, np.zeros(grid.points))
         assert expansion_error(f, 8.0, 0.0 + 0.0j) == 0.0
 
-    def test_error_drops_as_kappa_to_the_fifth(self, grid):
-        f = gaussian(grid, 0.1)
-        errs = []
-        for kappa in (8.0, 16.0, 32.0):
-            det = pdet_integral(f, kappa, fixed(f, kappa))
-            errs.append(expansion_error(f, kappa, det))
-        for a, b in zip(errs, errs[1:]):
-            assert 24.0 <= a / b <= 40.0
-
     def test_single_term_dominated_by_momentum(self, grid):
         # complex data with nonzero momentum: the one-term error ~ |P|/(2k)^2
         f = Field(grid, 0.1 * np.exp(-grid.x**2) * np.exp(1j * grid.x))
         kappa = 32.0
         det = pdet_integral(f, kappa, fixed(f, kappa))
-        err1 = expansion_error(f, kappa, det, n_terms=1)
         h = hamiltonians(f)
+        err1 = abs(det - h.mass / (2 * kappa))
         predicted = abs(h.momentum) / (2 * kappa) ** 2
         assert 0.5 <= err1 / predicted <= 2.0
 
@@ -108,12 +97,16 @@ class TestDensity:
         assert grid.integrate(density(f, tr)) == pdet_integral(f, 2.0, tr)
 
     def test_quadratic_part(self, grid):
-        # rho matches its quadratic truncation to O(|a|^4)
+        # rho matches its quadratic truncation (q r/(2k+d) + q/(2k-d) r)/2
+        # to O(|a|^4)
         errs = []
         for amp in (0.1, 0.05):
             f = gaussian(grid, amp)
-            tr = fixed(f, 2.0)
-            errs.append(l2(grid, density(f, tr) - density_quadratic(f, 2.0)))
+            q, r = f.values, f.r
+            pr = apply_multiplier(r, inverse_shift_symbol(4.0, +1), grid)
+            mq = apply_multiplier(q, inverse_shift_symbol(4.0, -1), grid)
+            quadratic = 0.5 * (dealiased_mul(q, pr) + dealiased_mul(mq, r))
+            errs.append(l2(grid, density(f, fixed(f, 2.0)) - quadratic))
         assert 8.0 <= errs[0] / errs[1] <= 32.0  # 2^4 within a factor of two
 
     def test_tilde_variant(self, grid):
@@ -159,19 +152,20 @@ class TestCurrents:
             assert math.copysign(1.0, measured) == sign
 
     def test_currents_decay_at_boundary(self, grid):
-        # Schwartz data: integral of the density finite, current tails below
-        # 1e-8 of its peak
-        from aknslab.hierarchy import density_current
-
+        # Schwartz data: integral of the density finite, current over the
+        # outer N/40 nodes at each end below 1e-8 of its peak
         f = gaussian(grid, 0.1)
         vk = fixed(f, 2.0)
         pk, mk = fixed(f, 8.0), fixed(f, -8.0)
+        edge = grid.points // 40
         for flavor, extra in (("nls", ()), ("mkdv", ()), ("tilde_mkdv", ()),
                               ("a_flow", (pk,)), ("nls_diff", (pk, mk)),
                               ("mkdv_diff", (pk, mk))):
-            pair = density_current(f, flavor, vk, extra)
-            assert np.isfinite(grid.integrate(pair.density))
-            pair.check_boundary_decay(grid)
+            rho = density(f, vk, tilde=flavor == "tilde_mkdv")
+            assert np.isfinite(grid.integrate(rho))
+            mags = np.abs(current(f, flavor, vk, extra))
+            tail = max(mags[:edge].max(), mags[-edge:].max())
+            assert tail <= 1e-8 * mags.max(), (flavor, tail / mags.max())
 
     def test_generating_current_pole_guard(self, grid, small_gaussian):
         tr2 = fixed(small_gaussian, 2.0)
@@ -213,26 +207,10 @@ class TestPoissonBracket:
         scale = l2(grid, t2.g12) * l2(grid, t4.g12)
         assert abs(bracket) <= 1e-8 * scale
 
-    def test_four_hamiltonians_pairwise_commute(self, grid):
-        f = gaussian(grid, 0.1)
-        names = ("mass", "momentum", "h_nls", "h_mkdv")
-        grads = {n: hamiltonian_gradient(f, n) for n in names}
-        scale = f.l2_norm() ** 2
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                assert abs(poisson_bracket(grads[a], grads[b], grid)) < 1e-10 * max(1.0, scale)
-
 
 class TestIdentities:
-    def test_telescoping(self, grid):
-        f = gaussian(grid, 0.1)
-        res = telescoping_residual(fixed(f, 2.0), fixed(f, 4.0), grid)
-        assert res <= 1e-8
-
     def test_biham_expansion_of_g12(self, grid):
         # -g12 = q/(2k) + q'/(2k)^2 + (q'' - 2 q^2 r)/(2k)^3 + O(k^-4)
-        from aknslab.spectral import dealiased_mul, diff
-
         f = gaussian(grid, 0.1)
         q, r = f.values, f.r
         residuals = []
@@ -244,12 +222,3 @@ class TestIdentities:
             residuals.append(l2(grid, -tr.g12 - expansion))
         ratio = residuals[0] / residuals[1]
         assert 10.0 <= ratio <= 24.0  # 2^4 within noise
-
-    def test_expansion_value_form(self, grid):
-        f = gaussian(grid, 0.1)
-        h = hamiltonians(f)
-        kappa = 8.0
-        val = expansion_value(h, kappa)
-        manual = (h.mass / (2 * kappa) - 1j * h.momentum / (2 * kappa) ** 2
-                  - h.h_nls / (2 * kappa) ** 3 + 1j * h.h_mkdv / (2 * kappa) ** 4)
-        assert val == manual
