@@ -192,6 +192,12 @@ class TestEquicontinuityAndTightness:
         tails = [sobolev_norm(small_gaussian, -0.5, k) for k in (1.0, 4.0, 16.0)]
         assert tails[0] > tails[1] > tails[2]
 
+    def test_tail_bounded_along_flow(self, grid, small_gaussian):
+        traj = evolve(small_gaussian, FlowSpec("nls", 1e-3, 0.5, snapshot_stride=100))
+        tails = [sobolev_norm(traj.field(i), -0.25, 16.0)
+                 for i in range(len(traj))]
+        assert max(tails) <= 4.0 * tails[0]
+
     def test_profile_supports(self, grid):
         phi = tightness_profile(grid.x, 4.0)
         assert np.all(phi[np.abs(grid.x) <= 4.0] == 0.0)
@@ -206,6 +212,16 @@ class TestEquicontinuityAndTightness:
     def test_radius_exceeding_half_box(self, grid, small_gaussian):
         with pytest.raises(DiagnosticsError):
             tightness_metric(small_gaussian, 33.0, -0.5)
+
+    def test_metric_stable_along_flow(self):
+        # wide data so the far field is resolvable; unit-time NLS evolution
+        g = Grid(256.0, 512)
+        f = gaussian(g, 0.05, width=8.0)
+        traj = evolve(f, FlowSpec("nls", 1e-3, 1.0, snapshot_stride=200))
+        vals = [tightness_metric(traj.field(i), 32.0, -0.25)
+                for i in range(len(traj))]
+        assert vals[0] > 1e-14  # resolvable baseline
+        assert max(vals) <= 4.0 * vals[0]
 
 
 class TestKappaConvergence:

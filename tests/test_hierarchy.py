@@ -207,6 +207,15 @@ class TestPoissonBracket:
         scale = l2(grid, t2.g12) * l2(grid, t4.g12)
         assert abs(bracket) <= 1e-8 * scale
 
+    def test_four_hamiltonians_pairwise_commute(self, grid):
+        f = gaussian(grid, 0.1)
+        names = ("mass", "momentum", "h_nls", "h_mkdv")
+        grads = {n: hamiltonian_gradient(f, n) for n in names}
+        scale = f.l2_norm() ** 2
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                assert abs(poisson_bracket(grads[a], grads[b], grid)) < 1e-10 * max(1.0, scale)
+
 
 class TestIdentities:
     def test_biham_expansion_of_g12(self, grid):
