@@ -268,7 +268,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-        cfg.apply_env()
         if args.out:
             cfg.out = args.out
         if args.seed >= 0:

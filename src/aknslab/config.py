@@ -1,8 +1,7 @@
 """Experiment configuration: one JSON-serializable tree per run.
 
-Configs round-trip bit-identically through to_json/from_json, every run
-writes the resolved config beside its outputs, and environment variables
-prefixed AKNSLAB_ override the scalar run controls.
+Configs round-trip bit-identically through to_json/from_json, and every run
+writes the resolved config beside its outputs.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -24,8 +22,6 @@ from .profiles import (
     random_schwartz,
 )
 from .spectral import Field, Grid
-
-ENV_PREFIX = "AKNSLAB_"
 
 PROFILES = ("gaussian", "mode", "constant", "appendix_even", "appendix_odd",
             "random", "file")
@@ -127,18 +123,12 @@ class ExperimentConfig:
         with open(path) as fh:
             return cls.from_json(fh.read())
 
-    def apply_env(self, env=os.environ) -> None:
-        if ENV_PREFIX + "SEED" in env:
-            self.seed = int(env[ENV_PREFIX + "SEED"])
-        if ENV_PREFIX + "OUT" in env:
-            self.out = env[ENV_PREFIX + "OUT"]
-
     # -- builders ------------------------------------------------------------
 
     def make_grid(self) -> Grid:
         return Grid(float(self.grid.length), int(self.grid.points))
 
-    def make_field(self, rng: np.random.Generator | None = None) -> Field:
+    def make_field(self) -> Field:
         d = self.data
         grid = self.make_grid()
         sign = int(d.sign)
@@ -153,8 +143,8 @@ class ExperimentConfig:
         if d.profile == "appendix_odd":
             return mean_zero_odd(grid, d.amplitude, sign)
         if d.profile == "random":
-            rng = np.random.default_rng(self.seed) if rng is None else rng
-            return random_schwartz(grid, rng, norm=d.norm, sign=sign)
+            return random_schwartz(grid, np.random.default_rng(self.seed),
+                                   norm=d.norm, sign=sign)
         if d.profile == "file":
             from .storage import read_snapshot
 
@@ -204,6 +194,5 @@ def config_reference() -> str:
         else:
             lines.append(f"{section_field.name} = {value!r}")
         lines.append("")
-    lines.append("environment overrides: AKNSLAB_SEED, AKNSLAB_OUT")
     lines.append("data profiles: " + ", ".join(PROFILES))
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
 from .flows import FlowSpec, Integrator, Trajectory, evolve
-from .hierarchy import FLAVORS, current, density
+from .hierarchy import FLAVORS, current, density, hamiltonians
 from .lax import FixedPointChain, GreensTriple, alpha as alpha_of, greens_fixed_point
 from .profiles import mean_zero_even, mean_zero_odd
 from .spectral import (
@@ -67,8 +67,6 @@ def conserved_drift(traj: Trajectory, kappas: tuple = (),
     conserved values which vanish identically (momentum of real data, say)
     are still reported against the natural quadratic scale of the data.
     """
-    from .hierarchy import hamiltonians
-
     names = ["mass", "momentum", "h_nls", "h_mkdv"]
     table: dict = {n: [] for n in names}
     for k in kappas:
@@ -111,8 +109,9 @@ class ResidualReport:
         return max(row[4] for row in self.integrated)
 
 
-def _triples_along(fields: list[Field], param: float, fp_tol: float) -> list[GreensTriple]:
-    chain = FixedPointChain(fields[0].grid, param, fp_tol)
+def _triples_along(grid: Grid, fields: list[Field], param: float,
+                   fp_tol: float) -> list[GreensTriple]:
+    chain = FixedPointChain(grid, param, fp_tol)
     return [chain.solve(f.values, f.r) for f in fields]
 
 
@@ -144,15 +143,15 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
         raise DiagnosticsError("snapshots must be uniformly spaced in time")
     grid = traj.grid
     fields = [traj.field(i) for i in range(len(traj))]
-    vk_triples = _triples_along(fields, varkappa, fp_tol)
+    vk_triples = _triples_along(grid, fields, varkappa, fp_tol)
     kap = traj.spec.kappa
     # the kappa-flows' currents also take the triples at kappa (and -kappa)
     extras: list[tuple[GreensTriple, ...]] = [()] * len(traj)
     if flavor == "a_flow":
-        extras = [(t,) for t in _triples_along(fields, kap, fp_tol)]
+        extras = [(t,) for t in _triples_along(grid, fields, kap, fp_tol)]
     elif flavor in ("nls_diff", "mkdv_diff"):
-        extras = list(zip(_triples_along(fields, kap, fp_tol),
-                          _triples_along(fields, -kap, fp_tol)))
+        extras = list(zip(_triples_along(grid, fields, kap, fp_tol),
+                          _triples_along(grid, fields, -kap, fp_tol)))
 
     tilde = flavor == "tilde_mkdv"
     rhos = [density(f, vk, tilde=tilde) for f, vk in zip(fields, vk_triples)]
@@ -171,8 +170,9 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     rows = []
     floor = 1e-300
     for h in h_lattice(grid, h_count):
-        psi12 = Cutoff(grid, float(h), 12).samples()
-        phi = Cutoff(grid, float(h), 12).antiderivative()
+        cutoff = Cutoff(grid, float(h), 12)
+        psi12 = cutoff.samples()
+        phi = cutoff.antiderivative()
         flux = np.array([grid.dx * float(np.sum((j * psi12).real))
                          + 1j * grid.dx * float(np.sum((j * psi12).imag))
                          for j in currents])
@@ -297,14 +297,6 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
     if varkappa < 4.0:
         raise DiagnosticsError(f"varkappa must be >= 4, got {varkappa}")
     grid = q0.grid
-    centres = h_lattice(grid, h_count)
-    psis = [bump(grid.x - h) ** 12 for h in centres]
-
-    def sup_h_norm(delta_g: np.ndarray) -> float:
-        return max(
-            sobolev_norm(Field(grid, psi * delta_g), s + 1.0) for psi in psis
-        )
-
     g12_ref = greens_fixed_point(q0, varkappa, tol=fp_tol).g12
     rows = []
     for kap in kappas:
@@ -315,19 +307,37 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
         spec = FlowSpec(f"{star}_diff", dt, t_final, kappa=kap,
                         snapshot_stride=snapshot_stride, fp_tol=fp_tol)
         traj = evolve(q0, spec)
-        defect = 0.0
+        # built after the flow's step gate, which rejects the tiny boxes whose
+        # frequencies would overflow the weight
+        psis = np.array([bump(grid.x - h) ** 12 for h in h_lattice(grid, h_count)])
+        weight = (4.0 + grid.xi * grid.xi) ** (s + 1.0)
         # snapshot 0 is q0 itself; the chain starts cold at snapshot 1
-        chain = FixedPointChain(grid, varkappa, fp_tol)
-        for i in range(1, len(traj)):
-            f = traj.field(i)
-            g12_t = chain.solve(f.values, f.r).g12
-            defect = max(defect, sup_h_norm(g12_t - g12_ref))
+        fields = [traj.field(i) for i in range(1, len(traj))]
+        defect = 0.0
+        for triple in _triples_along(grid, fields, varkappa, fp_tol):
+            coeffs = grid.fft(psis * (triple.g12 - g12_ref))
+            norms_sq = grid.dxi * np.sum(weight * np.abs(coeffs) ** 2, axis=1)
+            defect = max(defect, math.sqrt(float(np.max(norms_sq))))
         rows.append((float(kap), defect))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Scaling-family norms and the norm-inflation experiment
+
+
+def _scale_family_quad(spectrum, lo: float, hi: float, lam: float,
+                       sigma: float) -> float:
+    """lam * int_lo^hi (4 + lam^2 eta^2)^sigma spectrum(eta) d eta, adaptively,
+    with breakpoints where the weight turns over."""
+
+    def integrand(e):
+        return (4.0 + (lam * e) ** 2) ** sigma * spectrum(e)
+
+    pts = [p for p in (-10.0 / lam, -1.0 / lam, 0.0, 1.0 / lam, 10.0 / lam)
+           if lo < p < hi]
+    val, _ = quad(integrand, lo, hi, points=pts, limit=400)
+    return lam * val
 
 
 def scale_family_norm_sq(f: Field, lam: float, sigma: float) -> float:
@@ -343,28 +353,13 @@ def scale_family_norm_sq(f: Field, lam: float, sigma: float) -> float:
     eta = grid.xi[order]
     mags = np.abs(grid.fft(f.values))[order] ** 2
     spline = CubicSpline(eta, mags)
-    lo, hi = float(eta[0]), float(eta[-1])
-
-    def integrand(e):
-        return (4.0 + (lam * e) ** 2) ** sigma * float(spline(e))
-
-    pts = [p for p in (-10.0 / lam, -1.0 / lam, 0.0, 1.0 / lam, 10.0 / lam)
-           if lo < p < hi]
-    val, _ = quad(integrand, lo, hi, points=pts, limit=400)
-    return lam * val
+    return _scale_family_quad(lambda e: float(spline(e)), float(eta[0]), float(eta[-1]),
+                              lam, sigma)
 
 
 def scale_family_norm_sq_callable(profile_hat, lam: float, sigma: float) -> float:
     """Same quadrature for an analytic transform profile, over |eta| <= 40."""
-    band = 40.0
-
-    def integrand(e):
-        return (4.0 + (lam * e) ** 2) ** sigma * abs(profile_hat(e)) ** 2
-
-    pts = [p for p in (-10.0 / lam, -1.0 / lam, 0.0, 1.0 / lam, 10.0 / lam)
-           if -band < p < band]
-    val, _ = quad(integrand, -band, band, points=pts, limit=400)
-    return lam * val
+    return _scale_family_quad(lambda e: abs(profile_hat(e)) ** 2, -40.0, 40.0, lam, sigma)
 
 
 def log_lambda_fit(lams: np.ndarray, values: np.ndarray):

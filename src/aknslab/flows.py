@@ -12,11 +12,18 @@ so the step size never couples to kappa.  Every kind takes Lawson-RK4
 ``evolve(f, FlowSpec(kind, dt, dt, ...))``.  The kappa-kinds make their
 Green's solves through one ``lax.FixedPointChain`` per integrator.
 
+``Integrator.nonlinear`` is the one vector field.  A difference flow's is the
+full nls or mkdv field minus the kappa-flow's field beyond its leading Green's
+term; the linear symbols stay in closed form, since full minus regularized
+would cancel at low modes.
+
 The generating flow evolves q and its partner r as independent unknowns (its
 Hamiltonian is complex, so it does not preserve r = sign * conj(q)); the
 departure of r from the slaved partner is a measured diagnostic, not an
-enforced constraint.  It starts from ``Field.r``, and ``Trajectory.field(i)``
-carries snapshot i's own r as ``partner``, so diagnostics see the evolved pair.
+enforced constraint.  Its state is the stacked pair (q, r), started from
+``Field.r`` and stepped by classical RK4 through ``nonlinear``;
+``Trajectory.field(i)`` carries snapshot i's own r as ``partner``, so
+diagnostics see the evolved pair.
 """
 
 from __future__ import annotations
@@ -30,14 +37,15 @@ import numpy as np
 from .lax import FixedPointChain, LaxError
 from .spectral import Field, Grid, apply_multiplier, dealiased_mul
 
-KINDS = ("nls", "mkdv", "a_flow", "nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
-_KAPPA_KINDS = KINDS[2:]
+_REGULARIZED_KINDS = ("nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
+_KAPPA_KINDS = ("a_flow",) + _REGULARIZED_KINDS
+KINDS = ("nls", "mkdv") + _KAPPA_KINDS
 
 #: The schemes each kind accepts; the first is its default.  Only nls takes
 #: splitting: its nonlinear substep has an exact pointwise solution, where
 #: every other kind would need an inner Runge-Kutta step.
 SCHEMES = {"nls": ("splitting4", "rk4_spectral"),
-           **{kind: ("rk4_spectral",) for kind in KINDS[1:]}}
+           **{kind: ("rk4_spectral",) for kind in KINDS if kind != "nls"}}
 
 #: Exponent of the dispersive symbol entering the step-size gate.
 DISPERSION_ORDER = {"nls": 2, "nls_kappa": 2, "nls_diff": 2,
@@ -176,7 +184,7 @@ class Integrator:
                 f"{spec.scheme} bound {STABILITY_BOUND:.0f}"
             )
         self.mu = self._linear_symbol(xi)
-        if spec.kind in _KAPPA_KINDS[1:]:  # the regularized and difference flows
+        if spec.kind in _REGULARIZED_KINDS:
             # (2 kappa - d)^{-1} and (2 kappa + d)^{-1}, the leading Green's terms
             self._inv_m = 1.0 / (2.0 * spec.kappa - 1j * xi)
             self._inv_p = 1.0 / (2.0 * spec.kappa + 1j * xi)
@@ -218,58 +226,50 @@ class Integrator:
         conj_gamma_q = dealiased_mul(np.conj(plus.gamma), q)
         return plus.g12, apply_multiplier(q + conj_gamma_q, self._inv_p, self.grid)
 
-    def rhs(self, q: np.ndarray, r: np.ndarray | None = None):
-        """Full right-hand side dq/dt (and dr/dt for the generating flow)."""
+    def nonlinear(self, state: np.ndarray) -> np.ndarray:
+        """The vector field minus its exactly-integrated linearization; for
+        a_flow, whose state is the stacked pair (q, r), all of (i g12, i g21)."""
         if self.spec.kind == "a_flow":
-            rr = self.sign * np.conj(q) if r is None else r
-            triple = self.chain.solve(q, rr)
-            return 1j * triple.g12, 1j * triple.g21
-        lin = np.fft.ifft(self.mu * np.fft.fft(q))
-        return lin + self.nonlinear(q)
+            triple = self.chain.solve(state[0], state[1])
+            return 1j * np.stack((triple.g12, triple.g21))
+        star, _, flavor = self.spec.kind.partition("_")
+        if flavor == "kappa":
+            return self._regularized(star, state)
+        full = self._full(star, state)
+        return full - self._regularized(star, state) if flavor == "diff" else full
 
-    def nonlinear(self, q: np.ndarray) -> np.ndarray:
-        """RHS minus the exactly-integrated linearization (not for a_flow)."""
-        kind = self.spec.kind
-        kap = self.spec.kappa
+    def _full(self, star: str, q: np.ndarray) -> np.ndarray:
+        """The nls or mkdv field beyond its dispersive term."""
         r = self.sign * np.conj(q)
-        if kind == "nls":
+        if star == "nls":
             return -2j * dealiased_mul(q, q, r)
-        if kind == "mkdv":
-            qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
-            return 6.0 * dealiased_mul(q, r, qp)
+        qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
+        return 6.0 * dealiased_mul(q, r, qp)
+
+    def _regularized(self, star: str, q: np.ndarray) -> np.ndarray:
+        """The kappa-flow field beyond its leading Green's term."""
+        kap = self.spec.kappa
         inv_m, inv_p = self._inv_m, self._inv_p
         qh = np.fft.fft(q)
         gp, gm = self._g12_pm(q)
-        if kind == "nls_kappa":
+        if star == "nls":
             linear_part = np.fft.ifft(-(inv_m + inv_p) * qh)
             return -4j * kap**3 * ((gp - gm) - linear_part)
-        if kind == "mkdv_kappa":
-            linear_part = np.fft.ifft((-inv_m + inv_p) * qh)
-            return 8.0 * kap**4 * ((gp + gm) - linear_part)
-        if kind == "nls_diff":
-            linear_part = np.fft.ifft(-(inv_m + inv_p) * qh)
-            return (-2j * dealiased_mul(q, q, r)
-                    + 4j * kap**3 * ((gp - gm) - linear_part))
-        # mkdv_diff
         linear_part = np.fft.ifft((-inv_m + inv_p) * qh)
-        qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
-        return (6.0 * dealiased_mul(q, r, qp)
-                - 8.0 * kap**4 * ((gp + gm) - linear_part))
+        return 8.0 * kap**4 * ((gp + gm) - linear_part)
 
     # -- steppers ------------------------------------------------------------
 
-    def step(self, q: np.ndarray, r: np.ndarray | None = None):
-        """One step of dt from q (and, for a_flow only, its partner r)."""
+    def step(self, state: np.ndarray) -> np.ndarray:
+        """One step of dt from the state: q, or the stacked (q, r) for a_flow."""
         h = self.spec.dt
         if self.spec.kind == "a_flow":
-            pair = _rk4_plain(np.stack((q, r)), h,
-                              lambda s: np.stack(self.rhs(s[0], s[1])))
-            return pair[0], pair[1]
+            return _rk4_plain(state, h, self.nonlinear)
         if self.spec.scheme == "splitting4":
-            q = self._strang(q, _YOSHIDA_W1 * h)
-            q = self._strang(q, _YOSHIDA_W0 * h)
-            return self._strang(q, _YOSHIDA_W1 * h)
-        return self._step_lawson(q)
+            for weight in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1):
+                state = self._strang(state, weight * h)
+            return state
+        return self._step_lawson(state)
 
     def _step_lawson(self, q: np.ndarray) -> np.ndarray:
         h = self.spec.dt
@@ -315,45 +315,37 @@ def evolve(f: Field, spec: FlowSpec) -> Trajectory:
             f"t_final {spec.t_final} is not an integer number of steps of {spec.dt}"
         )
     pair = spec.kind == "a_flow"
-    q = f.values.copy()
-    r = f.r.copy() if pair else None
+    state = np.stack((f.values, f.r)) if pair else f.values.copy()
     snapshots = spec.snapshots
     try:
-        states = np.empty((snapshots, f.grid.points), dtype=np.complex128)
-        r_states = np.empty_like(states) if pair else None
+        states = np.empty((snapshots,) + state.shape, dtype=np.complex128)
     except (ValueError, MemoryError) as exc:
         raise SpecError(f"{snapshots:.3g} snapshots of {f.grid.points} points "
                         f"do not fit in memory: {exc}") from exc
     times = [0.0]
-    states[0] = q
-    if pair:
-        r_states[0] = r
+    states[0] = state
     started = _time.perf_counter()
     # overflow and NaN in a failing step are caught by the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             try:
-                if pair:
-                    q, r = stepper.step(q, r)
-                else:
-                    q = stepper.step(q)
+                state = stepper.step(state)
             except LaxError as exc:
                 raise NumericalBlowup(
                     f"step to t = {n * spec.dt:.6g} failed: {exc}; "
                     f"last valid time {(n - 1) * spec.dt:.6g}",
                     (n - 1) * spec.dt,
                 ) from exc
-            if not np.all(np.isfinite(q)) or (pair and not np.all(np.isfinite(r))):
+            if not np.all(np.isfinite(state)):
                 raise NumericalBlowup(
                     f"non-finite state at t = {n * spec.dt:.6g}; "
                     f"last valid time {(n - 1) * spec.dt:.6g}",
                     (n - 1) * spec.dt,
                 )
             if n % spec.snapshot_stride == 0 or n == n_steps:
-                states[len(times)] = q
-                if pair:
-                    r_states[len(times)] = r
+                states[len(times)] = state
                 times.append(n * spec.dt)
     stats = {"steps": n_steps, "wall_time": _time.perf_counter() - started,
              **stepper.chain.stats()}
-    return Trajectory(spec, f.grid, f.sign, times, states, r_states, stats)
+    q_states, r_states = (states[:, 0], states[:, 1]) if pair else (states, None)
+    return Trajectory(spec, f.grid, f.sign, times, q_states, r_states, stats)

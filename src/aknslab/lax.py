@@ -199,10 +199,9 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
 
 
 def greens_fixed_point(f: Field, kappa: float, tol: float = 1e-12) -> GreensTriple:
-    """One cold solve; ``FixedPointChain`` warm-starts a sequence of them."""
-    g12, g21, gamma, iters, res = fixed_point_raw(f.grid, f.values, f.r, kappa, tol=tol)
-    return GreensTriple(kappa, g12, g21, gamma, "fixed_point",
-                        {"iterations": iters, "residual": res, "tol": tol})
+    """One cold solve: the first of a ``FixedPointChain``, which warm-starts
+    a sequence of them."""
+    return FixedPointChain(f.grid, kappa, tol).solve(f.values, f.r)
 
 
 class FixedPointChain:

@@ -230,6 +230,11 @@ class TestKappaConvergence:
         rows = kappa_convergence_study(zero, "nls", 4.0, (8.0,), 0.02, dt=2e-3)
         assert rows[0][1] == 0.0
 
+    def test_zero_time(self, grid, small_gaussian):
+        # no snapshot past q0, so nothing to solve and no defect
+        rows = kappa_convergence_study(small_gaussian, "nls", 4.0, (8.0, 16.0), 0.0)
+        assert rows == [(8.0, 0.0), (16.0, 0.0)]
+
     @pytest.mark.parametrize("star", ["nls", "mkdv"])
     def test_monotone_in_kappa(self, grid, star):
         f = gaussian(grid, 0.1)

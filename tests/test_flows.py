@@ -12,7 +12,7 @@ from aknslab.flows import (
     UnstableStep,
     evolve,
 )
-from aknslab.lax import fixed_point_raw, greens_fixed_point, pdet_integral
+from aknslab.lax import FixedPointChain, fixed_point_raw, greens_fixed_point, pdet_integral
 from aknslab.profiles import gaussian, plane_wave, random_schwartz
 from aknslab.spectral import Field, Grid
 from aknslab.storage import read_trajectory, write_trajectory
@@ -195,6 +195,29 @@ class TestGeneratingFlow:
                 assert np.array_equal(f.r, want)
                 assert (f.partner is None) == (kind != "a_flow")
 
+    def test_step_is_classical_rk4_on_the_green_pair(self, grid):
+        # dq/dt = i g12, dr/dt = i g21 with r an independent unknown
+        rng = np.random.default_rng(1)
+        f = Field(grid, random_schwartz(grid, rng, norm=0.1).values,
+                  partner=random_schwartz(grid, rng, norm=0.1).values)
+        h, kappa = 1e-2, 2.0
+        chain = FixedPointChain(grid, kappa)
+
+        def field(q, r):
+            triple = chain.solve(q, r)
+            return 1j * triple.g12, 1j * triple.g21
+
+        q, r = f.values, f.r
+        k1 = field(q, r)
+        k2 = field(q + 0.5 * h * k1[0], r + 0.5 * h * k1[1])
+        k3 = field(q + 0.5 * h * k2[0], r + 0.5 * h * k2[1])
+        k4 = field(q + h * k3[0], r + h * k3[1])
+        q1, r1 = (y + (h / 6.0) * (a + 2 * b + 2 * c + d)
+                  for y, a, b, c, d in zip((q, r), k1, k2, k3, k4))
+        traj = evolve(f, FlowSpec("a_flow", h, h, kappa=kappa))
+        assert np.array_equal(traj.states[-1], q1)
+        assert np.array_equal(traj.r_states[-1], r1)
+
     def test_conjugacy_violation_is_measured_not_projected(self, grid):
         f = gaussian(grid, 0.1)
         traj = evolve(f, FlowSpec("a_flow", 1e-3, 0.1, kappa=2.0, snapshot_stride=25))
@@ -214,10 +237,12 @@ class TestRegularizedFlows:
         amp = 1e-4
         f = gaussian(grid, amp)
         stepper = Integrator(grid, 1, FlowSpec("nls_kappa", 1e-3, 1e-3, kappa=4.0))
-        rhs = stepper.rhs(f.values)
+        nonlinear = stepper.nonlinear(f.values)
+        rhs = np.fft.ifft(stepper.mu * np.fft.fft(f.values)) + nonlinear
         symbol = -4j * 4.0**2 * grid.xi**2 / (4 * 4.0**2 + grid.xi**2)
         linear = np.fft.ifft(symbol * np.fft.fft(f.values))
         assert l2(grid, rhs - linear) <= 20 * amp**3
+        assert l2(grid, nonlinear) <= 20 * amp**3
 
     @pytest.mark.parametrize("kind", ["nls_kappa", "mkdv_kappa"])
     def test_alpha_conserved(self, grid, kind):
@@ -256,6 +281,18 @@ class TestDifferenceFlows:
         for kind in ("nls_diff", "mkdv_diff"):
             out = evolve(f, FlowSpec(kind, 1e-3, 1e-3, kappa=8.0)).states[-1]
             assert l2(grid, out) == 0.0
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("star", ["nls", "mkdv"])
+    def test_field_is_full_minus_regularized(self, grid, star, sign):
+        q = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign).values
+
+        def field(kind, kappa=None):
+            spec = FlowSpec(kind, 1e-3, 1e-3, kappa=kappa)
+            return Integrator(grid, sign, spec).nonlinear(q)
+
+        assert np.array_equal(field(f"{star}_diff", 8.0),
+                              field(star) - field(f"{star}_kappa", 8.0))
 
     @pytest.mark.parametrize("star", ["nls", "mkdv"])
     def test_composition_consistency(self, grid, star):

@@ -82,11 +82,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"threads": 2})
 
-    def test_env_overrides(self):
-        cfg = ExperimentConfig()
-        cfg.apply_env({"AKNSLAB_SEED": "7", "AKNSLAB_OUT": "/tmp/elsewhere"})
-        assert (cfg.seed, cfg.out) == (7, "/tmp/elsewhere")
-
     def test_field_builders(self):
         cfg = ExperimentConfig.from_dict(
             {"data": {"profile": "appendix_even", "amplitude": 0.2}})
@@ -98,9 +93,9 @@ class TestConfig:
 
     def test_reference_mentions_every_section(self):
         text = config_reference()
-        for token in ("[grid]", "[data]", "[flow]", "[diagnostics]",
-                      "AKNSLAB_SEED"):
+        for token in ("[grid]", "[data]", "[flow]", "[diagnostics]"):
             assert token in text
+        assert "AKNSLAB_" not in text  # no environment variable overrides a field
 
     def test_csv_formatting_deterministic(self, tmp_path):
         path = str(tmp_path / "t.csv")
