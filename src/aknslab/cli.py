@@ -42,11 +42,13 @@ def cmd_green(cfg: ExperimentConfig) -> int:
     grid = f.grid
     rows = []
     for kappa in cfg.diagnostics.kappas:
-        entries = [("fixed_point", lax.greens_fixed_point(f, kappa, tol=cfg.flow.fp_tol)),
-                   ("series(3)", lax.greens_series(f, kappa, 3))]
+        # the fixed point first: its gate rejects data that would overflow the series
+        fixed = lax.greens_fixed_point(f, kappa, tol=cfg.flow.fp_tol)
+        series = lax.greens_series(f, kappa, 3)
+        entries = [("fixed_point", fixed), ("series(3)", series)]
         if grid.points <= lax.ORACLE_MAX_POINTS and \
                 abs(kappa) * grid.length >= lax.ORACLE_MIN_KAPPA_L:
-            entries.append(("oracle", lax.greens_oracle(f, kappa)))
+            entries.append(("oracle", lax.greens_oracle(f, kappa, series=series)))
         reference = dict(entries).get("oracle", entries[0][1])
         for method, triple in entries:
             for part in ("g12", "g21", "gamma"):
@@ -149,13 +151,12 @@ def cmd_micro(cfg: ExperimentConfig) -> int:
     write_csv(os.path.join(out, "integrated.csv"),
               ["h", "flux_side", "density_side", "gap", "relative_gap"],
               [[h, lhs, rhs, gap, rel] for h, lhs, rhs, gap, rel in rep.integrated])
-    # the (x, density, current) samples the residual was measured on; a
-    # generator, so the N rows per snapshot are never all held at once
-    rows = ((t, x, d, c)
-            for t, rho, j in zip(traj.times, rep.densities, rep.currents)
-            for x, d, c in zip(traj.grid.x, rho, j))
+    # the (x, density, current) samples the residual was measured on, one
+    # block of N rows per snapshot
+    blocks = ((t, traj.grid.x, rho, j)
+              for t, rho, j in zip(traj.times, rep.densities, rep.currents))
     write_csv(os.path.join(out, "density_current.csv"),
-              ["t", "x", "density", "current"], rows)
+              ["t", "x", "density", "current"], blocks, blocks=True)
     write_json(os.path.join(out, "pointwise.json"),
                {"flavor": rep.flavor, "varkappa": rep.varkappa,
                 "kappa": rep.kappa, "dt": rep.dt, "window": rep.window,
@@ -204,6 +205,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if star not in ("nls", "mkdv"):
         raise ConfigError(f"sweep runs the nls or mkdv difference flow; "
                           f"flow.kind {cfg.flow.kind!r} is neither")
+    steps = flows.FlowSpec(star, cfg.flow.dt, cfg.flow.t_final).steps
+    if steps < 1:
+        raise ConfigError(f"sweep needs at least one step, but flow.t_final and dt "
+                          f"give {steps}")
     out = _prepare_out(cfg, "sweep")
     f = cfg.make_field()
     rows = diagnostics.kappa_convergence_study(

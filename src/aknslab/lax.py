@@ -5,8 +5,10 @@ Three independent routes to the diagonal triple (g12, g21, gamma) at a real
 spectral parameter kappa, |kappa| >= 1:
 
 * ``greens_oracle``      -- dense inversion of the discrete operator
-                            [[kappa - d, q], [-r, kappa + d]]; brute force,
-                            used as the reference for everything else;
+                            [[kappa - d, q], [-r, kappa + d]] through its
+                            N x N Schur complement, whose inverse is the
+                            only cubic step; brute force, used as the
+                            reference for everything else;
 * ``greens_series``      -- the explicit low-order paraproducts;
 * ``greens_fixed_point`` -- iteration of the coupled identities
                             g12 = -(2k-d)^{-1}[q(1+gamma)],
@@ -280,9 +282,9 @@ def greens_series(f: Field, kappa: float, order: int = 3) -> GreensTriple:
 # ---------------------------------------------------------------------------
 # Dense oracle
 #
-# The only dense work is one inverse (and, in the trace series, a few matrix
-# powers).  Every other factor is a diagonal scaling or a Fourier multiplier,
-# applied by the FFT along one axis, and only diagonals are read:
+# The only dense work is one N x N inverse (and, in the trace series, a few
+# matrix powers).  Every other factor is a diagonal scaling or a Fourier
+# multiplier, applied by the FFT along one axis, and only diagonals are read:
 # diag(A B) = sum_j A_ij B_ji costs O(N^2) once both factors are known.
 
 
@@ -294,8 +296,18 @@ def _multiplier_matrix(m: np.ndarray) -> np.ndarray:
 
 def _apply_right(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
     """mat @ C for the multiplier C with symbol values m: C^T = F diag(m) F^{-1},
-    so each row a of mat becomes fft(m * ifft(a))."""
-    return np.fft.fft(m * np.fft.ifft(mat, axis=1), axis=1)
+    so each row a of mat becomes fft(m * ifft(a)), in one new array."""
+    out = np.fft.ifft(mat, axis=1)
+    np.multiply(m, out, out=out)
+    return np.fft.fft(out, axis=1, out=out)
+
+
+def _apply_left(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """C @ mat for the multiplier C with symbol values m: each column v of mat
+    becomes ifft(m * fft(v)), in one new array."""
+    out = np.fft.fft(mat, axis=0)
+    out *= m[:, None]
+    return np.fft.ifft(out, axis=0, out=out)
 
 
 def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,17 +315,24 @@ def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ji->i", a, b)
 
 
-def greens_oracle(f: Field, kappa: float) -> GreensTriple:
+def _column_sums(mat: np.ndarray) -> np.ndarray:
+    return np.abs(mat).sum(axis=0)
+
+
+def greens_oracle(f: Field, kappa: float,
+                  series: GreensTriple | None = None) -> GreensTriple:
     """Brute-force triple from the dense discrete Lax operator.
 
-    Builds the 2N x 2N operator L = L0 + V, with L0 = diag(kappa - d,
-    kappa + d) and V = [[0, q], [-r, 0]], and reads the diagonals of the
-    kernel difference (L^{-1} - L0^{-1}) / dx.  That difference is
-    continuous across the diagonal but has derivative kinks there, so a
-    band-limited diagonal read is only first-order accurate.  The first four
-    terms of the resolvent expansion carry those kinks; they are subtracted
-    from the dense kernel (same biased read) and re-added as their exact
-    multiplier-form diagonals.  With W = -V L0^{-1} the subtracted kernel is
+    The operator is L = L0 + V, with L0 = diag(A, B), A = kappa - d,
+    B = kappa + d, and V = [[0, Q], [-R, 0]] for the diagonal scalings Q
+    and R by q and r.  The triple is read from the diagonals of the kernel
+    difference (L^{-1} - L0^{-1}) / dx.  That difference is continuous
+    across the diagonal but has derivative kinks there, so a band-limited
+    diagonal read is only first-order accurate.  The first four terms of the
+    resolvent expansion carry those kinks; they are subtracted from the
+    dense kernel (same biased read) and re-added as their exact
+    multiplier-form diagonals, the order-3 series.  With W = -V L0^{-1} the
+    subtracted kernel is
 
         L^{-1} - L0^{-1}(1 + W + W^2 + W^3 + W^4) = (L^{-1} - R3) W,
         R3 = L0^{-1}(1 + W + W^2 + W^3),
@@ -321,17 +340,29 @@ def greens_oracle(f: Field, kappa: float) -> GreensTriple:
     so everything of order five and higher still comes from the dense
     inverse alone.
 
-    ``np.linalg.inv`` of L is the only cubic step.  W's blocks, -Q C+ and
-    R C-, are a diagonal scaling times a block of L0^{-1}, which is a
-    Fourier multiplier.  So each power of W in R3 costs one FFT apply along
-    the rows per block row, subtracted in place from the inverse, and each
-    block diagonal of (L^{-1} - R3) W is an O(N^2) read,
-    diag(A D C)_i = sum_j A_ij d_j C_ji.
+    L is never formed.  Its inverse comes from the N x N Schur complement
+    S = B + R C- Q, with C-/+ = (kappa -/+ d)^{-1}, block by block:
 
-    The 1-norm condition number of L is reported in the metadata.
-    ``IllConditioned`` is raised when it exceeds ``ORACLE_MAX_COND`` or is
-    not finite, and when the triple is not finite (data far past every gate
-    overflow the series terms).
+        [[C- - C- Q S^{-1} R C-, -C- Q S^{-1}],
+         [S^{-1} R C-,           S^{-1}      ]].
+
+    ``np.linalg.inv`` of S is the only cubic step.  Every other factor is a
+    diagonal scaling or a Fourier multiplier, applied by the FFT along the
+    rows (on the right) or the columns (on the left).  W's blocks, -Q C+ and
+    R C-, are of the same kind, so each term of R3 is one apply, subtracted
+    in place from its block of L^{-1}, and each block diagonal of
+    (L^{-1} - R3) W is an O(N^2) read, diag(A D C)_i = sum_j A_ij d_j C_ji.
+    Each block is freed once it is read.
+
+    ``series``, the order-3 ``greens_series`` triple at this kappa, saves
+    recomputing it when the caller has it already.
+
+    The exact 1-norm condition number of L is reported in the metadata:
+    ||L||_1 from the symbols and the largest |q| and |r|, ||L^{-1}||_1 from
+    the blocks' column sums.  ``IllConditioned`` is raised when S is singular
+    or not finite (data far past every gate overflow it), when the condition
+    number exceeds ``ORACLE_MAX_COND`` or is not finite, and when the triple
+    is not finite.
     """
     grid, q, rr = f.grid, f.values, f.r
     _check_kappa(kappa)
@@ -346,49 +377,81 @@ def greens_oracle(f: Field, kappa: float) -> GreensTriple:
             f"kappa*L = {abs(kappa) * grid.length:.1f} < {ORACLE_MIN_KAPPA_L}; "
             "periodization error would pollute the oracle"
         )
+    if series is not None and (series.kappa != kappa or series.meta.get("order") != 3):
+        raise LaxError(f"oracle needs the order-3 series at kappa={kappa}, "
+                       f"got {series.method} at kappa={series.kappa}")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
         xi = grid.xi
-        lax = np.block([[_multiplier_matrix(kappa - 1j * xi), np.diag(q)],
-                        [-np.diag(rr), _multiplier_matrix(kappa + 1j * xi)]])
+        inv_m = inverse_shift_symbol(kappa, -1)(xi)
+        inv_p = inverse_shift_symbol(kappa, +1)(xi)
+        c_m = _multiplier_matrix(inv_m)
+        schur = c_m * q
+        schur *= rr[:, None]
+        schur += _multiplier_matrix(kappa + 1j * xi)
+        if not np.all(np.isfinite(schur)):
+            raise IllConditioned(
+                f"Schur complement of the discrete Lax operator not finite at "
+                f"kappa={kappa}; data too large"
+            )
         try:
-            lax_inv = np.linalg.inv(lax)
+            s_inv = np.linalg.inv(schur)
         except np.linalg.LinAlgError as exc:
             raise IllConditioned(f"discrete Lax operator singular at kappa={kappa}") from exc
-        cond = float(np.linalg.norm(lax, 1) * np.linalg.norm(lax_inv, 1))
-        del lax
+        del schur
+        # column sums of |L^{-1}| over its left and right block columns
+        right = _column_sums(s_inv)
+        # block 12 = -C- Q S^{-1} minus its R3 terms -C- Q C+ and
+        # -C- Q C+ R C- Q C+; the middle term, top = -C- Q C+ R C-, is block 11's
+        err = _apply_left(q[:, None] * s_inv, inv_m)
+        np.negative(err, out=err)
+        right += _column_sums(err)
+        top = _apply_right(c_m * q, inv_p)
+        np.negative(top, out=top)
+        err -= top
+        top *= rr
+        top = _apply_right(top, inv_m)
+        err += _apply_right(top * q, inv_p)
+        # block (i, 0) of (L^{-1} - R3) W is err[i, 1] R C-, block (i, 1) is -err[i, 0] Q C+
+        d11 = _diag_of_product(err * rr, c_m) / grid.dx
+        del err
+        # block 21 = S^{-1} R C-, and block 11 = C- - C- Q (21): its R3 terms
+        # C- and top leave -(C- Q (21) + top)
+        block21 = _apply_right(s_inv * rr, inv_m)
+        left = _column_sums(block21)
+        err = _apply_left(q[:, None] * block21, inv_m)
+        left += _column_sums(c_m - err)
+        err += top
+        del top
+        c_p = _multiplier_matrix(inv_p)
+        d12 = _diag_of_product(err * q, c_p) / grid.dx
+        del err
+        # block 21 minus its R3 terms C+ R C- and C+ R C- Q C+ R C-; the middle
+        # term, bottom = -C+ R C- Q C+, is block 22's with C+, and block 22 =
+        # S^{-1} is read first so that S^{-1} is freed
+        bottom = _apply_right(c_p * rr, inv_m)
+        block21 -= bottom
+        bottom *= q
+        bottom = _apply_right(bottom, inv_p)
+        np.negative(bottom, out=bottom)
+        s_inv -= c_p
+        s_inv -= bottom
+        d21 = _diag_of_product(s_inv * rr, c_m) / grid.dx
+        del s_inv
+        bottom *= rr
+        block21 -= _apply_right(bottom, inv_m)
+        del bottom
+        d22 = -_diag_of_product(block21 * q, c_p) / grid.dx
+        # a block column of L holds one circulant column and one entry of r or q
+        norm = max(np.sum(np.abs(np.fft.ifft(kappa - 1j * xi))) + np.max(np.abs(rr)),
+                   np.sum(np.abs(np.fft.ifft(kappa + 1j * xi))) + np.max(np.abs(q)))
+        cond = float(norm * max(np.max(left), np.max(right)))
         if not cond <= ORACLE_MAX_COND:
             raise IllConditioned(
                 f"discrete Lax operator ill-conditioned (cond ~ {cond:.2e}) at kappa={kappa}"
             )
-        inv_m = inverse_shift_symbol(kappa, -1)(xi)
-        inv_p = inverse_shift_symbol(kappa, +1)(xi)
-        c_m = _multiplier_matrix(inv_m)
-        c_p = _multiplier_matrix(inv_p)
-        # L^{-1} - R3 in place, one term of R3 at a time: block row 0 of
-        # L0^{-1} W^k is C- (W^0), -C- Q C+, C- Q C+ R C-, ... alternating
-        # between block columns 0 and 1; block row 1 starts from C+ in column 1
-        err = lax_inv
-        top, bottom = c_m, c_p
-        err[:n, :n] -= top
-        err[n:, n:] -= bottom
-        for k in range(3):
-            if k % 2 == 0:
-                top = -_apply_right(top * q, inv_p)
-                bottom = _apply_right(bottom * rr, inv_m)
-                err[:n, n:] -= top
-                err[n:, :n] -= bottom
-            else:
-                top = _apply_right(top * rr, inv_m)
-                bottom = -_apply_right(bottom * q, inv_p)
-                err[:n, :n] -= top
-                err[n:, n:] -= bottom
-        # block (i, 0) of (L^{-1} - R3) W is err[i, 1] R C-, block (i, 1) is -err[i, 0] Q C+
-        d11 = _diag_of_product(err[:n, n:] * rr, c_m) / grid.dx
-        d12 = -_diag_of_product(err[:n, :n] * q, c_p) / grid.dx
-        d21 = _diag_of_product(err[n:, n:] * rr, c_m) / grid.dx
-        d22 = -_diag_of_product(err[n:, :n] * q, c_p) / grid.dx
         sgn = 1.0 if kappa > 0 else -1.0
-        s12, s21, sgam = series_raw(grid, q, rr, kappa, 3)
+        s12, s21, sgam = ((series.g12, series.g21, series.gamma) if series is not None
+                          else series_raw(grid, q, rr, kappa, 3))
         g12 = sgn * d12 + s12
         g21 = sgn * d21 + s21
         gamma = sgn * (d11 + d22) + sgam

@@ -10,6 +10,7 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 
@@ -21,6 +22,10 @@ from .spectral import Field, Grid
 FORMAT_TAG = "aknslab-v1"
 
 
+def _complex_text(re: float, im: float) -> str:
+    return f"{re!r}{'+' if im >= 0 else '-'}{abs(im)!r}j"
+
+
 def fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -30,15 +35,70 @@ def fmt(value) -> str:
         return repr(float(value))
     if isinstance(value, (complex, np.complexfloating)):
         c = complex(value)
-        return f"{c.real!r}{'+' if c.imag >= 0 else '-'}{abs(c.imag)!r}j"
+        return _complex_text(c.real, c.imag)
     return str(value)
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+#: Values ``fmt`` writes as numbers, which never need CSV quoting.
+_NUMBERS = (int, float, complex, np.bool_, np.number)
+#: Rows per block when ``write_csv`` is given rows.
+_ROWS_PER_BLOCK = 1024
+
+
+def _format_column(column) -> tuple[list[str] | str, bool]:
+    """``fmt`` of a block's column, and whether it holds text.  A float64 or
+    complex128 array is formatted from ``tolist()``, without a type test per
+    value; a scalar is formatted once, for every row of the block."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return [repr(v) for v in column.tolist()], False
+        if column.dtype == np.complex128:
+            return [_complex_text(re, im) for re, im
+                    in zip(column.real.tolist(), column.imag.tolist())], False
+        return [fmt(v) for v in column], column.dtype.kind not in "biufc"
+    if isinstance(column, (list, tuple)):
+        return [fmt(v) for v in column], not all(isinstance(v, _NUMBERS) for v in column)
+    return fmt(column), not isinstance(column, _NUMBERS)
+
+
+def _row_blocks(rows, width: int):
+    """``rows`` regrouped column-wise, ``_ROWS_PER_BLOCK`` rows a block."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _ROWS_PER_BLOCK)):
+        for row in chunk:
+            if len(row) != width:
+                raise ValueError(f"CSV row has {len(row)} fields, the header {width}")
+        yield list(zip(*chunk))
+
+
+def write_csv(path: str, header: list[str], rows, blocks: bool = False) -> None:
+    """One header line, then one line per row, each value written by ``fmt``.
+
+    ``rows`` is any iterable of rows, a generator too.  With ``blocks``, it
+    yields blocks of rows instead, given column-wise: one entry per header
+    field, either an array (or list) holding the field's value in each row of
+    the block, or a scalar shared by all of them.  Rows of numbers are joined
+    with commas and written a block at a time; a block with text in it goes
+    through ``csv.writer``, which quotes the fields that need it.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([fmt(v) for v in row] for row in rows)
+        for block in (rows if blocks else _row_blocks(rows, len(header))):
+            if len(block) != len(header):
+                raise ValueError(f"CSV block has {len(block)} columns, the header "
+                                 f"{len(header)}")
+            formatted = [_format_column(column) for column in block]
+            lengths = {len(c) for c, _ in formatted if isinstance(c, list)}
+            if len(lengths) > 1:
+                raise ValueError(f"CSV block has columns of lengths {sorted(lengths)}")
+            length = lengths.pop() if lengths else 1
+            columns = [c if isinstance(c, list) else itertools.repeat(c, length)
+                       for c, _ in formatted]
+            if any(text for _, text in formatted):
+                writer.writerows(zip(*columns))
+            else:
+                fh.writelines([",".join(row) + "\n" for row in zip(*columns)])
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -114,6 +114,38 @@ class TestOracle:
             with pytest.raises(IllConditioned, match="not finite"):
                 greens_oracle(f, 2.0)
 
+    def test_one_inverse_of_size_n(self, monkeypatch, grid, small_gaussian):
+        # the only dense inverse is the N x N Schur complement's
+        shapes = []
+        inv = np.linalg.inv
+
+        def counted(a):
+            shapes.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        greens_oracle(small_gaussian, 2.0)
+        assert shapes == [(grid.points, grid.points)]
+
+    def test_singular_inverse_raises(self, monkeypatch, small_gaussian):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(IllConditioned, match="singular"):
+            greens_oracle(small_gaussian, 2.0)
+
+    def test_given_series_is_the_one_added(self, small_gaussian):
+        series = greens_series(small_gaussian, 2.0, 3)
+        a = greens_oracle(small_gaussian, 2.0)
+        b = greens_oracle(small_gaussian, 2.0, series=series)
+        for part in ("g12", "g21", "gamma"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+        for wrong in (greens_series(small_gaussian, 2.0, 1),
+                      greens_series(small_gaussian, 4.0, 3)):
+            with pytest.raises(LaxError, match="order-3 series"):
+                greens_oracle(small_gaussian, 2.0, series=wrong)
+
     def test_zero_field(self, grid):
         f = Field(grid, np.zeros(grid.points))
         tr = greens_oracle(f, 2.0)

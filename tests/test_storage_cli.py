@@ -16,15 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aknslab import selftest
+from aknslab import lax, selftest
 from aknslab.cli import _run_flow, main
 from aknslab.config import ConfigError, ExperimentConfig, config_reference
 from aknslab.diagnostics import micro_residual
 from aknslab.flows import FlowSpec, evolve
-from aknslab.lax import LaxError
+from aknslab.lax import LaxError, series_raw
 from aknslab.profiles import gaussian
 from aknslab.spectral import Field, Grid
 from aknslab.storage import (
+    fmt,
     read_snapshot,
     read_trajectory,
     write_csv,
@@ -122,6 +123,54 @@ class TestConfig:
         assert rows[1] == ["plain", "0.5", "-1.0-2.0j", "false"]
         assert rows[2] == ["a,b", 'say "x"', "3", "-inf"]
 
+    def test_csv_bytes_match_the_row_by_row_writer(self, tmp_path):
+        # the column-wise writer gives the bytes of csv.writer fed one fmt
+        # string per value, for lists of rows, generators and column blocks
+        def row_by_row(path, header, rows):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows([fmt(v) for v in row] for row in rows)
+
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(2500)
+        x[:4] = [0.0, -0.0, np.inf, np.nan]
+        z = rng.standard_normal(2500) + 1j * rng.standard_normal(2500)
+        z[:4] = [complex(1.0, -0.0), complex(-0.0, 0.0), complex(np.nan, np.nan),
+                 complex(-np.inf, 1e-300)]
+        header = ["name", "flag", "count", "x", "z"]
+        mixed = [["plain", True, np.int64(-7), 0.1, 1 + 2j],
+                 ['a,b "c"', np.bool_(False), 3, np.float32(0.1), np.complex64(-1 - 0.5j)],
+                 ["line\nbreak", False, np.uint8(255), float("-inf"), -0.0j],
+                 ["", 1, 2, 3, 4]]
+        numeric = [[k, np.int32(k), b, v, w]
+                   for k, (b, v, w) in enumerate(zip(x > 0, x, z))]
+        cases = {
+            "mixed": (mixed, mixed),
+            "generator": ((row for row in numeric), numeric),
+            "text and numbers": (mixed + numeric, mixed + numeric),
+        }
+        for label, (given, rows) in cases.items():
+            got, want = tmp_path / f"{label}.csv", tmp_path / f"{label}.want.csv"
+            write_csv(str(got), header, given)
+            row_by_row(str(want), header, rows)
+            assert got.read_bytes() == want.read_bytes(), label
+        blocks = [("t0", np.arange(3) > 0, np.arange(3), x[:3], z[:3]),
+                  ("t,1", True, 5, x[3:6], list(z[3:6]))]
+        rows = ([["t0", f, c, v, w] for f, c, v, w in zip(*blocks[0][1:])]
+                + [["t,1", True, 5, v, w] for v, w in zip(x[3:6], z[3:6])])
+        write_csv(str(tmp_path / "blocks.csv"), header, iter(blocks), blocks=True)
+        row_by_row(str(tmp_path / "blocks.want.csv"), header, rows)
+        assert (tmp_path / "blocks.csv").read_bytes() == \
+            (tmp_path / "blocks.want.csv").read_bytes()
+
+    def test_csv_rejects_rows_that_do_not_fit_the_header(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(ValueError, match="fields"):
+            write_csv(path, ["a", "b"], [[1, 2], [3]])
+        with pytest.raises(ValueError, match="lengths"):
+            write_csv(path, ["a", "b"], [(np.zeros(2), np.zeros(3))], blocks=True)
+
 
 def run_cli(args, cwd):
     return main(args)
@@ -136,6 +185,8 @@ TOO_FEW_FOR_MICRO = {"grid": {"length": 64, "points": 64},
 UNKNOWN_FLAVOR = {"diagnostics": {"flavor": "kdv"}}
 MISPAIRED_FLAVOR = {"flow": {"kind": "nls"}, "diagnostics": {"flavor": "mkdv"}}
 SWEEP_OF_A_FLOW = {"flow": {"kind": "a_flow", "kappa": 2.0}}
+# a sweep whose flows take no step would report a defect of 0 for every kappa
+SWEEP_WITHOUT_STEPS = {"flow": {"t_final": 0.0}}
 
 
 class TestCli:
@@ -166,6 +217,22 @@ class TestCli:
         for sub in ("green", "conserved", "evolve"):
             assert os.path.exists(os.path.join(out, sub, "resolved_config.json"))
             assert os.path.exists(os.path.join(out, sub, "config_reference.txt"))
+
+    def test_green_computes_the_series_once_per_kappa(self, monkeypatch, base_config):
+        # the series(3) entry and the oracle share one order-3 series
+        path, cfg = base_config
+        orders = []
+
+        def counted(grid, q, r, kappa, order):
+            orders.append((kappa, order))
+            return series_raw(grid, q, r, kappa, order)
+
+        monkeypatch.setattr(lax, "series_raw", counted)
+        assert main(["green", "--config", path]) == 0
+        kappas = cfg["diagnostics"]["kappas"]
+        assert sorted(k for k, order in orders if order == 3) == kappas
+        with open(os.path.join(cfg["out"], "green", "meta_k2.json")) as fh:
+            assert "oracle" in json.load(fh)["methods"]
 
     def test_micro_and_smoothing(self, tmp_path, base_config):
         path, cfg = base_config
@@ -246,6 +313,7 @@ class TestCli:
         UNKNOWN_FLAVOR,
         MISPAIRED_FLAVOR,
         SWEEP_OF_A_FLOW,
+        SWEEP_WITHOUT_STEPS,
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, tree):
         path = tmp_path / "bad.json"
@@ -253,7 +321,8 @@ class TestCli:
         if any(tree is t for t in (TOO_FEW_FOR_MICRO, UNKNOWN_FLAVOR, MISPAIRED_FLAVOR)):
             command = "micro"
         else:
-            command = "sweep" if tree is SWEEP_OF_A_FLOW else "evolve"
+            command = ("sweep" if any(tree is t for t in (SWEEP_OF_A_FLOW, SWEEP_WITHOUT_STEPS))
+                       else "evolve")
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
