@@ -44,6 +44,8 @@ class DiagnosticsError(RuntimeError):
 
 def h_lattice(grid: Grid, count: int) -> np.ndarray:
     """Cutoff-center lattice spanning [-L/4, L/4]."""
+    if count < 1:
+        raise DiagnosticsError(f"cutoff count must be >= 1, got {count}")
     return np.linspace(-grid.length / 4.0, grid.length / 4.0, count)
 
 
@@ -224,21 +226,22 @@ def local_smoothing_norm(traj: Trajectory, sigma: float, kappa: float = 1.0,
     grid = traj.grid
     times = np.asarray(traj.times)
     xi = grid.xi
-    w_plain = (4.0 + xi * xi) ** sigma
-    w_kappa = (4.0 + xi * xi) ** (sigma + 1.0) / (4.0 * kappa * kappa + xi * xi)
     best_plain = 0.0
     best_kappa = 0.0
-    for h in h_lattice(grid, h_count):
-        psi6 = bump(grid.x - h) ** 6
-        # a huge box overflows the squared coefficients: reported, not warned
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a huge box or a large sigma overflows the weights or the squared
+    # coefficients: reported, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_plain = (4.0 + xi * xi) ** sigma
+        w_kappa = (4.0 + xi * xi) ** (sigma + 1.0) / (4.0 * kappa * kappa + xi * xi)
+        for h in h_lattice(grid, h_count):
+            psi6 = bump(grid.x - h) ** 6
             mags = np.abs(grid.fft(psi6 * traj.states)) ** 2
             plain = float(simpson(grid.dxi * np.sum(w_plain * mags, axis=1), x=times))
             kap = float(simpson(grid.dxi * np.sum(w_kappa * mags, axis=1), x=times))
-        if not (math.isfinite(plain) and math.isfinite(kap)):
-            raise DiagnosticsError(f"localized norm at h={h:.3g} is not finite")
-        best_plain = max(best_plain, plain)
-        best_kappa = max(best_kappa, kap)
+            if not (math.isfinite(plain) and math.isfinite(kap)):
+                raise DiagnosticsError(f"localized norm at h={h:.3g} is not finite")
+            best_plain = max(best_plain, plain)
+            best_kappa = max(best_kappa, kap)
     return LocalSmoothingReport(sigma, kappa, float(times[-1] - times[0]),
                                 best_plain, best_kappa, h_count)
 
@@ -419,6 +422,9 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
         raise DiagnosticsError(f"parity must be even or odd, got {parity!r}")
     if bumps < 1:
         raise DiagnosticsError("bumps must be >= 1")
+    if not lambdas or not all(lam > 0 for lam in lambdas):
+        raise DiagnosticsError(f"lambdas must be a non-empty list of values > 0, "
+                               f"got {list(lambdas)}")
     if grid is None:
         grid = Grid(64.0, 256)
     build = mean_zero_even if parity == "even" else mean_zero_odd

@@ -15,10 +15,11 @@ spectral parameter kappa, |kappa| >= 1:
                             g21 =  (2k+d)^{-1}[r(1+gamma)],
                             gamma = 2 g12 g21 - gamma^2/2.
 
-Its kernel ``fixed_point_raw`` checks the H^{-1/4} smallness gate
-``DELTA_GATE`` on every solve, at no extra transform.  Callers outside this
-module solve through ``greens_fixed_point``, or through ``FixedPointChain``
-for a sequence of solves at one kappa (flow stages, trajectory snapshots).
+Its kernel ``fixed_point_raw`` works on raw ``np.fft`` coefficients and
+checks the H^{-1/4} smallness gate ``DELTA_GATE`` on every solve.  Callers
+outside this module solve through ``greens_fixed_point``, or through
+``FixedPointChain`` (the one grid boundary) for a sequence of solves at one
+kappa (flow stages, trajectory snapshots).
 
 The determinant A(kappa) comes either from the trace series over the
 Hilbert-Schmidt pair (Lambda, Gamma) or from integrating the density
@@ -118,37 +119,35 @@ def _gate_weight(grid: Grid) -> np.ndarray:
     return w
 
 
-def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
+def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa: float,
                     tol: float = 1e-12, max_iter: int = 200,
                     gamma0: np.ndarray | None = None,
                     delta: float = DELTA_GATE):
     """Iterate the three coupled identities from gamma = 0 (or a warm start).
 
-    Returns (g12, g21, gamma, iterations, residual).  The first residual
-    growth raises ``NonContraction``: inside the gate the iteration contracts,
-    so a growth means the data are too large for this route.
+    q_hat, r_hat and the warm start ``gamma0`` are N raw ``np.fft``
+    coefficients, and so are the returned (g12_hat, g21_hat, gamma_hat,
+    iterations, residual).  The first residual growth raises
+    ``NonContraction``: inside the gate the iteration contracts, so a growth
+    means the data are too large for this route.
 
     Every solve first checks the contraction gate: ``DataTooLarge`` unless
     both |q| and |conj r| in H^{-1/4} are at most ``delta`` (so non-finite
-    data, whose norms are nan, never pass).  The two norms are
-    weighted sums over the raw coefficients of q and r the iteration needs
-    anyway, so the gate costs no extra transform on any path.
+    data, whose norms are nan, never pass).  The two norms are weighted sums
+    over q_hat and r_hat, so the gate costs no transform.
 
-    The iteration lives in Fourier space: gamma is held as its N raw
-    ``np.fft`` coefficients (one transform of ``gamma0`` on a warm start),
-    and q and r are transformed and padded to 3N/2 points once per solve.
-    Each iteration pads gamma, forms gamma q and gamma r there and
-    truncates them, applies (2 kappa -/+ d)^{-1} as a coefficient multiply,
-    pads g12 and g21, and truncates 2 g12 g21 - gamma^2/2 once: six
-    transforms of size 3N/2.  Every product is quadratic, so ``pad`` and
-    ``truncate`` at 3N/2 give the Galerkin products ``dealiased_mul`` forms
-    for two factors, and the residual is the L2 norm of the update by
-    Parseval.
+    q and r are padded to 3N/2 points once per solve.  Each iteration pads
+    gamma, forms gamma q and gamma r there and truncates them, applies
+    (2 kappa -/+ d)^{-1} as a coefficient multiply, pads g12 and g21, and
+    truncates 2 g12 g21 - gamma^2/2 once: six transforms of size 3N/2.
+    Every product is quadratic, so ``pad`` and ``truncate`` at 3N/2 give the
+    Galerkin products ``dealiased_mul`` forms for two factors, and the
+    residual is the L2 norm of the update by Parseval.
 
-    A solve of k iterations makes 6k + 14 transforms (one more on a warm
-    start): four to set up q and r, and ten to return.  The returned g12 and
-    g21 are rebuilt from the final gamma through ``apply_multiplier``, so
-    every solve passes its check that the symbol is finite on the lattice.
+    A solve of k iterations makes 6k + 5 transforms, all of size 3N/2: two
+    pads of q and r, and three to rebuild g12 and g21 from the final gamma.
+    The symbols need no finiteness check: ``_check_kappa`` gives
+    |2 kappa -/+ i xi| >= 2.
     """
     _check_kappa(kappa)
     inv_m = inverse_shift_symbol(2.0 * kappa, -1)(grid.xi)
@@ -159,8 +158,6 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
     # huge data overflow the squares to size inf, and non-finite data give a
     # nan size; the gate rejects both
     with np.errstate(over="ignore", invalid="ignore"):
-        q_hat = np.fft.fft(q)
-        r_hat = np.fft.fft(r)
         sizes = [math.sqrt(parseval * float(np.sum(weight * np.abs(h) ** 2)))
                  for h in (q_hat, r_hat)]
     if not (sizes[0] <= delta and sizes[1] <= delta):
@@ -170,8 +167,7 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
     m = 3 * n // 2  # every product below is quadratic
     q_fine = pad(q_hat, m)
     r_fine = pad(r_hat, m)
-    gamma_hat = (np.zeros(n, dtype=np.complex128) if gamma0 is None
-                 else np.fft.fft(gamma0))
+    gamma_hat = np.zeros(n, dtype=np.complex128) if gamma0 is None else gamma0
     prev_res = np.inf
     for it in range(1, max_iter + 1):
         gamma_fine = pad(gamma_hat, m)
@@ -183,11 +179,9 @@ def fixed_point_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float,
         gamma_hat = gamma_hat + diff
         if res < tol:
             gamma_fine = pad(gamma_hat, m)
-            gamma_q = np.fft.ifft(truncate(gamma_fine * q_fine, n))
-            gamma_r = np.fft.ifft(truncate(gamma_fine * r_fine, n))
-            g12 = -apply_multiplier(q + gamma_q, inv_m, grid)
-            g21 = apply_multiplier(r + gamma_r, inv_p, grid)
-            return g12, g21, np.fft.ifft(gamma_hat), it, res
+            return (-inv_m * (q_hat + truncate(gamma_fine * q_fine, n)),
+                    inv_p * (r_hat + truncate(gamma_fine * r_fine, n)),
+                    gamma_hat, it, res)
         if res >= prev_res:
             raise NonContraction(
                 f"fixed point diverging at kappa={kappa}: residual {res:.3e} "
@@ -209,13 +203,14 @@ def greens_fixed_point(f: Field, kappa: float, tol: float = 1e-12) -> GreensTrip
 class FixedPointChain:
     """Fixed-point solves at one kappa and tolerance, each warm-started from
     the gamma of the previous one (the first is cold), with their work
-    counted."""
+    counted.  Each solve transforms q and r, keeps gamma's coefficients as
+    the next warm start, and inverse-transforms the three rows at once."""
 
     def __init__(self, grid: Grid, kappa: float, tol: float = 1e-12):
         self.grid = grid
         self.kappa = kappa
         self.tol = tol
-        self.gamma: np.ndarray | None = None  # the next solve's warm start
+        self.gamma_hat: np.ndarray | None = None  # the next solve's warm start
         self.solves = 0
         self.iterations = 0
         self.min_iterations = math.inf
@@ -223,14 +218,18 @@ class FixedPointChain:
         self.worst_residual = 0.0
 
     def solve(self, q: np.ndarray, r: np.ndarray) -> GreensTriple:
-        g12, g21, gamma, iters, res = fixed_point_raw(
-            self.grid, q, r, self.kappa, tol=self.tol, gamma0=self.gamma)
-        self.gamma = gamma
+        # huge data overflow the transform; the kernel's gate rejects them
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_hat, r_hat = np.fft.fft(q), np.fft.fft(r)
+        *hats, iters, res = fixed_point_raw(
+            self.grid, q_hat, r_hat, self.kappa, tol=self.tol, gamma0=self.gamma_hat)
+        self.gamma_hat = hats[2]
         self.min_iterations = min(self.min_iterations, iters)
         self.max_iterations = max(self.max_iterations, iters)
         self.iterations += iters
         self.solves += 1
         self.worst_residual = max(self.worst_residual, res)
+        g12, g21, gamma = np.fft.ifft(np.stack(hats))
         return GreensTriple(self.kappa, g12, g21, gamma, "fixed_point",
                             {"iterations": iters, "residual": res, "tol": self.tol})
 

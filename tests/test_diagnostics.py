@@ -38,10 +38,10 @@ def hand_triples(traj, param, tol, start=0):
     out, warm = [], None
     for i in range(start, len(traj)):
         f = traj.field(i)
-        g12, g21, gamma, _, _ = fixed_point_raw(traj.grid, f.values, f.r,
-                                                param, tol=tol, gamma0=warm)
-        warm = gamma
-        out.append(GreensTriple(param, g12, g21, gamma, "fixed_point"))
+        hats = fixed_point_raw(traj.grid, np.fft.fft(f.values), np.fft.fft(f.r),
+                               param, tol=tol, gamma0=warm)[:3]
+        warm = hats[2]
+        out.append(GreensTriple(param, *(np.fft.ifft(h) for h in hats), "fixed_point"))
     return out
 
 
@@ -255,7 +255,8 @@ class TestKappaConvergence:
         f = gaussian(grid, 0.1)
         rows = kappa_convergence_study(f, "mkdv", 4.0, (8.0, 16.0), 0.02, dt=2e-3,
                                        snapshot_stride=2)
-        g12_ref = fixed_point_raw(grid, f.values, f.r, 4.0, tol=1e-12)[0]
+        g12_ref = np.fft.ifft(fixed_point_raw(grid, np.fft.fft(f.values), np.fft.fft(f.r),
+                                              4.0, tol=1e-12)[0])
         psis = [bump(grid.x - h) ** 12 for h in h_lattice(grid, 9)]
         for kappa, defect in rows:
             traj = evolve(f, FlowSpec("mkdv_diff", 2e-3, 0.02, kappa=kappa,

@@ -334,13 +334,14 @@ class TwoSolveIntegrator(Integrator):
         self.warm_pm = {}
 
     def _g12_pm(self, q):
-        r = self.sign * np.conj(q)
+        q_hat, r_hat = np.fft.fft(q), np.fft.fft(self.sign * np.conj(q))
         out = []
         for kappa in (self.spec.kappa, -self.spec.kappa):
-            g12, _, gamma, _, _ = fixed_point_raw(self.grid, q, r, kappa, tol=self.spec.fp_tol,
-                                                  gamma0=self.warm_pm.get(kappa))
-            self.warm_pm[kappa] = gamma
-            out.append(g12)
+            g12_hat, _, gamma_hat, _, _ = fixed_point_raw(
+                self.grid, q_hat, r_hat, kappa, tol=self.spec.fp_tol,
+                gamma0=self.warm_pm.get(kappa))
+            self.warm_pm[kappa] = gamma_hat
+            out.append(np.fft.ifft(g12_hat))
         return out[0], out[1]
 
 
@@ -354,11 +355,12 @@ class TestOneSolvePerStage:
     @pytest.mark.parametrize("kind", REGULARIZED_KINDS)
     def test_minus_kappa_matches_direct_solve(self, grid, kind, sign):
         q = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign).values
-        r = sign * np.conj(q)
+        q_hat, r_hat = np.fft.fft(q), np.fft.fft(sign * np.conj(q))
         for kappa in (8.0, 16.0, 32.0):
             gp, gm = Integrator(grid, sign, FlowSpec(kind, 1e-3, 1e-3, kappa=kappa))._g12_pm(q)
-            assert np.array_equal(gp, fixed_point_raw(grid, q, r, kappa)[0])
-            assert rel_l2(grid, gm, fixed_point_raw(grid, q, r, -kappa)[0]) <= 1e-11
+            assert np.array_equal(gp, np.fft.ifft(fixed_point_raw(grid, q_hat, r_hat, kappa)[0]))
+            direct = np.fft.ifft(fixed_point_raw(grid, q_hat, r_hat, -kappa)[0])
+            assert rel_l2(grid, gm, direct) <= 1e-11
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("kind", REGULARIZED_KINDS)
@@ -370,11 +372,11 @@ class TestOneSolvePerStage:
         q = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign).values
         q = q + 1e-6 * (-1.0) ** np.arange(grid.points)
         assert abs(np.fft.fft(q)[grid.points // 2]) > 1e-4
-        r = sign * np.conj(q)
+        q_hat, r_hat = np.fft.fft(q), np.fft.fft(sign * np.conj(q))
         for kappa in (8.0, 16.0, 32.0):
             _, gm = Integrator(grid, sign, FlowSpec(kind, 1e-3, 1e-3, kappa=kappa))._g12_pm(q)
-            direct = fixed_point_raw(grid, q, r, -kappa)[0]
-            image = sign * np.conj(fixed_point_raw(grid, q, r, kappa)[1])
+            direct = np.fft.ifft(fixed_point_raw(grid, q_hat, r_hat, -kappa)[0])
+            image = sign * np.conj(np.fft.ifft(fixed_point_raw(grid, q_hat, r_hat, kappa)[1]))
             assert rel_l2(grid, gm, direct) <= 1e-9
             assert rel_l2(grid, gm, direct) <= 1e-3 * rel_l2(grid, image, direct)
 

@@ -293,7 +293,8 @@ def reference_fixed_point(grid, q, r, kappa, tol=1e-12, max_iter=200, gamma0=Non
 
 
 class TestFixedPointKernel:
-    """fixed_point_raw against the physical-space reference loop."""
+    """fixed_point_raw, on the coefficients of q, r and the warm start,
+    against the physical-space reference loop."""
 
     @pytest.mark.parametrize("points", [64, 256, 1024])
     @pytest.mark.parametrize("kappa", [1.0, -1.0, 4.0, -4.0, 16.0])
@@ -309,24 +310,27 @@ class TestFixedPointKernel:
             # warm start from the triple of nearby data, as a flow step does
             q1, r1 = 1.01 * q, 0.99 * r
             cases = {"cold": ((q, r, None), cold),
-                     "warm": ((q1, r1, cold[2]),
+                     "warm": ((q1, r1, np.fft.fft(cold[2])),
                               reference_fixed_point(grid, q1, r1, kappa, gamma0=cold[2]))}
             for start, ((qq, rr, gamma0), want) in cases.items():
-                got = fixed_point_raw(grid, qq, rr, kappa, gamma0=gamma0)
+                got = fixed_point_raw(grid, np.fft.fft(qq), np.fft.fft(rr), kappa,
+                                      gamma0=gamma0)
                 assert got[3] == want[3], (name, start)
                 for k in range(3):
-                    err = np.linalg.norm(got[k] - want[k]) / np.linalg.norm(want[k])
+                    err = (np.linalg.norm(np.fft.ifft(got[k]) - want[k])
+                           / np.linalg.norm(want[k]))
                     assert err <= 1e-13, (name, start, k, err)
 
     def test_non_contraction_still_raised(self, grid):
         f = gaussian(grid, 3.0)
         with pytest.raises(NonContraction):
             reference_fixed_point(grid, f.values, f.r, 1.0, max_iter=400)
+        q_hat, r_hat = np.fft.fft(f.values), np.fft.fft(f.r)
         with pytest.raises(NonContraction):
-            fixed_point_raw(grid, f.values, f.r, 1.0, max_iter=400, delta=99.0)
+            fixed_point_raw(grid, q_hat, r_hat, 1.0, max_iter=400, delta=99.0)
         # the kernel's own smallness gate fires first at the default delta
         with pytest.raises(DataTooLarge):
-            fixed_point_raw(grid, f.values, f.r, 1.0, max_iter=400)
+            fixed_point_raw(grid, q_hat, r_hat, 1.0, max_iter=400)
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_non_finite_data_rejected(self, grid, small_gaussian, which):
@@ -336,7 +340,7 @@ class TestFixedPointKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataTooLarge, match="not finite"):
-                fixed_point_raw(grid, *qr, 2.0)
+                fixed_point_raw(grid, *np.fft.fft(qr), 2.0)
 
     def test_first_growth_raises(self, grid):
         # far past the gate (13x) the residual of this solve grows at
@@ -345,7 +349,7 @@ class TestFixedPointKernel:
         q = random_schwartz(grid, np.random.default_rng(5)).values
         q *= 3.2 / sobolev_norm(Field(grid, q), -0.25)
         with pytest.raises(NonContraction, match="grew from"):
-            fixed_point_raw(grid, q, np.conj(q), 1.0, delta=99.0)
+            fixed_point_raw(grid, np.fft.fft(q), np.fft.fft(np.conj(q)), 1.0, delta=99.0)
 
 
 class TestFixedPointChain:
@@ -356,12 +360,14 @@ class TestFixedPointChain:
         first = chain.solve(f.values, f.r)
         q1, r1 = 1.01 * f.values, 0.99 * f.r
         second = chain.solve(q1, r1)
-        cold = fixed_point_raw(grid, f.values, f.r, 4.0, tol=1e-13)
-        warm = fixed_point_raw(grid, q1, r1, 4.0, tol=1e-13, gamma0=first.gamma)
+        cold = fixed_point_raw(grid, np.fft.fft(f.values), np.fft.fft(f.r), 4.0, tol=1e-13)
+        # the chain keeps gamma's coefficients, not a transform of its grid values
+        warm = fixed_point_raw(grid, np.fft.fft(q1), np.fft.fft(r1), 4.0, tol=1e-13,
+                               gamma0=cold[2])
         for triple, want in ((first, cold), (second, warm)):
             assert triple.kappa == 4.0 and triple.method == "fixed_point"
             for k, part in enumerate(("g12", "g21", "gamma")):
-                assert np.array_equal(getattr(triple, part), want[k])
+                assert np.array_equal(getattr(triple, part), np.fft.ifft(want[k]))
             assert (triple.meta["iterations"], triple.meta["residual"]) == want[3:]
         iters = [cold[3], warm[3]]
         assert chain.solves == 2
@@ -369,6 +375,36 @@ class TestFixedPointChain:
                                                    "mean": sum(iters) / 2,
                                                    "max": max(iters)},
                                  "fp_worst_residual": max(cold[4], warm[4])}
+
+    def test_three_transforms_of_size_n_per_solve(self, monkeypatch, grid):
+        # q and r in, the stacked triple out; the kernel works at 3N/2 only
+        calls = []  # (length, inside the kernel) per transform call
+        inside = []
+
+        def counted(fn):
+            def wrapped(a, *args, **kwargs):
+                calls.append((np.shape(a)[-1], bool(inside)))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        def kernel(*args, **kwargs):
+            inside.append(True)
+            try:
+                return fixed_point_raw(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        monkeypatch.setattr("aknslab.lax.fixed_point_raw", kernel)
+        f = random_schwartz(grid, np.random.default_rng(3), norm=0.1)
+        chain = FixedPointChain(grid, 4.0)
+        n = grid.points
+        for q, r in ((f.values, f.r), (1.01 * f.values, 0.99 * f.r)):  # cold, then warm
+            calls.clear()
+            chain.solve(q, r)
+            assert {c[0] for c in calls if c[1]} == {3 * n // 2}
+            assert [c for c in calls if c[0] == n] == [(n, False)] * 3
 
 
 class TestDeterminant:
@@ -383,9 +419,9 @@ class TestDeterminant:
         amp, kappa = 0.1, 8.0
         f = constant(grid, amp)
         # the constant's H^(-1/4) size is past DELTA_GATE, so open the gate
-        g12, g21, gamma, _, _ = fixed_point_raw(grid, f.values, f.r, kappa, tol=1e-13,
-                                                delta=1.0)
-        tr = GreensTriple(kappa, g12, g21, gamma, "fixed_point")
+        hats = fixed_point_raw(grid, np.fft.fft(f.values), np.fft.fft(f.r), kappa,
+                               tol=1e-13, delta=1.0)[:3]
+        tr = GreensTriple(kappa, *np.fft.ifft(hats), "fixed_point")
         c = amp**2 / (2 * kappa**2)
         gamma_exact = -(1 + 2 * c) + math.sqrt((1 + 2 * c) ** 2 - 2 * c)
         assert np.max(np.abs(tr.gamma - gamma_exact)) < 1e-12

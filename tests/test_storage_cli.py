@@ -424,7 +424,9 @@ SMALL = {"grid": {"length": 32.0, "points": 64},
 def assert_exits_cleanly(tree):
     """Every subcommand but ``selftest`` on ``tree`` exits 0, 2 or 3 (``sweep``
     also 1, its property failure) with at most one line on stderr; a
-    traceback or an escaped RuntimeWarning fails by raising."""
+    traceback or an escaped RuntimeWarning fails by raising.  Returns the
+    exit code of each subcommand."""
+    codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -437,6 +439,8 @@ def assert_exits_cleanly(tree):
             allowed = (0, 1, 2, 3) if sub == "sweep" else (0, 2, 3)
             assert code in allowed, (sub, tree, err.getvalue())
             assert len(err.getvalue().splitlines()) <= 1, (sub, tree, err.getvalue())
+            codes[sub] = code
+    return codes
 
 
 class TestConfigProperty:
@@ -466,3 +470,17 @@ class TestConfigProperty:
         for section, fields in changes.items():
             tree.setdefault(section, {}).update(fields)
         assert_exits_cleanly(tree)
+
+    # SMALL's three snapshots stop micro at its five-snapshot check, before it
+    # reads its diagnostics fields; a stride of 2 gives it six
+    @pytest.mark.parametrize("key, value, failing", [
+        ("h_count", 0, ("micro", "sweep")), ("h_count", -1, ("micro", "sweep")),
+        ("h_count_sup", 0, ("smoothing",)), ("lambdas", [], ("inflate",)),
+        ("lambdas", [0.0], ("inflate",)), ("lambdas", [-1.0], ("inflate",)),
+        ("sigma", 400, ("smoothing",))])
+    def test_bad_diagnostics_field_is_a_numerical_failure(self, key, value, failing):
+        tree = copy.deepcopy(SMALL)
+        tree["flow"]["snapshot_stride"] = 2
+        tree["diagnostics"][key] = value
+        codes = assert_exits_cleanly(tree)
+        assert all(codes[sub] == 3 for sub in failing), codes
