@@ -77,13 +77,15 @@ def cmd_conserved(cfg: ExperimentConfig) -> int:
     write_json(os.path.join(out, "hamiltonians.json"),
                {**ham.as_dict(), "imag_leakage": ham.imag_leakage})
     rows = []
+    nan = float("nan")
     for kappa in cfg.diagnostics.kappas:
         triple = lax.greens_fixed_point(f, kappa, tol=cfg.flow.fp_tol)
         det_i = lax.pdet_integral(f, kappa, triple)
-        det_t = lax.pdet_trace(f, kappa, cfg.diagnostics.trace_order)
+        # the dense trace route is capped like the oracle's
+        det_t = (lax.pdet_trace(f, kappa) if f.grid.points <= lax.ORACLE_MAX_POINTS
+                 else lax.TraceDeterminant(nan, nan))
         alp = f.sign * det_i.real
-        err = (hierarchy.expansion_error(f, kappa, det_i)
-               if kappa >= 4.0 else float("nan"))
+        err = hierarchy.expansion_error(f, kappa, det_i) if kappa >= 4.0 else nan
         rows.append([kappa, det_i, det_t.value, abs(det_i - det_t.value),
                      det_t.spectral_radius, alp, err])
     write_csv(os.path.join(out, "determinant.csv"),

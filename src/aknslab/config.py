@@ -70,7 +70,6 @@ class DiagnosticsConfig:
     h_count: int = 9             # cutoff centres for integrated identities
     h_count_sup: int = 33        # cutoff centres for sup_h norms
     flavor: str = "nls"          # current flavor for the micro subcommand
-    trace_order: int = 8
     bumps: int = 1
     separation: float = 48.0
     threshold_factor: float = 1e-3

@@ -299,14 +299,15 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
         raise DiagnosticsError(f"star must be nls or mkdv, got {star!r}")
     if varkappa < 4.0:
         raise DiagnosticsError(f"varkappa must be >= 4, got {varkappa}")
-    grid = q0.grid
-    g12_ref = greens_fixed_point(q0, varkappa, tol=fp_tol).g12
-    rows = []
     for kap in kappas:
         if kap < 2.0 * varkappa:
             raise DiagnosticsError(
                 f"difference-flow parameter kappa={kap} must be >= 2*varkappa"
             )
+    grid = q0.grid
+    g12_ref = greens_fixed_point(q0, varkappa, tol=fp_tol).g12
+    rows = []
+    for kap in kappas:
         spec = FlowSpec(f"{star}_diff", dt, t_final, kappa=kap,
                         snapshot_stride=snapshot_stride, fp_tol=fp_tol)
         traj = evolve(q0, spec)

@@ -22,7 +22,8 @@ outside this module solve through ``greens_fixed_point``, or through
 kappa (flow stages, trajectory snapshots).
 
 The determinant A(kappa) comes either from the trace series over the
-Hilbert-Schmidt pair (Lambda, Gamma) or from integrating the density
+Hilbert-Schmidt pair (Lambda, Gamma), summed by one LU as
+log det(1 + Lambda Gamma), or from integrating the density
 (q g21 - r g12)/(2 + gamma).
 
 Field-level entry points read the conjugate partner as ``Field.r`` (the
@@ -79,7 +80,7 @@ class IllConditioned(LaxError):
 
 
 class DivergentSeries(LaxError):
-    """Trace series divergent: spectral radius of Lambda*Gamma >= 1."""
+    """Trace series outside the small ball: spectral radius or branch bound too large."""
 
 
 def _check_kappa(kappa: float) -> None:
@@ -281,8 +282,8 @@ def greens_series(f: Field, kappa: float, order: int = 3) -> GreensTriple:
 # ---------------------------------------------------------------------------
 # Dense oracle
 #
-# The only dense work is one N x N inverse (and, in the trace series, a few
-# matrix powers).  Every other factor is a diagonal scaling or a Fourier
+# The only dense work is one N x N inverse (and, for the trace determinant,
+# one LU).  Every other factor is a diagonal scaling or a Fourier
 # multiplier, applied by the FFT along one axis, and only diagonals are read:
 # diag(A B) = sum_j A_ij B_ji costs O(N^2) once both factors are known.
 
@@ -511,17 +512,15 @@ def operator_pair(f: Field, kappa: float) -> OperatorPair:
 @dataclass
 class TraceDeterminant:
     value: complex
-    order: int
-    last_term: float
     spectral_radius: float
 
 
-def _power_radius(mat: np.ndarray, iters: int = 60, seed: int = 7) -> float:
-    rng = np.random.default_rng(seed)
+def _power_radius(mat: np.ndarray) -> float:
+    rng = np.random.default_rng(7)
     v = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
     v /= np.linalg.norm(v)
     radius = 0.0
-    for _ in range(iters):
+    for _ in range(60):
         w = mat @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
@@ -531,25 +530,25 @@ def _power_radius(mat: np.ndarray, iters: int = 60, seed: int = 7) -> float:
     return float(radius)
 
 
-def pdet_trace(f: Field, kappa: float, order: int = 8) -> TraceDeterminant:
-    """Determinant from the alternating trace series, truncated at ``order``.
+def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
+    """Determinant from the alternating trace series, summed as
+    sgn(kappa) * log det(1 + Lambda Gamma).
 
-    The spectral radius of P = Lambda*Gamma is estimated first, by 60 steps
-    of power iteration; a radius that is not below 1 (or not finite) means
-    the series diverges (data outside the small ball) and raises.
+    The spectral radius rho of P = Lambda*Gamma is estimated first, by 60
+    steps of power iteration; a radius that is not below 1 (or not finite)
+    means the series diverges (data outside the small ball) and raises.
 
     tr(Lambda Gamma) has a slowly decaying tail in the frequency direction
     that a band-limited matrix trace truncates at first order, so the m = 1
-    term uses its exact closed form sgn(kappa) * int r (2k-d)^{-1} q dx; all
-    higher traces come from the dense pair.
+    term uses its exact closed form sgn(kappa) * int r (2k-d)^{-1} q dx; the
+    terms m >= 2 sum to log det(1 + P) - tr P over the dense pair.
 
-    P = Lambda H+ R H- is two FFT applies.  The cubic work is the powers
-    P^2 .. P^h, h = ceil(order / 2) (three matrix products at order 8):
-    tr(P^m) = tr(P^a P^b) = sum_ij (P^a)_ij (P^b)_ji with a = floor(m/2),
-    b = ceil(m/2) is an O(N^2) read.
+    P = Lambda H+ R H- is two FFT applies, and one LU (``slogdet``) is the
+    only cubic step.  slogdet gives sum_i arg(1 + lambda_i) only mod 2 pi,
+    and |sum_i arg(1 + lambda_i)| <= |Lambda|_HS |Gamma|_HS / (1 - rho), so
+    the principal log is the right branch while that bound is below pi;
+    ``DivergentSeries`` is raised when it is not.
     """
-    if order < 1:
-        raise LaxError(f"truncation order must be >= 1, got {order}")
     grid, q, rr = f.grid, f.values, f.r
     # huge data overflow the dense products; the radius gate rejects them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -561,20 +560,18 @@ def pdet_trace(f: Field, kappa: float, order: int = 8) -> TraceDeterminant:
             raise DivergentSeries(
                 f"spectral radius of Lambda*Gamma is {radius:.3f}, not below 1, at kappa={kappa}"
             )
-        traces = [np.sum(_diag_of_product(prod, prod))]  # tr(P^m), m = 2, 3, ...
-        low = high = prod
-        while len(traces) < order - 1:
-            low, high = high, high @ prod
-            traces += [np.sum(_diag_of_product(low, high)),
-                       np.sum(_diag_of_product(high, high))]
+    a, b = pair.hs_norms()
+    bound = a * b / (1.0 - radius)
+    if bound >= math.pi:
+        raise DivergentSeries(f"branch bound |Lambda|_HS |Gamma|_HS / (1 - rho) = "
+                              f"{bound:.3f} is not below pi at kappa={kappa}")
+    trace = np.trace(prod)
+    prod.flat[::grid.points + 1] += 1.0  # I + P, in place
+    sign, logabs = np.linalg.slogdet(prod)
     sgn = 1.0 if kappa > 0 else -1.0
     mq = apply_multiplier(q, inverse_shift_symbol(2.0 * kappa, -1), grid)
     term = sgn * grid.integrate(rr * mq)
-    total = term
-    for m, trace in zip(range(2, order + 1), traces):
-        term = sgn * ((-1.0) ** (m - 1) / m) * trace
-        total += term
-    return TraceDeterminant(total, order, abs(term), radius)
+    return TraceDeterminant(term + sgn * (np.log(sign) + logabs - trace), radius)
 
 
 def density_denominator(triple: GreensTriple) -> np.ndarray:

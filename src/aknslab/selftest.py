@@ -175,7 +175,7 @@ def criterion_3_determinant_consistency() -> list[Row]:
     for i, f in enumerate(fields):
         for kappa in KAPPAS:
             det_i = pdet_integral(f, kappa, table[i, kappa])
-            worst_gap = max(worst_gap, abs(det_i - pdet_trace(f, kappa, 8).value))
+            worst_gap = max(worst_gap, abs(det_i - pdet_trace(f, kappa).value))
     f = gaussian(GRID, 0.1)
     h = 1e-3
     tr = greens_fixed_point(f, 2.0, tol=1e-13)
@@ -191,7 +191,7 @@ def criterion_3_determinant_consistency() -> list[Row]:
             _row("criterion 3: partition constant", abs(partition_constant() - 512.0 / 7.0),
                  upper=1e-8),
             _row("determinant integral vs trace",
-                 abs(pdet_integral(f, 2.0, tr) - pdet_trace(f, 2.0, 8).value), upper=1e-7)]
+                 abs(pdet_integral(f, 2.0, tr) - pdet_trace(f, 2.0).value), upper=1e-7)]
 
 
 def criterion_4_gradient_check() -> list[Row]:

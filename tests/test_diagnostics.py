@@ -272,6 +272,14 @@ class TestKappaConvergence:
         with pytest.raises(DiagnosticsError):
             kappa_convergence_study(small_gaussian, "nls", 4.0, (6.0,), 0.02)
 
+    def test_every_kappa_checked_before_any_flow(self, monkeypatch, small_gaussian):
+        calls = []
+        monkeypatch.setattr("aknslab.diagnostics.evolve",
+                            lambda *args, **kw: calls.append(args) or evolve(*args, **kw))
+        with pytest.raises(DiagnosticsError, match="kappa=4.0"):
+            kappa_convergence_study(small_gaussian, "nls", 4.0, (8.0, 4.0), 0.02)
+        assert calls == []
+
 
 class TestInflation:
     def test_zero_amplitude_flat_report(self):

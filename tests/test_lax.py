@@ -412,7 +412,7 @@ class TestDeterminant:
         f = Field(grid, np.zeros(grid.points))
         tr = fixed(f, 2.0)
         assert pdet_integral(f, 2.0, tr) == 0.0
-        assert pdet_trace(f, 2.0, 4).value == 0.0
+        assert pdet_trace(f, 2.0).value == 0.0
 
     def test_constant_field_closed_form(self, grid):
         # constant data solves the scalar quadratic exactly
@@ -436,14 +436,14 @@ class TestDeterminant:
         for kappa in (1.0, 2.0, 4.0, 8.0):
             tr = fixed(f, kappa)
             det_i = pdet_integral(f, kappa, tr)
-            det_t = pdet_trace(f, kappa, 8)
+            det_t = pdet_trace(f, kappa)
             assert abs(det_i - det_t.value) <= 1e-8
 
     def test_trace_term_decay(self, grid):
         f = gaussian(grid, 0.1)
         pair = operator_pair(f, 2.0)
         prod = pair.lam @ pair.gam
-        radius = pdet_trace(f, 2.0, 2).spectral_radius
+        radius = pdet_trace(f, 2.0).spectral_radius
         traces = []
         power = np.eye(prod.shape[0], dtype=complex)
         for m in range(1, 8):
@@ -486,15 +486,12 @@ class TestDeterminant:
             term = sgn * grid.integrate(r * mq)
             total = term
             power = prod
-            for order in range(1, 11):
-                if order > 1:
-                    power = power @ prod
-                    term = sgn * ((-1.0) ** (order - 1) / order) * np.trace(power)
-                    total += term
-                got = pdet_trace(f, kappa, order)
-                assert abs(got.value - total) <= 1e-12 * abs(total), (kappa, order)
-                assert abs(got.last_term - abs(term)) <= 1e-12 * abs(term), (kappa, order)
-                assert abs(got.spectral_radius - radius) <= 1e-13 * radius
+            for order in range(2, 11):  # the series to order 10
+                power = power @ prod
+                total += sgn * ((-1.0) ** (order - 1) / order) * np.trace(power)
+            got = pdet_trace(f, kappa)
+            assert abs(got.value - total) <= 1e-12 * abs(total), kappa
+            assert abs(got.spectral_radius - radius) <= 1e-13 * radius
 
     def test_overflowing_data_raise_divergent_series(self):
         # the dense products overflow to inf and nan; a nan radius is no
@@ -503,12 +500,21 @@ class TestDeterminant:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergentSeries):
-                pdet_trace(f, 2.0, 4)
+                pdet_trace(f, 2.0)
 
     def test_trace_divergence_error(self, grid):
         f = gaussian(grid, 3.0)
         with pytest.raises(DivergentSeries):
-            pdet_trace(f, 1.0, 4)
+            pdet_trace(f, 1.0)
+
+    def test_branch_guard(self):
+        # rho = 0.25 < 1, but |Lambda|_HS |Gamma|_HS / (1 - rho) = 10.1 >= pi:
+        # slogdet's principal log could be on the wrong branch
+        f = constant(Grid(64.0, 256), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentSeries, match="branch bound"):
+                pdet_trace(f, 1.0)
 
     def test_density_denominator_guard(self, grid, small_gaussian):
         bad = GreensTriple(2.0, np.zeros(grid.points), np.zeros(grid.points),
@@ -540,7 +546,7 @@ class TestAlpha:
 
     def test_method_cross_check(self, grid):
         f = gaussian(grid, 0.1)
-        via_trace = f.sign * pdet_trace(f, 2.0, 10).value.real
+        via_trace = f.sign * pdet_trace(f, 2.0).value.real
         assert abs(alpha(f, 2.0) - via_trace) < 1e-8
 
     def test_kappa_gate(self, grid, small_gaussian):

@@ -314,6 +314,7 @@ class TestCli:
         MISPAIRED_FLAVOR,
         SWEEP_OF_A_FLOW,
         SWEEP_WITHOUT_STEPS,
+        {"diagnostics": {"trace_order": 8}},
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, tree):
         path = tmp_path / "bad.json"
@@ -357,6 +358,23 @@ class TestCli:
         assert main(["green", "--config", str(path)]) == 0
         f, _ = read_snapshot(os.path.join(cfg["out"], "green", "g12_k2_fixed_point"))
         assert np.all(f.values == 0.0)
+
+    def test_conserved_past_the_dense_cap(self, tmp_path):
+        # beyond lax.ORACLE_MAX_POINTS the dense trace columns read nan, and
+        # the integral route still runs
+        cfg = {"grid": {"length": 64.0, "points": 2048},
+               "data": {"profile": "gaussian", "amplitude": 0.1},
+               "diagnostics": {"kappas": [2.0]},
+               "out": str(tmp_path / "out")}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["conserved", "--config", str(path)]) == 0
+        with open(os.path.join(cfg["out"], "conserved", "determinant.csv")) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert math.isfinite(complex(row["det_integral"]).real)
+        assert math.isfinite(float(row["alpha"]))
+        for column in ("det_trace", "method_gap", "spectral_radius"):
+            assert row[column] == "nan", column
 
     def test_conserved_expansion_column_shrinks(self, tmp_path):
         # appendix-even data, kappa doubling: expansion error drops ~2^5
