@@ -439,8 +439,10 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
     spec = FlowSpec(kind, dt, window, snapshot_stride=snapshot_stride)
     traj = evolve(u0, spec)
 
-    # mean production rate at t = 0 from the vector field itself
-    rate = complex(grid.integrate(Integrator(grid, sign, spec).nonlinear(u0.values)))
+    # mean production rate at t = 0 from the vector field itself: dx times
+    # the zero mode of its raw coefficients is the grid integral
+    field_hat = Integrator(grid, sign, spec).nonlinear(np.fft.fft(u0.values))
+    rate = complex(grid.dx * field_hat[0])
     predicted = -sign if parity == "even" else (1 if rate.imag >= 0 else -1)
 
     threshold = threshold_factor * l1

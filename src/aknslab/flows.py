@@ -12,16 +12,25 @@ so the step size never couples to kappa.  Every kind takes Lawson-RK4
 ``evolve(f, FlowSpec(kind, dt, dt, ...))``.  The kappa-kinds make their
 Green's solves through one ``lax.FixedPointChain`` per integrator.
 
-``Integrator.nonlinear`` is the one vector field.  A difference flow's is the
-full nls or mkdv field minus the kappa-flow's field beyond its leading Green's
+``Integrator.step`` takes and returns grid values; inside a step both
+schemes carry the raw ``np.fft`` coefficients q_hat, transforming once on
+entry and once on exit.  ``Integrator.nonlinear`` is the one vector field,
+and for every kind but a_flow it takes and returns raw coefficients.  The
+full fields are exact Galerkin products formed on 2N points with
+``spectral.pad`` and ``truncate``; the slaved partner's padded values come
+from q's by ``spectral.pad_partner``, with no transform of their own.  The
+regularized fields transform q_hat back once per stage for the Green's
+solve, which works on grid values.  A difference flow's field is the full
+nls or mkdv field minus the kappa-flow's field beyond its leading Green's
 term; the linear symbols stay in closed form, since full minus regularized
 would cancel at low modes.
 
 The generating flow evolves q and its partner r as independent unknowns (its
 Hamiltonian is complex, so it does not preserve r = sign * conj(q)); the
 departure of r from the slaved partner is a measured diagnostic, not an
-enforced constraint.  Its state is the stacked pair (q, r), started from
-``Field.r`` and stepped by classical RK4 through ``nonlinear``;
+enforced constraint.  Its state is the stacked pair (q, r) of grid values,
+started from ``Field.r`` and stepped by classical RK4 through ``nonlinear``,
+whose Green's solve takes grid values too;
 ``Trajectory.field(i)`` carries snapshot i's own r as ``partner``, so
 diagnostics see the evolved pair.
 """
@@ -35,7 +44,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lax import FixedPointChain, LaxError
-from .spectral import Field, Grid, apply_multiplier, dealiased_mul
+from .spectral import (Field, Grid, apply_multiplier, dealiased_mul, pad,
+                       pad_partner, truncate)
 
 _REGULARIZED_KINDS = ("nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
 _KAPPA_KINDS = ("a_flow",) + _REGULARIZED_KINDS
@@ -227,8 +237,9 @@ class Integrator:
         return plus.g12, apply_multiplier(q + conj_gamma_q, self._inv_p, self.grid)
 
     def nonlinear(self, state: np.ndarray) -> np.ndarray:
-        """The vector field minus its exactly-integrated linearization; for
-        a_flow, whose state is the stacked pair (q, r), all of (i g12, i g21)."""
+        """The vector field minus its exactly-integrated linearization, as
+        raw ``np.fft`` coefficients of q in and out; for a_flow, whose state
+        is the stacked grid pair (q, r), all of (i g12, i g21) in grid values."""
         if self.spec.kind == "a_flow":
             triple = self.chain.solve(state[0], state[1])
             return 1j * np.stack((triple.g12, triple.g21))
@@ -238,37 +249,36 @@ class Integrator:
         full = self._full(star, state)
         return full - self._regularized(star, state) if flavor == "diff" else full
 
-    def _full(self, star: str, q: np.ndarray) -> np.ndarray:
-        """The nls or mkdv field beyond its dispersive term."""
-        r = self.sign * np.conj(q)
+    def _full(self, star: str, q_hat: np.ndarray) -> np.ndarray:
+        """The nls or mkdv field beyond its dispersive term: one cubic
+        Galerkin product, padded to 2N points and truncated once."""
+        n = q_hat.shape[0]
+        q_fine = pad(q_hat, 2 * n)
+        r_fine = pad_partner(q_fine, q_hat, self.sign)
         if star == "nls":
-            return -2j * dealiased_mul(q, q, r)
-        qp = np.fft.ifft(1j * self.grid.xi * np.fft.fft(q))
-        return 6.0 * dealiased_mul(q, r, qp)
+            return -2j * truncate(q_fine * q_fine * r_fine, n)
+        qp_fine = pad(1j * self.grid.xi * q_hat, 2 * n)
+        return 6.0 * truncate(q_fine * r_fine * qp_fine, n)
 
-    def _regularized(self, star: str, q: np.ndarray) -> np.ndarray:
+    def _regularized(self, star: str, q_hat: np.ndarray) -> np.ndarray:
         """The kappa-flow field beyond its leading Green's term."""
         kap = self.spec.kappa
         inv_m, inv_p = self._inv_m, self._inv_p
-        qh = np.fft.fft(q)
-        gp, gm = self._g12_pm(q)
+        gp, gm = self._g12_pm(np.fft.ifft(q_hat))
         if star == "nls":
-            linear_part = np.fft.ifft(-(inv_m + inv_p) * qh)
-            return -4j * kap**3 * ((gp - gm) - linear_part)
-        linear_part = np.fft.ifft((-inv_m + inv_p) * qh)
-        return 8.0 * kap**4 * ((gp + gm) - linear_part)
+            return -4j * kap**3 * (np.fft.fft(gp - gm) + (inv_m + inv_p) * q_hat)
+        return 8.0 * kap**4 * (np.fft.fft(gp + gm) + (inv_m - inv_p) * q_hat)
 
     # -- steppers ------------------------------------------------------------
 
     def step(self, state: np.ndarray) -> np.ndarray:
-        """One step of dt from the state: q, or the stacked (q, r) for a_flow."""
+        """One step of dt from the grid values of the state: q, or the
+        stacked (q, r) for a_flow."""
         h = self.spec.dt
         if self.spec.kind == "a_flow":
             return _rk4_plain(state, h, self.nonlinear)
         if self.spec.scheme == "splitting4":
-            for weight in (_YOSHIDA_W1, _YOSHIDA_W0, _YOSHIDA_W1):
-                state = self._strang(state, weight * h)
-            return state
+            return self._step_splitting(state)
         return self._step_lawson(state)
 
     def _step_lawson(self, q: np.ndarray) -> np.ndarray:
@@ -276,22 +286,27 @@ class Integrator:
         eh = np.exp(self.mu * h)
         e2 = np.exp(self.mu * (0.5 * h))
         fq = np.fft.fft(q)
-        n1 = np.fft.fft(self.nonlinear(q))
-        q2 = np.fft.ifft(e2 * (fq + 0.5 * h * n1))
-        n2 = np.fft.fft(self.nonlinear(q2))
-        q3 = np.fft.ifft(e2 * fq + 0.5 * h * n2)
-        n3 = np.fft.fft(self.nonlinear(q3))
-        q4 = np.fft.ifft(eh * fq + h * e2 * n3)
-        n4 = np.fft.fft(self.nonlinear(q4))
+        n1 = self.nonlinear(fq)
+        n2 = self.nonlinear(e2 * (fq + 0.5 * h * n1))
+        n3 = self.nonlinear(e2 * fq + 0.5 * h * n2)
+        n4 = self.nonlinear(eh * fq + h * e2 * n3)
         return np.fft.ifft(eh * fq + (h / 6.0) * (eh * n1 + 2.0 * e2 * (n2 + n3) + n4))
 
-    def _strang(self, q: np.ndarray, tau: float) -> np.ndarray:
-        half = np.exp(self.mu * (0.5 * tau))
-        q = np.fft.ifft(half * np.fft.fft(q))
-        # i q' = 2 q^2 r has the exact pointwise phase solution
-        qr = (q * (self.sign * np.conj(q))).real
-        q = q * np.exp(-2j * tau * qr)
-        return np.fft.ifft(half * np.fft.fft(q))
+    def _step_splitting(self, q: np.ndarray) -> np.ndarray:
+        """Yoshida's three Strang substeps of weights w1, w0, w1, carried as
+        coefficients; the half-step multipliers that meet between substeps
+        merge into one."""
+        h = self.spec.dt
+        outer = np.exp(self.mu * (0.5 * _YOSHIDA_W1 * h))
+        inner = np.exp(self.mu * (0.5 * (_YOSHIDA_W1 + _YOSHIDA_W0) * h))
+        q_hat = outer * np.fft.fft(q)
+        for weight, after in ((_YOSHIDA_W1, inner), (_YOSHIDA_W0, inner),
+                              (_YOSHIDA_W1, outer)):
+            q = np.fft.ifft(q_hat)
+            # i q' = 2 q^2 r has the exact pointwise phase solution
+            qr = (q * (self.sign * np.conj(q))).real
+            q_hat = after * np.fft.fft(q * np.exp(-2j * (weight * h) * qr))
+        return np.fft.ifft(q_hat)
 
 
 def _rk4_plain(q: np.ndarray, h: float, rhs) -> np.ndarray:

@@ -253,6 +253,28 @@ def truncate(values: np.ndarray, n: int) -> np.ndarray:
     return out * (n / m)
 
 
+@lru_cache(maxsize=16)
+def _nyquist_wave(m: int, h: int) -> np.ndarray:
+    # exp(-2 pi i h j / m) - exp(2 pi i h j / m), the angle reduced exactly
+    w = -2j * np.sin((TWO_PI / m) * ((h * np.arange(m)) % m))
+    w.setflags(write=False)
+    return w
+
+
+def pad_partner(padded_q: np.ndarray, q_hat: np.ndarray, sign: int) -> np.ndarray:
+    """``pad(np.fft.fft(sign * conj(q)), m)`` without a transform, from
+    ``padded_q = pad(q_hat, m)`` and q's N raw coefficients ``q_hat``.
+
+    Conjugation maps mode k to -k, so sign * conj(padded_q) is the padded
+    partner except at the unpaired Nyquist mode: it carries conj(q_hat[N/2])
+    at +N/2, where the partner keeps it at -N/2.  One cached wave moves it.
+    """
+    n = q_hat.shape[0]
+    h = n // 2
+    wave = _nyquist_wave(padded_q.shape[0], h)
+    return sign * (np.conj(padded_q) + (np.conj(q_hat[h]) / n) * wave)
+
+
 def dealiased_mul(*factors: np.ndarray) -> np.ndarray:
     """Galerkin product of d grid functions: each factor is transformed and
     padded once to (d+1)N/2 points, multiplied there and truncated once."""

@@ -1,9 +1,13 @@
 """Time integration of the seven flows."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from aknslab.flows import (
+    _YOSHIDA_W0,
+    _YOSHIDA_W1,
     FlowError,
     FlowSpec,
     Integrator,
@@ -14,7 +18,7 @@ from aknslab.flows import (
 )
 from aknslab.lax import FixedPointChain, fixed_point_raw, greens_fixed_point, pdet_integral
 from aknslab.profiles import gaussian, plane_wave, random_schwartz
-from aknslab.spectral import Field, Grid
+from aknslab.spectral import Field, Grid, dealiased_mul
 from aknslab.storage import read_trajectory, write_trajectory
 
 from conftest import l2, rel_l2
@@ -237,10 +241,11 @@ class TestRegularizedFlows:
         amp = 1e-4
         f = gaussian(grid, amp)
         stepper = Integrator(grid, 1, FlowSpec("nls_kappa", 1e-3, 1e-3, kappa=4.0))
-        nonlinear = stepper.nonlinear(f.values)
-        rhs = np.fft.ifft(stepper.mu * np.fft.fft(f.values)) + nonlinear
+        q_hat = np.fft.fft(f.values)
+        nonlinear = np.fft.ifft(stepper.nonlinear(q_hat))  # raw coefficients in and out
+        rhs = np.fft.ifft(stepper.mu * q_hat) + nonlinear
         symbol = -4j * 4.0**2 * grid.xi**2 / (4 * 4.0**2 + grid.xi**2)
-        linear = np.fft.ifft(symbol * np.fft.fft(f.values))
+        linear = np.fft.ifft(symbol * q_hat)
         assert l2(grid, rhs - linear) <= 20 * amp**3
         assert l2(grid, nonlinear) <= 20 * amp**3
 
@@ -286,10 +291,11 @@ class TestDifferenceFlows:
     @pytest.mark.parametrize("star", ["nls", "mkdv"])
     def test_field_is_full_minus_regularized(self, grid, star, sign):
         q = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign).values
+        q_hat = np.fft.fft(q)
 
-        def field(kind, kappa=None):
+        def field(kind, kappa=None):  # raw coefficients in and out
             spec = FlowSpec(kind, 1e-3, 1e-3, kappa=kappa)
-            return Integrator(grid, sign, spec).nonlinear(q)
+            return Integrator(grid, sign, spec).nonlinear(q_hat)
 
         assert np.array_equal(field(f"{star}_diff", 8.0),
                               field(star) - field(f"{star}_kappa", 8.0))
@@ -397,3 +403,95 @@ class TestOneSolvePerStage:
         for _ in range(3):
             q = stepper.step(q)
         assert stepper.chain.solves == 4 * 3
+
+
+class GridValueIntegrator(Integrator):
+    """Reference: the Lawson-RK4 step with every stage on grid values, each
+    full field formed by ``dealiased_mul`` from q and r = sign * conj(q), and
+    the splitting step as three Strang substeps of grid values, as the
+    integrator computed them before their stages carried coefficients."""
+
+    def grid_field(self, q):
+        star, _, flavor = self.spec.kind.partition("_")
+        r = self.sign * np.conj(q)
+        if star == "nls":
+            full = -2j * dealiased_mul(q, q, r)
+        else:
+            full = 6.0 * dealiased_mul(q, r, np.fft.ifft(1j * self.grid.xi * np.fft.fft(q)))
+        if not flavor:
+            return full
+        kap, q_hat = self.spec.kappa, np.fft.fft(q)
+        gp, gm = self._g12_pm(q)
+        if star == "nls":
+            linear_part = np.fft.ifft(-(self._inv_m + self._inv_p) * q_hat)
+            regularized = -4j * kap**3 * ((gp - gm) - linear_part)
+        else:
+            linear_part = np.fft.ifft((-self._inv_m + self._inv_p) * q_hat)
+            regularized = 8.0 * kap**4 * ((gp + gm) - linear_part)
+        return full - regularized if flavor == "diff" else regularized
+
+    def step(self, q):
+        h = self.spec.dt
+        if self.spec.scheme == "splitting4":
+            for tau in (_YOSHIDA_W1 * h, _YOSHIDA_W0 * h, _YOSHIDA_W1 * h):
+                half = np.exp(self.mu * (0.5 * tau))
+                q = np.fft.ifft(half * np.fft.fft(q))
+                q = q * np.exp(-2j * tau * (q * (self.sign * np.conj(q))).real)
+                q = np.fft.ifft(half * np.fft.fft(q))
+            return q
+        eh, e2 = np.exp(self.mu * h), np.exp(self.mu * (0.5 * h))
+
+        def field(v):
+            return np.fft.fft(self.grid_field(v))
+
+        fq = np.fft.fft(q)
+        n1 = field(q)
+        n2 = field(np.fft.ifft(e2 * (fq + 0.5 * h * n1)))
+        n3 = field(np.fft.ifft(e2 * fq + 0.5 * h * n2))
+        n4 = field(np.fft.ifft(eh * fq + h * e2 * n3))
+        return np.fft.ifft(eh * fq + (h / 6.0) * (eh * n1 + 2.0 * e2 * (n2 + n3) + n4))
+
+
+COEFFICIENT_STEPS = ([(kind, "rk4_spectral") for kind in ("nls", "mkdv") + REGULARIZED_KINDS]
+                     + [("nls", "splitting4")])
+
+
+class TestCoefficientStages:
+    """The Lawson stages carry raw coefficients; splitting carries them
+    across its substeps."""
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("kind,scheme", COEFFICIENT_STEPS)
+    def test_matches_grid_value_stages_over_50_steps(self, grid, kind, scheme, sign):
+        f = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign)
+        kappa = 8.0 if kind in REGULARIZED_KINDS else None
+        spec = FlowSpec(kind, 1e-3, 0.05, scheme=scheme, kappa=kappa,
+                        snapshot_stride=50)
+        reference = GridValueIntegrator(grid, sign, spec)
+        q = f.values.copy()
+        for _ in range(50):
+            q = reference.step(q)
+        assert rel_l2(grid, evolve(f, spec).states[-1], q) <= 1e-12
+
+    @pytest.mark.parametrize("kind,scheme,counts", [
+        ("mkdv", "rk4_spectral", {256: 2, 512: 12}),
+        ("nls", "rk4_spectral", {256: 2, 512: 8}),
+        ("nls", "splitting4", {256: 8}),
+    ])
+    def test_transforms_per_step(self, monkeypatch, grid, small_gaussian, kind, scheme,
+                                 counts):
+        # numpy.fft calls by length in one step: 2 at N around the stages,
+        # and per Lawson stage one cubic product on 2N points
+        stepper = Integrator(grid, 1, FlowSpec(kind, 1e-3, 1e-3, scheme=scheme))
+        seen = Counter()
+
+        def counted(transform):
+            def wrapper(a, *args, **kwargs):
+                seen[np.shape(a)[-1]] += 1
+                return transform(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        stepper.step(small_gaussian.values)
+        assert dict(seen) == counts

@@ -26,6 +26,7 @@ from aknslab.spectral import (
     fractional_symbol,
     inverse_shift_symbol,
     pad,
+    pad_partner,
     partition_constant,
     sobolev_norm,
     truncate,
@@ -355,6 +356,19 @@ class TestDealiasing:
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for m in (3 * n // 2, 2 * n, 5 * n // 2):
             assert np.max(np.abs(truncate(pad(c, m), n) - c)) <= 1e-14 * np.max(np.abs(c))
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_pad_partner_matches_padded_conjugate(self, n, sign):
+        # full-band data: the unpaired -N/2 mode is the one conjugation moves
+        rng = np.random.default_rng(n)
+        q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        q_hat = np.fft.fft(q)
+        assert abs(q_hat[n // 2]) > 1e-3 * np.max(np.abs(q_hat))
+        for m in (3 * n // 2, 2 * n, 5 * n // 2):
+            want = pad(np.fft.fft(sign * np.conj(q)), m)
+            got = pad_partner(pad(q_hat, m), q_hat, sign)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestCutoffs:
