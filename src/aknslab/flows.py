@@ -12,27 +12,28 @@ so the step size never couples to kappa.  Every kind takes Lawson-RK4
 ``evolve(f, FlowSpec(kind, dt, dt, ...))``.  The kappa-kinds make their
 Green's solves through one ``lax.FixedPointChain`` per integrator.
 
-``Integrator.step`` takes and returns grid values; inside a step both
-schemes carry the raw ``np.fft`` coefficients q_hat, transforming once on
-entry and once on exit.  ``Integrator.nonlinear`` is the one vector field,
-and for every kind but a_flow it takes and returns raw coefficients.  The
-full fields are exact Galerkin products formed on 2N points with
-``spectral.pad`` and ``truncate``; the slaved partner's padded values come
-from q's by ``spectral.pad_partner``, with no transform of their own.  The
-regularized fields transform q_hat back once per stage for the Green's
-solve, which works on grid values.  A difference flow's field is the full
-nls or mkdv field minus the kappa-flow's field beyond its leading Green's
-term; the linear symbols stay in closed form, since full minus regularized
-would cancel at low modes.
+A flow's state is the raw ``np.fft`` coefficients q_hat: ``evolve``
+transforms the initial state once and inverse-transforms each recorded
+snapshot, and is a flow's only boundary with grid values.
+``Integrator.step`` and ``Integrator.nonlinear``, the one vector field, take
+and return coefficients for every kind; a step's exponentials are computed
+once per integrator.  The full fields are exact Galerkin products formed on
+2N points with ``spectral.pad`` and ``truncate``; the slaved partner's
+padded values come from q's by ``spectral.pad_partner``, with no transform
+of their own.  The regularized fields transform q_hat back once per stage
+for the Green's solve, which works on grid values.  A difference flow's
+field is the full nls or mkdv field minus the kappa-flow's field beyond its
+leading Green's term; the linear symbols stay in closed form, since full
+minus regularized would cancel at low modes.
 
 The generating flow evolves q and its partner r as independent unknowns (its
 Hamiltonian is complex, so it does not preserve r = sign * conj(q)); the
 departure of r from the slaved partner is a measured diagnostic, not an
-enforced constraint.  Its state is the stacked pair (q, r) of grid values,
-started from ``Field.r`` and stepped by classical RK4 through ``nonlinear``,
-whose Green's solve takes grid values too;
-``Trajectory.field(i)`` carries snapshot i's own r as ``partner``, so
-diagnostics see the evolved pair.
+enforced constraint.  Its state is the stacked coefficient pair
+(q_hat, r_hat), started from ``Field.r``.  Its linear symbol is zero, so its
+Lawson-RK4 step is classical RK4; ``nonlinear`` solves through
+``FixedPointChain.solve_raw``.  ``Trajectory.field(i)`` carries snapshot i's
+own r as ``partner``, so diagnostics see the evolved pair.
 """
 
 from __future__ import annotations
@@ -193,7 +194,14 @@ class Integrator:
                 f"dt * max|xi|^{order} = {gate:.1f} exceeds the "
                 f"{spec.scheme} bound {STABILITY_BOUND:.0f}"
             )
-        self.mu = self._linear_symbol(xi)
+        mu = self._linear_symbol(xi)
+        h = spec.dt
+        if spec.scheme == "splitting4":
+            # the outer half-substeps, and the two that meet between substeps
+            self._outer = np.exp(mu * (0.5 * _YOSHIDA_W1 * h))
+            self._inner = np.exp(mu * (0.5 * (_YOSHIDA_W1 + _YOSHIDA_W0) * h))
+        else:
+            self._eh, self._e2 = np.exp(mu * h), np.exp(mu * (0.5 * h))
         if spec.kind in _REGULARIZED_KINDS:
             # (2 kappa - d)^{-1} and (2 kappa + d)^{-1}, the leading Green's terms
             self._inv_m = 1.0 / (2.0 * spec.kappa - 1j * xi)
@@ -238,11 +246,11 @@ class Integrator:
 
     def nonlinear(self, state: np.ndarray) -> np.ndarray:
         """The vector field minus its exactly-integrated linearization, as
-        raw ``np.fft`` coefficients of q in and out; for a_flow, whose state
-        is the stacked grid pair (q, r), all of (i g12, i g21) in grid values."""
+        raw ``np.fft`` coefficients of the state in and out; for a_flow, whose
+        state is the stacked pair (q_hat, r_hat), all of (i g12, i g21)."""
         if self.spec.kind == "a_flow":
-            triple = self.chain.solve(state[0], state[1])
-            return 1j * np.stack((triple.g12, triple.g21))
+            g12_hat, g21_hat, *_ = self.chain.solve_raw(state[0], state[1])
+            return 1j * np.stack((g12_hat, g21_hat))
         star, _, flavor = self.spec.kind.partition("_")
         if flavor == "kappa":
             return self._regularized(star, state)
@@ -272,49 +280,32 @@ class Integrator:
     # -- steppers ------------------------------------------------------------
 
     def step(self, state: np.ndarray) -> np.ndarray:
-        """One step of dt from the grid values of the state: q, or the
-        stacked (q, r) for a_flow."""
-        h = self.spec.dt
-        if self.spec.kind == "a_flow":
-            return _rk4_plain(state, h, self.nonlinear)
+        """One step of dt from the raw coefficients of the state: q_hat, or
+        the stacked (q_hat, r_hat) for a_flow."""
         if self.spec.scheme == "splitting4":
             return self._step_splitting(state)
         return self._step_lawson(state)
 
-    def _step_lawson(self, q: np.ndarray) -> np.ndarray:
-        h = self.spec.dt
-        eh = np.exp(self.mu * h)
-        e2 = np.exp(self.mu * (0.5 * h))
-        fq = np.fft.fft(q)
+    def _step_lawson(self, fq: np.ndarray) -> np.ndarray:
+        h, eh, e2 = self.spec.dt, self._eh, self._e2
         n1 = self.nonlinear(fq)
         n2 = self.nonlinear(e2 * (fq + 0.5 * h * n1))
         n3 = self.nonlinear(e2 * fq + 0.5 * h * n2)
         n4 = self.nonlinear(eh * fq + h * e2 * n3)
-        return np.fft.ifft(eh * fq + (h / 6.0) * (eh * n1 + 2.0 * e2 * (n2 + n3) + n4))
+        return eh * fq + (h / 6.0) * (eh * n1 + 2.0 * e2 * (n2 + n3) + n4)
 
-    def _step_splitting(self, q: np.ndarray) -> np.ndarray:
-        """Yoshida's three Strang substeps of weights w1, w0, w1, carried as
-        coefficients; the half-step multipliers that meet between substeps
-        merge into one."""
-        h = self.spec.dt
-        outer = np.exp(self.mu * (0.5 * _YOSHIDA_W1 * h))
-        inner = np.exp(self.mu * (0.5 * (_YOSHIDA_W1 + _YOSHIDA_W0) * h))
-        q_hat = outer * np.fft.fft(q)
+    def _step_splitting(self, q_hat: np.ndarray) -> np.ndarray:
+        """Yoshida's three Strang substeps of weights w1, w0, w1; the
+        half-step multipliers that meet between substeps merge into one."""
+        h, outer, inner = self.spec.dt, self._outer, self._inner
+        q_hat = outer * q_hat
         for weight, after in ((_YOSHIDA_W1, inner), (_YOSHIDA_W0, inner),
                               (_YOSHIDA_W1, outer)):
             q = np.fft.ifft(q_hat)
             # i q' = 2 q^2 r has the exact pointwise phase solution
             qr = (q * (self.sign * np.conj(q))).real
             q_hat = after * np.fft.fft(q * np.exp(-2j * (weight * h) * qr))
-        return np.fft.ifft(q_hat)
-
-
-def _rk4_plain(q: np.ndarray, h: float, rhs) -> np.ndarray:
-    k1 = rhs(q)
-    k2 = rhs(q + 0.5 * h * k1)
-    k3 = rhs(q + 0.5 * h * k2)
-    k4 = rhs(q + h * k3)
-    return q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return q_hat
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +321,19 @@ def evolve(f: Field, spec: FlowSpec) -> Trajectory:
             f"t_final {spec.t_final} is not an integer number of steps of {spec.dt}"
         )
     pair = spec.kind == "a_flow"
-    state = np.stack((f.values, f.r)) if pair else f.values.copy()
+    values = np.stack((f.values, f.r)) if pair else f.values
     snapshots = spec.snapshots
     try:
-        states = np.empty((snapshots,) + state.shape, dtype=np.complex128)
+        states = np.empty((snapshots,) + values.shape, dtype=np.complex128)
     except (ValueError, MemoryError) as exc:
         raise SpecError(f"{snapshots:.3g} snapshots of {f.grid.points} points "
                         f"do not fit in memory: {exc}") from exc
     times = [0.0]
-    states[0] = state
+    states[0] = values
     started = _time.perf_counter()
     # overflow and NaN in a failing step are caught by the finite check below
     with np.errstate(over="ignore", invalid="ignore"):
+        state = np.fft.fft(values)
         for n in range(1, n_steps + 1):
             try:
                 state = stepper.step(state)
@@ -358,7 +350,7 @@ def evolve(f: Field, spec: FlowSpec) -> Trajectory:
                     (n - 1) * spec.dt,
                 )
             if n % spec.snapshot_stride == 0 or n == n_steps:
-                states[len(times)] = state
+                states[len(times)] = np.fft.ifft(state)
                 times.append(n * spec.dt)
     stats = {"steps": n_steps, "wall_time": _time.perf_counter() - started,
              **stepper.chain.stats()}

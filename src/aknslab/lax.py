@@ -18,8 +18,9 @@ spectral parameter kappa, |kappa| >= 1:
 Its kernel ``fixed_point_raw`` works on raw ``np.fft`` coefficients and
 checks the H^{-1/4} smallness gate ``DELTA_GATE`` on every solve.  Callers
 outside this module solve through ``greens_fixed_point``, or through
-``FixedPointChain`` (the one grid boundary) for a sequence of solves at one
-kappa (flow stages, trajectory snapshots).
+``FixedPointChain`` for a sequence of solves at one kappa (flow stages,
+trajectory snapshots); its ``solve`` is the one grid boundary, and its
+``solve_raw`` serves callers that hold coefficients already.
 
 The determinant A(kappa) comes either from the trace series over the
 Hilbert-Schmidt pair (Lambda, Gamma), summed by one LU as
@@ -204,8 +205,9 @@ def greens_fixed_point(f: Field, kappa: float, tol: float = 1e-12) -> GreensTrip
 class FixedPointChain:
     """Fixed-point solves at one kappa and tolerance, each warm-started from
     the gamma of the previous one (the first is cold), with their work
-    counted.  Each solve transforms q and r, keeps gamma's coefficients as
-    the next warm start, and inverse-transforms the three rows at once."""
+    counted.  ``solve_raw`` takes and returns raw ``np.fft`` coefficients and
+    keeps gamma's as the next warm start; ``solve`` wraps it for grid values,
+    transforming q and r and inverse-transforming the three rows at once."""
 
     def __init__(self, grid: Grid, kappa: float, tol: float = 1e-12):
         self.grid = grid
@@ -218,18 +220,24 @@ class FixedPointChain:
         self.max_iterations = 0
         self.worst_residual = 0.0
 
-    def solve(self, q: np.ndarray, r: np.ndarray) -> GreensTriple:
-        # huge data overflow the transform; the kernel's gate rejects them
-        with np.errstate(over="ignore", invalid="ignore"):
-            q_hat, r_hat = np.fft.fft(q), np.fft.fft(r)
-        *hats, iters, res = fixed_point_raw(
-            self.grid, q_hat, r_hat, self.kappa, tol=self.tol, gamma0=self.gamma_hat)
-        self.gamma_hat = hats[2]
+    def solve_raw(self, q_hat: np.ndarray, r_hat: np.ndarray):
+        """(g12_hat, g21_hat, gamma_hat, iterations, residual), as from
+        ``fixed_point_raw``, warm-started and counted."""
+        out = fixed_point_raw(self.grid, q_hat, r_hat, self.kappa, tol=self.tol,
+                              gamma0=self.gamma_hat)
+        self.gamma_hat, iters, res = out[2:]
         self.min_iterations = min(self.min_iterations, iters)
         self.max_iterations = max(self.max_iterations, iters)
         self.iterations += iters
         self.solves += 1
         self.worst_residual = max(self.worst_residual, res)
+        return out
+
+    def solve(self, q: np.ndarray, r: np.ndarray) -> GreensTriple:
+        # huge data overflow the transform; the kernel's gate rejects them
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_hat, r_hat = np.fft.fft(q), np.fft.fft(r)
+        *hats, iters, res = self.solve_raw(q_hat, r_hat)
         g12, g21, gamma = np.fft.ifft(np.stack(hats))
         return GreensTriple(self.kappa, g12, g21, gamma, "fixed_point",
                             {"iterations": iters, "residual": res, "tol": self.tol})

@@ -199,34 +199,65 @@ class TestGeneratingFlow:
                 assert np.array_equal(f.r, want)
                 assert (f.partner is None) == (kind != "a_flow")
 
-    def test_step_is_classical_rk4_on_the_green_pair(self, grid):
-        # dq/dt = i g12, dr/dt = i g21 with r an independent unknown
+    @staticmethod
+    def independent_pair(grid):
         rng = np.random.default_rng(1)
-        f = Field(grid, random_schwartz(grid, rng, norm=0.1).values,
-                  partner=random_schwartz(grid, rng, norm=0.1).values)
+        return Field(grid, random_schwartz(grid, rng, norm=0.1).values,
+                     partner=random_schwartz(grid, rng, norm=0.1).values)
+
+    def test_step_is_classical_rk4_on_the_green_pair(self, grid):
+        # dq/dt = i g12, dr/dt = i g21 with r an independent unknown, on the
+        # raw coefficient pair; the Lawson factors of its zero symbol are ones
+        f = self.independent_pair(grid)
         h, kappa = 1e-2, 2.0
         chain = FixedPointChain(grid, kappa)
 
-        def field(q, r):
-            triple = chain.solve(q, r)
-            return 1j * triple.g12, 1j * triple.g21
+        def field(y):
+            g12_hat, g21_hat, *_ = chain.solve_raw(y[0], y[1])
+            return 1j * np.stack((g12_hat, g21_hat))
 
-        q, r = f.values, f.r
-        k1 = field(q, r)
-        k2 = field(q + 0.5 * h * k1[0], r + 0.5 * h * k1[1])
-        k3 = field(q + 0.5 * h * k2[0], r + 0.5 * h * k2[1])
-        k4 = field(q + h * k3[0], r + h * k3[1])
-        q1, r1 = (y + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                  for y, a, b, c, d in zip((q, r), k1, k2, k3, k4))
+        y = np.fft.fft(np.stack((f.values, f.r)))
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        q1, r1 = np.fft.ifft(y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
         traj = evolve(f, FlowSpec("a_flow", h, h, kappa=kappa))
         assert np.array_equal(traj.states[-1], q1)
         assert np.array_equal(traj.r_states[-1], r1)
+
+    def test_matches_grid_value_rk4_over_50_steps(self, grid):
+        # the stepper before the pair carried coefficients: classical RK4 on
+        # grid values, each stage solving from grid values
+        f = self.independent_pair(grid)
+        spec = FlowSpec("a_flow", 1e-2, 0.5, kappa=2.0, snapshot_stride=50)
+        chain = FixedPointChain(grid, spec.kappa, spec.fp_tol)
+
+        def field(state):
+            triple = chain.solve(state[0], state[1])
+            return 1j * np.stack((triple.g12, triple.g21))
+
+        state = np.stack((f.values, f.r))
+        for _ in range(spec.steps):
+            state = _rk4_plain(state, spec.dt, field)
+        traj = evolve(f, spec)
+        assert rel_l2(grid, traj.states[-1], state[0]) <= 1e-13
+        assert rel_l2(grid, traj.r_states[-1], state[1]) <= 1e-13
 
     def test_conjugacy_violation_is_measured_not_projected(self, grid):
         f = gaussian(grid, 0.1)
         traj = evolve(f, FlowSpec("a_flow", 1e-3, 0.1, kappa=2.0, snapshot_stride=25))
         dev = traj.conjugacy_violation()
         assert 1e-4 < dev < 1.0  # genuinely drifts; never re-imposed
+
+
+def _rk4_plain(q, h, rhs):
+    """Classical RK4, as the generating flow once stepped its grid pair."""
+    k1 = rhs(q)
+    k2 = rhs(q + 0.5 * h * k1)
+    k3 = rhs(q + 0.5 * h * k2)
+    k4 = rhs(q + h * k3)
+    return q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 class TestRegularizedFlows:
@@ -243,7 +274,7 @@ class TestRegularizedFlows:
         stepper = Integrator(grid, 1, FlowSpec("nls_kappa", 1e-3, 1e-3, kappa=4.0))
         q_hat = np.fft.fft(f.values)
         nonlinear = np.fft.ifft(stepper.nonlinear(q_hat))  # raw coefficients in and out
-        rhs = np.fft.ifft(stepper.mu * q_hat) + nonlinear
+        rhs = np.fft.ifft(stepper._linear_symbol(grid.xi) * q_hat) + nonlinear
         symbol = -4j * 4.0**2 * grid.xi**2 / (4 * 4.0**2 + grid.xi**2)
         linear = np.fft.ifft(symbol * q_hat)
         assert l2(grid, rhs - linear) <= 20 * amp**3
@@ -271,13 +302,17 @@ class TestRegularizedFlows:
         # undo the transport spectrally and compare with the kappa-flow
         # with its transport symbol removed
         undone = np.fft.ifft(np.exp(-1j * grid.xi * shift) * np.fft.fft(traj.states[-1]))
+
+        class TransportFree(Integrator):
+            def _linear_symbol(self, xi):
+                return super()._linear_symbol(xi) - 4j * kappa**2 * xi
+
         spec = FlowSpec("mkdv_kappa", 1e-3, t, kappa=kappa, snapshot_stride=1000)
-        stepper = Integrator(grid, 1, spec)
-        stepper.mu = stepper.mu - 4j * kappa**2 * grid.xi  # strip the transport
-        q = f.values.copy()
+        stepper = TransportFree(grid, 1, spec)
+        q_hat = np.fft.fft(f.values)
         for _ in range(int(round(t / 1e-3))):
-            q = stepper.step(q)
-        assert rel_l2(grid, undone, q) < 1e-9
+            q_hat = stepper.step(q_hat)
+        assert rel_l2(grid, undone, np.fft.ifft(q_hat)) < 1e-9
 
 
 class TestDifferenceFlows:
@@ -391,17 +426,17 @@ class TestOneSolvePerStage:
         f = gaussian(grid, 0.1)
         spec = FlowSpec(kind, 1e-3, 0.2, kappa=8.0, snapshot_stride=200)
         reference = TwoSolveIntegrator(grid, f.sign, spec)
-        q = f.values.copy()
+        q_hat = np.fft.fft(f.values)
         for _ in range(200):
-            q = reference.step(q)
-        assert rel_l2(grid, evolve(f, spec).states[-1], q) <= 1e-11
+            q_hat = reference.step(q_hat)
+        assert rel_l2(grid, evolve(f, spec).states[-1], np.fft.ifft(q_hat)) <= 1e-11
 
     @pytest.mark.parametrize("kind", REGULARIZED_KINDS)
     def test_one_solve_per_rk4_stage(self, grid, small_gaussian, kind):
         stepper = Integrator(grid, 1, FlowSpec(kind, 1e-3, 3e-3, kappa=8.0))
-        q = small_gaussian.values.copy()
+        q_hat = np.fft.fft(small_gaussian.values)
         for _ in range(3):
-            q = stepper.step(q)
+            q_hat = stepper.step(q_hat)
         assert stepper.chain.solves == 4 * 3
 
 
@@ -409,7 +444,8 @@ class GridValueIntegrator(Integrator):
     """Reference: the Lawson-RK4 step with every stage on grid values, each
     full field formed by ``dealiased_mul`` from q and r = sign * conj(q), and
     the splitting step as three Strang substeps of grid values, as the
-    integrator computed them before their stages carried coefficients."""
+    integrator computed them before their stages carried coefficients.
+    ``step`` keeps the coefficient state of ``Integrator.step``."""
 
     def grid_field(self, q):
         star, _, flavor = self.spec.kind.partition("_")
@@ -430,16 +466,19 @@ class GridValueIntegrator(Integrator):
             regularized = 8.0 * kap**4 * ((gp + gm) - linear_part)
         return full - regularized if flavor == "diff" else regularized
 
-    def step(self, q):
-        h = self.spec.dt
+    def step(self, q_hat):
+        return np.fft.fft(self.grid_step(np.fft.ifft(q_hat)))
+
+    def grid_step(self, q):
+        h, mu = self.spec.dt, self._linear_symbol(self.grid.xi)
         if self.spec.scheme == "splitting4":
             for tau in (_YOSHIDA_W1 * h, _YOSHIDA_W0 * h, _YOSHIDA_W1 * h):
-                half = np.exp(self.mu * (0.5 * tau))
+                half = np.exp(mu * (0.5 * tau))
                 q = np.fft.ifft(half * np.fft.fft(q))
                 q = q * np.exp(-2j * tau * (q * (self.sign * np.conj(q))).real)
                 q = np.fft.ifft(half * np.fft.fft(q))
             return q
-        eh, e2 = np.exp(self.mu * h), np.exp(self.mu * (0.5 * h))
+        eh, e2 = np.exp(mu * h), np.exp(mu * (0.5 * h))
 
         def field(v):
             return np.fft.fft(self.grid_field(v))
@@ -452,13 +491,29 @@ class GridValueIntegrator(Integrator):
         return np.fft.ifft(eh * fq + (h / 6.0) * (eh * n1 + 2.0 * e2 * (n2 + n3) + n4))
 
 
+@pytest.fixture()
+def fft_lengths(monkeypatch):
+    """Counts of numpy.fft.fft and ifft calls by transform length."""
+    seen = Counter()
+
+    def counted(transform):
+        def wrapper(a, *args, **kwargs):
+            seen[np.shape(a)[-1]] += 1
+            return transform(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    return seen
+
+
 COEFFICIENT_STEPS = ([(kind, "rk4_spectral") for kind in ("nls", "mkdv") + REGULARIZED_KINDS]
                      + [("nls", "splitting4")])
 
 
 class TestCoefficientStages:
-    """The Lawson stages carry raw coefficients; splitting carries them
-    across its substeps."""
+    """Steps carry raw coefficients, from evolve's one forward transform to
+    each snapshot's inverse transform."""
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("kind,scheme", COEFFICIENT_STEPS)
@@ -468,30 +523,53 @@ class TestCoefficientStages:
         spec = FlowSpec(kind, 1e-3, 0.05, scheme=scheme, kappa=kappa,
                         snapshot_stride=50)
         reference = GridValueIntegrator(grid, sign, spec)
-        q = f.values.copy()
+        q_hat = np.fft.fft(f.values)
         for _ in range(50):
-            q = reference.step(q)
-        assert rel_l2(grid, evolve(f, spec).states[-1], q) <= 1e-12
+            q_hat = reference.step(q_hat)
+        assert rel_l2(grid, evolve(f, spec).states[-1], np.fft.ifft(q_hat)) <= 1e-12
 
     @pytest.mark.parametrize("kind,scheme,counts", [
-        ("mkdv", "rk4_spectral", {256: 2, 512: 12}),
-        ("nls", "rk4_spectral", {256: 2, 512: 8}),
-        ("nls", "splitting4", {256: 8}),
+        ("mkdv", "rk4_spectral", {512: 12}),
+        ("nls", "rk4_spectral", {512: 8}),
+        ("nls", "splitting4", {256: 6}),
     ])
-    def test_transforms_per_step(self, monkeypatch, grid, small_gaussian, kind, scheme,
+    def test_transforms_per_step(self, fft_lengths, grid, small_gaussian, kind, scheme,
                                  counts):
-        # numpy.fft calls by length in one step: 2 at N around the stages,
-        # and per Lawson stage one cubic product on 2N points
+        # numpy.fft calls by length in one step: none at N around the
+        # stages, one cubic product on 2N points per Lawson stage, and two
+        # at N per splitting substep for its pointwise phase
         stepper = Integrator(grid, 1, FlowSpec(kind, 1e-3, 1e-3, scheme=scheme))
-        seen = Counter()
+        q_hat = np.fft.fft(small_gaussian.values)
+        fft_lengths.clear()
+        stepper.step(q_hat)
+        assert dict(fft_lengths) == counts
 
-        def counted(transform):
-            def wrapper(a, *args, **kwargs):
-                seen[np.shape(a)[-1]] += 1
-                return transform(a, *args, **kwargs)
-            return wrapper
+    def test_generating_flow_step_transforms_only_in_its_solves(self, fft_lengths, grid,
+                                                                small_gaussian):
+        f = small_gaussian
+        stepper = Integrator(grid, 1, FlowSpec("a_flow", 1e-3, 1e-3, kappa=2.0))
+        state = np.fft.fft(np.stack((f.values, f.r)))
+        fft_lengths.clear()
+        stepper.step(state)
+        assert set(fft_lengths) == {3 * grid.points // 2}
+        assert stepper.chain.solves == 4
 
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        stepper.step(small_gaussian.values)
-        assert dict(seen) == counts
+    @pytest.mark.parametrize("kind,kappa", [("nls", None), ("mkdv", None), ("a_flow", 2.0)])
+    def test_evolve_is_the_only_grid_boundary(self, monkeypatch, fft_lengths, grid,
+                                              small_gaussian, kind, kappa):
+        # one forward transform of the initial state and one inverse transform
+        # per later snapshot; every other length-N transform is in a step
+        n, step, in_steps = grid.points, Integrator.step, []
+
+        def counted_step(self, state):
+            before = fft_lengths[n]
+            out = step(self, state)
+            in_steps.append(fft_lengths[n] - before)
+            return out
+
+        monkeypatch.setattr(Integrator, "step", counted_step)
+        spec = FlowSpec(kind, 1e-3, 5e-3, kappa=kappa, snapshot_stride=2)
+        fft_lengths.clear()
+        evolve(small_gaussian, spec)
+        assert len(in_steps) == spec.steps == 5 and spec.snapshots == 4
+        assert fft_lengths[n] - sum(in_steps) == 1 + (spec.snapshots - 1)

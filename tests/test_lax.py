@@ -376,6 +376,20 @@ class TestFixedPointChain:
                                                    "max": max(iters)},
                                  "fp_worst_residual": max(cold[4], warm[4])}
 
+    def test_solve_wraps_solve_raw(self, grid):
+        # the grid entry is fft, then solve_raw, then one stacked ifft
+        f = random_schwartz(grid, np.random.default_rng(3), norm=0.1)
+        grid_chain, raw_chain = FixedPointChain(grid, 4.0), FixedPointChain(grid, 4.0)
+        for q, r in ((f.values, f.r), (1.01 * f.values, 0.99 * f.r)):  # cold, then warm
+            triple = grid_chain.solve(q, r)
+            *hats, iters, res = raw_chain.solve_raw(np.fft.fft(q), np.fft.fft(r))
+            for got, want in zip((triple.g12, triple.g21, triple.gamma),
+                                 np.fft.ifft(np.stack(hats))):
+                assert np.array_equal(got, want)
+            assert (triple.meta["iterations"], triple.meta["residual"]) == (iters, res)
+            assert np.array_equal(grid_chain.gamma_hat, raw_chain.gamma_hat)
+        assert grid_chain.stats() == raw_chain.stats() != {}
+
     def test_three_transforms_of_size_n_per_solve(self, monkeypatch, grid):
         # q and r in, the stacked triple out; the kernel works at 3N/2 only
         calls = []  # (length, inside the kernel) per transform call
