@@ -44,7 +44,7 @@ def cmd_green(cfg: ExperimentConfig) -> int:
     for kappa in cfg.diagnostics.kappas:
         # the fixed point first: its gate rejects data that would overflow the series
         fixed = lax.greens_fixed_point(f, kappa, tol=cfg.flow.fp_tol)
-        series = lax.greens_series(f, kappa, 3)
+        series = lax.greens_series(f, kappa)
         entries = [("fixed_point", fixed), ("series(3)", series)]
         if grid.points <= lax.ORACLE_MAX_POINTS and \
                 abs(kappa) * grid.length >= lax.ORACLE_MIN_KAPPA_L:

@@ -19,12 +19,16 @@ from .hierarchy import FLAVORS, current, density, hamiltonians
 from .lax import FixedPointChain, GreensTriple, alpha as alpha_of, greens_fixed_point
 from .profiles import mean_zero_even, mean_zero_odd
 from .spectral import (
+    TWO_PI,
     Cutoff,
     Field,
     Grid,
+    apply_multiplier,
     bump,
     diff,
     sobolev_norm,
+    sobolev_weight,
+    weighted_norm_sq,
 )
 
 #: Which flow kind each current flavor is conserved under.
@@ -222,22 +226,23 @@ def local_smoothing_norm(traj: Trajectory, sigma: float, kappa: float = 1.0,
     value_kappa: sup_h int ||(4k^2 - d^2)^{-1/2} psi_h^6 q(t)||_{H^(sigma+1)}^2 dt
 
     The window is whatever the trajectory covers; it is reported alongside.
+    kappa >= 1, as for every H^s_kappa norm.
     """
+    if not kappa >= 1.0:
+        raise DiagnosticsError(f"local smoothing requires kappa >= 1, got {kappa}")
     grid = traj.grid
     times = np.asarray(traj.times)
-    xi = grid.xi
     best_plain = 0.0
     best_kappa = 0.0
     # a huge box or a large sigma overflows the weights or the squared
     # coefficients: reported, not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        w_plain = (4.0 + xi * xi) ** sigma
-        w_kappa = (4.0 + xi * xi) ** (sigma + 1.0) / (4.0 * kappa * kappa + xi * xi)
+        w_plain = sobolev_weight(grid, sigma)
+        w_kappa = sobolev_weight(grid, sigma + 1.0) / sobolev_weight(grid, 1.0, kappa)
         for h in h_lattice(grid, h_count):
-            psi6 = bump(grid.x - h) ** 6
-            mags = np.abs(grid.fft(psi6 * traj.states)) ** 2
-            plain = float(simpson(grid.dxi * np.sum(w_plain * mags, axis=1), x=times))
-            kap = float(simpson(grid.dxi * np.sum(w_kappa * mags, axis=1), x=times))
+            coeffs = np.fft.fft(bump(grid.x - h) ** 6 * traj.states)
+            plain = float(simpson(weighted_norm_sq(coeffs, grid, w_plain), x=times))
+            kap = float(simpson(weighted_norm_sq(coeffs, grid, w_kappa), x=times))
             if not (math.isfinite(plain) and math.isfinite(kap)):
                 raise DiagnosticsError(f"localized norm at h={h:.3g} is not finite")
             best_plain = max(best_plain, plain)
@@ -314,13 +319,13 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
         # built after the flow's step gate, which rejects the tiny boxes whose
         # frequencies would overflow the weight
         psis = np.array([bump(grid.x - h) ** 12 for h in h_lattice(grid, h_count)])
-        weight = (4.0 + grid.xi * grid.xi) ** (s + 1.0)
+        weight = sobolev_weight(grid, s + 1.0)
         # snapshot 0 is q0 itself; the chain starts cold at snapshot 1
         fields = [traj.field(i) for i in range(1, len(traj))]
         defect = 0.0
         for triple in _triples_along(grid, fields, varkappa, fp_tol):
-            coeffs = grid.fft(psis * (triple.g12 - g12_ref))
-            norms_sq = grid.dxi * np.sum(weight * np.abs(coeffs) ** 2, axis=1)
+            coeffs = np.fft.fft(psis * (triple.g12 - g12_ref))
+            norms_sq = weighted_norm_sq(coeffs, grid, weight)
             defect = max(defect, math.sqrt(float(np.max(norms_sq))))
         rows.append((float(kap), defect))
     return rows
@@ -350,12 +355,14 @@ def scale_family_norm_sq(f: Field, lam: float, sigma: float) -> float:
 
     The weight varies on the scale 1/lam, far below the frequency lattice
     spacing for large lam, so the lattice spectrum is interpolated and the
-    integral taken adaptively rather than as a plain Riemann sum.
+    integral taken adaptively rather than as a plain Riemann sum.  The line
+    transform q_hat is (dx / sqrt(2 pi)) (-1)^k times the raw coefficients;
+    the node phase (-1)^k drops out of |q_hat|.
     """
     grid = f.grid
     order = np.argsort(grid.xi)
     eta = grid.xi[order]
-    mags = np.abs(grid.fft(f.values))[order] ** 2
+    mags = np.abs((grid.dx / math.sqrt(TWO_PI)) * np.fft.fft(f.values))[order] ** 2
     spline = CubicSpline(eta, mags)
     return _scale_family_quad(lambda e: float(spline(e)), float(eta[0]), float(eta[-1]),
                               lam, sigma)
@@ -515,7 +522,7 @@ def _superposition_error(u0: Field, base: Trajectory, bumps: int,
     offsets = [(n - (bumps - 1) / 2.0) * separation for n in range(bumps)]
 
     def translate(values: np.ndarray, shift: float) -> np.ndarray:
-        return np.fft.ifft(np.exp(-1j * big.xi * shift) * np.fft.fft(values))
+        return apply_multiplier(values, np.exp(-1j * big.xi * shift), big)
 
     multi0 = np.sum([translate(single.values, off) for off in offsets], axis=0)
     multi_traj = evolve(Field(big, multi0, u0.sign), spec)

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lax import FixedPointChain, LaxError
-from .spectral import (Field, Grid, apply_multiplier, dealiased_mul, pad,
-                       pad_partner, truncate)
+from .spectral import (Field, Grid, apply_multiplier, dealiased_mul, inverse_shift_symbol,
+                       pad, pad_partner, truncate)
 
 _REGULARIZED_KINDS = ("nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
 _KAPPA_KINDS = ("a_flow",) + _REGULARIZED_KINDS
@@ -204,8 +204,8 @@ class Integrator:
             self._eh, self._e2 = np.exp(mu * h), np.exp(mu * (0.5 * h))
         if spec.kind in _REGULARIZED_KINDS:
             # (2 kappa - d)^{-1} and (2 kappa + d)^{-1}, the leading Green's terms
-            self._inv_m = 1.0 / (2.0 * spec.kappa - 1j * xi)
-            self._inv_p = 1.0 / (2.0 * spec.kappa + 1j * xi)
+            self._inv_m = inverse_shift_symbol(grid, 2.0 * spec.kappa, -1)
+            self._inv_p = inverse_shift_symbol(grid, 2.0 * spec.kappa, +1)
         # every solve is at spec.kappa; the full equations make none
         self.chain = FixedPointChain(grid, spec.kappa, spec.fp_tol)
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -49,7 +48,9 @@ from .spectral import (
     fractional_symbol,
     inverse_shift_symbol,
     pad,
+    sobolev_weight,
     truncate,
+    weighted_norm_sq,
 )
 
 #: Smallness gate for the contraction regime (norm of q in H^{-1/4}).
@@ -111,16 +112,6 @@ class GreensTriple:
 # Fixed point
 
 
-@lru_cache(maxsize=64)
-def _gate_weight(grid: Grid) -> np.ndarray:
-    # H^{-1/4} weight (4 + xi^2)^(-1/4), 0 where xi^2 overflows (a tiny box);
-    # even on the lattice, so it also weighs r's coefficients for |conj(r)|
-    with np.errstate(over="ignore"):
-        w = (4.0 + grid.xi * grid.xi) ** -0.25
-    w.setflags(write=False)
-    return w
-
-
 def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa: float,
                     tol: float = 1e-12, max_iter: int = 200,
                     gamma0: np.ndarray | None = None,
@@ -135,8 +126,10 @@ def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa: flo
 
     Every solve first checks the contraction gate: ``DataTooLarge`` unless
     both |q| and |conj r| in H^{-1/4} are at most ``delta`` (so non-finite
-    data, whose norms are nan, never pass).  The two norms are weighted sums
-    over q_hat and r_hat, so the gate costs no transform.
+    data, whose norms are nan, never pass).  The two norms are
+    ``weighted_norm_sq`` over q_hat and r_hat, so the gate costs no
+    transform; the H^{-1/4} weight is even on the lattice, so it also weighs
+    r's coefficients for |conj r|.
 
     q and r are padded to 3N/2 points once per solve.  Each iteration pads
     gamma, forms gamma q and gamma r there and truncates them, applies
@@ -152,16 +145,15 @@ def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa: flo
     |2 kappa -/+ i xi| >= 2.
     """
     _check_kappa(kappa)
-    inv_m = inverse_shift_symbol(2.0 * kappa, -1)(grid.xi)
-    inv_p = inverse_shift_symbol(2.0 * kappa, +1)(grid.xi)
+    inv_m = inverse_shift_symbol(grid, 2.0 * kappa, -1)
+    inv_p = inverse_shift_symbol(grid, 2.0 * kappa, +1)
     n = grid.points
     parseval = grid.dx / n
-    weight = _gate_weight(grid)
+    weight = sobolev_weight(grid, -0.25)
     # huge data overflow the squares to size inf, and non-finite data give a
     # nan size; the gate rejects both
     with np.errstate(over="ignore", invalid="ignore"):
-        sizes = [math.sqrt(parseval * float(np.sum(weight * np.abs(h) ** 2)))
-                 for h in (q_hat, r_hat)]
+        sizes = [math.sqrt(weighted_norm_sq(h, grid, weight)) for h in (q_hat, r_hat)]
     if not (sizes[0] <= delta and sizes[1] <= delta):
         detail = ("the data is not finite" if math.isnan(sum(sizes))
                   else f"|q| in H^(-1/4) is {max(sizes):.3g} > {delta}")
@@ -257,34 +249,27 @@ class FixedPointChain:
 # Explicit series
 
 
-def series_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float, order: int):
+def series_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float):
     _check_kappa(kappa)
-    if order not in (1, 3):
-        raise LaxError(f"series order must be 1 or 3, got {order}")
-    inv_m = inverse_shift_symbol(2.0 * kappa, -1)(grid.xi)
-    inv_p = inverse_shift_symbol(2.0 * kappa, +1)(grid.xi)
+    inv_m = inverse_shift_symbol(grid, 2.0 * kappa, -1)
+    inv_p = inverse_shift_symbol(grid, 2.0 * kappa, +1)
     mq = apply_multiplier(q, inv_m, grid)     # q/(2k - d)
     pr = apply_multiplier(r, inv_p, grid)     # r/(2k + d)
     g12 = -mq
     g21 = pr
     gamma = -2.0 * dealiased_mul(mq, pr)
-    if order == 3:
-        g12_3 = 2.0 * apply_multiplier(
-            dealiased_mul(q, pr, mq), inv_m, grid)
-        g21_3 = -2.0 * apply_multiplier(dealiased_mul(r, mq, pr), inv_p, grid)
-        gamma_4 = (2.0 * (dealiased_mul(g12, g21_3) + dealiased_mul(g12_3, g21))
-                   - 0.5 * dealiased_mul(gamma, gamma))
-        g12 = g12 + g12_3
-        g21 = g21 + g21_3
-        gamma = gamma + gamma_4
-    return g12, g21, gamma
+    g12_3 = 2.0 * apply_multiplier(dealiased_mul(q, pr, mq), inv_m, grid)
+    g21_3 = -2.0 * apply_multiplier(dealiased_mul(r, mq, pr), inv_p, grid)
+    gamma_4 = (2.0 * (dealiased_mul(g12, g21_3) + dealiased_mul(g12_3, g21))
+               - 0.5 * dealiased_mul(gamma, gamma))
+    return g12 + g12_3, g21 + g21_3, gamma + gamma_4
 
 
-def greens_series(f: Field, kappa: float, order: int = 3) -> GreensTriple:
-    """Triple from the explicit paraproducts: g12, g21 through ``order``
-    (1 or 3), gamma through ``order + 1``."""
-    g12, g21, gamma = series_raw(f.grid, f.values, f.r, kappa, order)
-    return GreensTriple(kappa, g12, g21, gamma, f"series({order})", {"order": order})
+def greens_series(f: Field, kappa: float) -> GreensTriple:
+    """Triple from the explicit paraproducts: g12 and g21 through order 3,
+    gamma through order 4."""
+    g12, g21, gamma = series_raw(f.grid, f.values, f.r, kappa)
+    return GreensTriple(kappa, g12, g21, gamma, "series(3)", {"order": 3})
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +375,8 @@ def greens_oracle(f: Field, kappa: float,
                        f"got {series.method} at kappa={series.kappa}")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
         xi = grid.xi
-        inv_m = inverse_shift_symbol(kappa, -1)(xi)
-        inv_p = inverse_shift_symbol(kappa, +1)(xi)
+        inv_m = inverse_shift_symbol(grid, kappa, -1)
+        inv_p = inverse_shift_symbol(grid, kappa, +1)
         c_m = _multiplier_matrix(inv_m)
         schur = c_m * q
         schur *= rr[:, None]
@@ -459,7 +444,7 @@ def greens_oracle(f: Field, kappa: float,
             )
         sgn = 1.0 if kappa > 0 else -1.0
         s12, s21, sgam = ((series.g12, series.g21, series.gamma) if series is not None
-                          else series_raw(grid, q, rr, kappa, 3))
+                          else series_raw(grid, q, rr, kappa))
         g12 = sgn * d12 + s12
         g21 = sgn * d21 + s21
         gamma = sgn * (d11 + d22) + sgam
@@ -486,12 +471,6 @@ class OperatorPair:
         return (float(np.linalg.norm(self.lam)), float(np.linalg.norm(self.gam)))
 
 
-def _half_symbols(grid: Grid, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice values of the symbols of (kappa - d)^{-1/2} and (kappa + d)^{-1/2}."""
-    return (fractional_symbol(kappa, -1, 0.5)(grid.xi),
-            fractional_symbol(kappa, +1, 0.5)(grid.xi))
-
-
 def operator_pair(f: Field, kappa: float) -> OperatorPair:
     """Lambda = H- Q H+ and Gamma = H+ R H-, with H-/+ = (kappa -/+ d)^{-1/2}:
     each is the matrix of one multiplier, column-scaled by q or r, times the
@@ -501,7 +480,8 @@ def operator_pair(f: Field, kappa: float) -> OperatorPair:
     _check_kappa(kappa)
     if grid.points > ORACLE_MAX_POINTS:
         raise LaxError(f"dense operator pair capped at N={ORACLE_MAX_POINTS}")
-    h_m, h_p = _half_symbols(grid, kappa)
+    h_m = fractional_symbol(grid, kappa, -1, 0.5)   # (kappa - d)^{-1/2}
+    h_p = fractional_symbol(grid, kappa, +1, 0.5)   # (kappa + d)^{-1/2}
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms raise below
         lam = _apply_right(_multiplier_matrix(h_m) * f.values, h_p)
         gam = _apply_right(_multiplier_matrix(h_p) * f.r, h_m)
@@ -561,7 +541,8 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
     # huge data overflow the dense products; the radius gate rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         pair = operator_pair(f, kappa)
-        h_m, h_p = _half_symbols(grid, kappa)
+        h_m = fractional_symbol(grid, kappa, -1, 0.5)
+        h_p = fractional_symbol(grid, kappa, +1, 0.5)
         prod = _apply_right(_apply_right(pair.lam, h_p) * rr, h_m)
         radius = _power_radius(prod)
         if not radius < 1.0:
@@ -577,7 +558,7 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
     prod.flat[::grid.points + 1] += 1.0  # I + P, in place
     sign, logabs = np.linalg.slogdet(prod)
     sgn = 1.0 if kappa > 0 else -1.0
-    mq = apply_multiplier(q, inverse_shift_symbol(2.0 * kappa, -1), grid)
+    mq = apply_multiplier(q, inverse_shift_symbol(grid, 2.0 * kappa, -1), grid)
     term = sgn * grid.integrate(rr * mq)
     return TraceDeterminant(term + sgn * (np.log(sign) + logabs - trace), radius)
 

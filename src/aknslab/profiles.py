@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .spectral import Field, Grid, SpectralError, sobolev_norm
+from .spectral import TWO_PI, Field, Grid, SpectralError, sobolev_norm
 
 
 def gaussian(grid: Grid, amplitude: float = 0.1, width: float = 1.0,
@@ -32,13 +34,17 @@ def plane_wave(grid: Grid, amplitude: complex, xi0: float, sign: int = +1) -> Fi
 
 
 def spectral_profile(grid: Grid, profile, sign: int = +1) -> Field:
-    """Field with prescribed transform: q_hat(xi_k) = profile(xi_k)."""
+    """Field with prescribed line transform q_hat(xi_k) = profile(xi_k), where
+    q_hat(xi_k) = (dx / sqrt(2 pi)) sum_j q(x_j) exp(-i xi_k x_j): the raw
+    coefficients times dx / sqrt(2 pi) and the node phase (-1)^k, which the
+    origin x_0 = -L/2 gives."""
     # on a tiny box xi^2 overflows and the profile is inf * 0 there
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = np.asarray(profile(grid.xi), dtype=np.complex128)
     if not np.all(np.isfinite(coeffs)):
         raise SpectralError("profile is not finite on the frequency lattice")
-    return Field(grid, grid.ifft(coeffs), sign)
+    phase = np.where(np.arange(grid.points) % 2 == 0, 1.0, -1.0)
+    return Field(grid, np.fft.ifft(phase * coeffs) * (math.sqrt(TWO_PI) / grid.dx), sign)
 
 
 def mean_zero_even(grid: Grid, amplitude: float, sign: int = +1) -> Field:

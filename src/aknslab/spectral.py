@@ -1,14 +1,23 @@
 """Periodic pseudo-spectral foundation: grids, fields, Fourier multipliers,
 weighted Sobolev norms, and the slowly-varying cutoff family.
 
-The periodic box of length L stands in for the whole line.  The transform
-normalization is chosen once so that discrete quantities converge to their
-continuum counterparts as L, N grow:
+The periodic box of length L stands in for the whole line.  There is one
+Fourier representation, the raw ``np.fft`` coefficients
+X_k = sum_j q(x_j) exp(-2 pi i j k / N), listed on the frequency lattice
+``Grid.xi`` in wrap-around order, and one form of a Fourier symbol, its
+array of values on that lattice.  ``inverse_shift_symbol``,
+``fractional_symbol`` and the Sobolev weight ``sobolev_weight`` are cached
+per grid and read-only, so every solve shares them.
 
-    q_hat(xi_k) = (dx / sqrt(2*pi)) * sum_j q(x_j) exp(-i xi_k x_j)
+The continuum line transform of data centred in the box is
 
-and all integrals are plain grid quadrature, int f dx ~= dx * sum_j f(x_j).
-Every module downstream uses these conventions and nothing else.
+    q_hat(xi_k) = (dx / sqrt(2*pi)) * (-1)^k * X_k,
+
+the sign being the phase of the node origin -L/2.  It is written only where
+it has meaning: ``weighted_norm_sq`` scales by dx / sqrt(2*pi), the phase
+having modulus one, ``profiles.spectral_profile`` prescribes data by their
+line transform, and ``diagnostics.scale_family_norm_sq`` integrates it.
+All integrals are plain grid quadrature, int f dx ~= dx * sum_j f(x_j).
 """
 
 from __future__ import annotations
@@ -36,16 +45,16 @@ class SingularSymbolError(SpectralError):
     """A Fourier symbol is singular (or non-finite) on the frequency lattice."""
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
 @lru_cache(maxsize=64)
-def _lattice(length: float, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lattice(length: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     x = -0.5 * length + (length / points) * np.arange(points)
     xi = TWO_PI * np.fft.fftfreq(points, d=length / points)
-    # node origin -L/2: exp(-i xi_k x_0) = exp(i pi k) alternates in sign
-    phase = np.where(np.arange(points) % 2 == 0, 1.0, -1.0)
-    x.setflags(write=False)
-    xi.setflags(write=False)
-    phase.setflags(write=False)
-    return x, xi, phase
+    return _frozen(x), _frozen(xi)
 
 
 @dataclass(frozen=True)
@@ -78,18 +87,6 @@ class Grid:
     def xi(self) -> np.ndarray:
         """Frequency lattice in FFT (wrap-around) order."""
         return _lattice(self.length, self.points)[1]
-
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform with the continuum-consistent normalization,
-        q_hat(xi_k) = (dx / sqrt(2 pi)) sum_j q(x_j) exp(-i xi_k x_j), phases
-        taken at the true nodes (so coefficients approximate the line
-        transform of data centred in the box)."""
-        phase = _lattice(self.length, self.points)[2]
-        return (self.dx / math.sqrt(TWO_PI)) * phase * np.fft.fft(values)
-
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        phase = _lattice(self.length, self.points)[2]
-        return np.fft.ifft(phase * coeffs) * (math.sqrt(TWO_PI) / self.dx)
 
     def integrate(self, values: np.ndarray) -> complex:
         """Grid quadrature of int f dx (spectrally accurate on the torus)."""
@@ -140,9 +137,6 @@ class Field:
             return self.sign * np.conj(self.values)
         return self.partner
 
-    def hat(self) -> np.ndarray:
-        return self.grid.fft(self.values)
-
     def l2_norm(self) -> float:
         return self.grid.l2_norm(self.values)
 
@@ -171,15 +165,12 @@ class Field:
 # Fourier multipliers
 
 
-def apply_multiplier(values: np.ndarray, symbol, grid: Grid) -> np.ndarray:
+def apply_multiplier(values: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.ndarray:
     """Apply a Fourier multiplier to grid values: the inverse transform of
-    symbol(xi) * values_hat(xi).
-
-    ``symbol`` is a callable on the frequency lattice or a precomputed array.
+    symbol * fft(values), for the symbol's array of values on the lattice.
     Singular/non-finite symbol values raise, naming the offending frequency.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        m = np.asarray(symbol(grid.xi) if callable(symbol) else symbol, dtype=np.complex128)
+    m = np.asarray(symbol, dtype=np.complex128)
     if m.shape != grid.xi.shape:
         raise SpectralError(f"symbol shape {m.shape} does not match lattice {grid.xi.shape}")
     bad = ~np.isfinite(m)
@@ -191,37 +182,35 @@ def apply_multiplier(values: np.ndarray, symbol, grid: Grid) -> np.ndarray:
     return np.fft.ifft(m * np.fft.fft(np.asarray(values, dtype=np.complex128)))
 
 
-def derivative_symbol(order: int = 1):
-    """Symbol of d^order/dx^order."""
-    return lambda xi: (1j * xi) ** order
-
-
-def inverse_shift_symbol(c: float, deriv_sign: int):
-    """Symbol of (c + deriv_sign * d/dx)^(-1); requires c != 0."""
+@lru_cache(maxsize=64)
+def inverse_shift_symbol(grid: Grid, c: float, deriv_sign: int) -> np.ndarray:
+    """Lattice values of the symbol of (c + deriv_sign * d/dx)^(-1), cached
+    read-only; requires c != 0."""
     if c == 0:
         raise SingularSymbolError("(c +/- d/dx)^(-1) needs c != 0")
-    return lambda xi: 1.0 / (c + deriv_sign * 1j * xi)
+    return _frozen(1.0 / (c + deriv_sign * 1j * grid.xi))
 
 
-def fractional_symbol(kappa: float, deriv_sign: int, sigma: float):
-    """Symbol of (kappa + deriv_sign * d/dx)^(-sigma).
+@lru_cache(maxsize=64)
+def fractional_symbol(grid: Grid, kappa: float, deriv_sign: int, sigma: float) -> np.ndarray:
+    """Lattice values of the symbol of (kappa + deriv_sign * d/dx)^(-sigma),
+    cached read-only.
 
     Fractional powers use z^(-sigma) = |z|^(-sigma) exp(-i sigma arg z) with
     arg in (-pi, pi].
     """
     if kappa == 0:
         raise SingularSymbolError("(kappa +/- d/dx)^(-sigma) needs kappa != 0")
-
-    def symbol(xi):
-        z = kappa + deriv_sign * 1j * xi
-        return np.abs(z) ** (-sigma) * np.exp(-1j * sigma * np.angle(z))
-
-    return symbol
+    z = kappa + deriv_sign * 1j * grid.xi
+    return _frozen(np.abs(z) ** (-sigma) * np.exp(-1j * sigma * np.angle(z)))
 
 
 def diff(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """Spectral derivative of a raw array."""
-    return apply_multiplier(values, derivative_symbol(order), grid)
+    """Spectral derivative d^order/dx^order of grid values."""
+    # (i xi)^order overflows on a tiny box; the multiplier rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        symbol = (1j * grid.xi) ** order
+    return apply_multiplier(values, symbol, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +279,29 @@ def dealiased_mul(*factors: np.ndarray) -> np.ndarray:
 # Weighted Sobolev norms
 
 
-def weighted_norm_sq(coeffs: np.ndarray, xi: np.ndarray, dxi: float,
-                     sigma: float, kappa: float = 1.0) -> float:
-    w = (4.0 * kappa * kappa + xi * xi) ** sigma
-    return dxi * float(np.sum(w * np.abs(coeffs) ** 2))
+@lru_cache(maxsize=64)
+def sobolev_weight(grid: Grid, sigma: float, kappa: float = 1.0) -> np.ndarray:
+    """The H^sigma_kappa weight (4 kappa^2 + xi^2)^sigma on the lattice,
+    cached read-only; kappa >= 1.  Where xi^2 overflows (a tiny box) it is
+    0 for sigma < 0 and inf for sigma > 0."""
+    if not kappa >= 1.0:
+        raise SpectralError(f"the Sobolev weight requires kappa >= 1, got {kappa}")
+    with np.errstate(over="ignore"):
+        return _frozen((4.0 * kappa * kappa + grid.xi * grid.xi) ** sigma)
+
+
+def weighted_norm_sq(coeffs: np.ndarray, grid: Grid, weight: np.ndarray):
+    """dxi * sum weight * |q_hat|^2 along the last axis, for raw ``np.fft``
+    coefficients ``coeffs`` (one row or a batch of rows) and lattice values
+    ``weight``; q_hat is the line transform, whose node phase drops out."""
+    scaled = (grid.dx / math.sqrt(TWO_PI)) * coeffs
+    return grid.dxi * np.sum(weight * np.abs(scaled) ** 2, axis=-1)
 
 
 def sobolev_norm(f: Field, sigma: float, kappa: float = 1.0) -> float:
     """Norm with weight (4*kappa^2 + xi^2)^sigma; kappa >= 1."""
-    if kappa < 1.0:
-        raise SpectralError(f"sobolev_norm requires kappa >= 1, got {kappa}")
-    g = f.grid
-    return math.sqrt(weighted_norm_sq(f.hat(), g.xi, g.dxi, sigma, kappa))
+    weight = sobolev_weight(f.grid, sigma, kappa)
+    return math.sqrt(weighted_norm_sq(np.fft.fft(f.values), f.grid, weight))
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,8 @@ class TestLocalSmoothing:
             for k, w in enumerate(weights):
                 series = np.empty(len(traj))
                 for i in range(len(traj)):
-                    mags = np.abs(grid.fft(psi6 * traj.states[i])) ** 2
+                    coeffs = np.fft.fft(psi6 * traj.states[i])
+                    mags = np.abs((grid.dx / math.sqrt(2 * math.pi)) * coeffs) ** 2
                     series[i] = grid.dxi * float(np.sum(w * mags))
                 best[k] = max(best[k], float(simpson(series, x=np.asarray(traj.times))))
         assert (rep.value, rep.value_kappa) == tuple(best)

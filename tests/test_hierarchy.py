@@ -103,8 +103,8 @@ class TestDensity:
         for amp in (0.1, 0.05):
             f = gaussian(grid, amp)
             q, r = f.values, f.r
-            pr = apply_multiplier(r, inverse_shift_symbol(4.0, +1), grid)
-            mq = apply_multiplier(q, inverse_shift_symbol(4.0, -1), grid)
+            pr = apply_multiplier(r, inverse_shift_symbol(grid, 4.0, +1), grid)
+            mq = apply_multiplier(q, inverse_shift_symbol(grid, 4.0, -1), grid)
             quadratic = 0.5 * (dealiased_mul(q, pr) + dealiased_mul(mq, r))
             errs.append(l2(grid, density(f, fixed(f, 2.0)) - quadratic))
         assert 8.0 <= errs[0] / errs[1] <= 32.0  # 2^4 within a factor of two

@@ -48,8 +48,9 @@ def fixed(f, kappa, **kw):
 
 
 def dense_multiplier_matrix(grid, symbol):
-    """The multiplier as a dense matrix: the transform of each unit vector."""
-    m = np.asarray(symbol(grid.xi), dtype=np.complex128)
+    """The multiplier with lattice values ``symbol`` as a dense matrix: the
+    transform of each unit vector."""
+    m = np.asarray(symbol, dtype=np.complex128)
     eye = np.eye(grid.points, dtype=np.complex128)
     return np.fft.ifft(m[:, None] * np.fft.fft(eye, axis=0), axis=0)
 
@@ -59,13 +60,13 @@ def dense_reference_oracle(grid, q, r, kappa):
     -L^{-1} V L0^{-1} minus the first four resolvent terms, read on the block
     diagonals.  Returns (g12, g21, gamma, cond)."""
     n = grid.points
-    k_minus = dense_multiplier_matrix(grid, lambda xi: kappa - 1j * xi)
-    k_plus = dense_multiplier_matrix(grid, lambda xi: kappa + 1j * xi)
+    k_minus = dense_multiplier_matrix(grid, kappa - 1j * grid.xi)
+    k_plus = dense_multiplier_matrix(grid, kappa + 1j * grid.xi)
     lax = np.block([[k_minus, np.diag(q)], [-np.diag(r), k_plus]])
     zero = np.zeros((n, n), dtype=np.complex128)
     lax0_inv = np.block([
-        [dense_multiplier_matrix(grid, inverse_shift_symbol(kappa, -1)), zero],
-        [zero, dense_multiplier_matrix(grid, inverse_shift_symbol(kappa, +1))]])
+        [dense_multiplier_matrix(grid, inverse_shift_symbol(grid, kappa, -1)), zero],
+        [zero, dense_multiplier_matrix(grid, inverse_shift_symbol(grid, kappa, +1))]])
     lax_inv = np.linalg.inv(lax)
     cond = np.linalg.norm(lax, 1) * np.linalg.norm(lax_inv, 1)
     pot = np.block([[zero, np.diag(q)], [-np.diag(r), zero]])
@@ -77,7 +78,7 @@ def dense_reference_oracle(grid, q, r, kappa):
         tail -= ((-1.0) ** order) * acc
     tail /= grid.dx
     sgn = 1.0 if kappa > 0 else -1.0
-    s12, s21, sgam = series_raw(grid, q, r, kappa, 3)
+    s12, s21, sgam = series_raw(grid, q, r, kappa)
     return (sgn * np.diagonal(tail[:n, n:]) + s12,
             sgn * np.diagonal(tail[n:, :n]) + s21,
             sgn * (np.diagonal(tail[:n, :n]) + np.diagonal(tail[n:, n:])) + sgam,
@@ -136,15 +137,13 @@ class TestOracle:
             greens_oracle(small_gaussian, 2.0)
 
     def test_given_series_is_the_one_added(self, small_gaussian):
-        series = greens_series(small_gaussian, 2.0, 3)
+        series = greens_series(small_gaussian, 2.0)
         a = greens_oracle(small_gaussian, 2.0)
         b = greens_oracle(small_gaussian, 2.0, series=series)
         for part in ("g12", "g21", "gamma"):
             assert np.array_equal(getattr(a, part), getattr(b, part))
-        for wrong in (greens_series(small_gaussian, 2.0, 1),
-                      greens_series(small_gaussian, 4.0, 3)):
-            with pytest.raises(LaxError, match="order-3 series"):
-                greens_oracle(small_gaussian, 2.0, series=wrong)
+        with pytest.raises(LaxError, match="order-3 series"):
+            greens_oracle(small_gaussian, 2.0, series=greens_series(small_gaussian, 4.0))
 
     def test_zero_field(self, grid):
         f = Field(grid, np.zeros(grid.points))
@@ -186,30 +185,31 @@ class TestOracle:
 class TestSeries:
     def test_zero_field(self, grid):
         f = Field(grid, np.zeros(grid.points))
-        tr = greens_series(f, 2.0, 3)
+        tr = greens_series(f, 2.0)
         assert l2(grid, tr.g12) == 0.0
 
-    def test_first_order_single_mode(self):
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("kappa", [2.0, -2.0, 4.0])
+    def test_third_order_single_mode(self, kappa, sign):
+        # q = a e^{i xi0 x}: q r q = sign a^2 q and each multiplier is 1/z,
+        # z = 2 kappa - i xi0, so g12 = -q/z + 2 sign a^2 q/z^3
         g = Grid(8 * np.pi, 256)
-        a, xi0, kappa = 0.1, 1.0, 2.0
-        f = plane_wave(g, a, xi0)
-        tr = greens_series(f, kappa, 1)
-        expected = -f.values / (2 * kappa - 1j * xi0)
+        a, xi0 = 0.1, 1.0
+        f = plane_wave(g, a, xi0, sign)
+        tr = greens_series(f, kappa)
+        z = 2 * kappa - 1j * xi0
+        expected = -f.values / z + 2 * sign * a**2 * f.values / z**3
         assert np.max(np.abs(tr.g12 - expected)) < 1e-13
 
     def test_third_order_error_scales_as_fifth_power(self, grid):
         errs = []
         for amp in (0.1, 0.05):
             f = gaussian(grid, amp)
-            s = greens_series(f, 2.0, 3)
+            s = greens_series(f, 2.0)
             o = greens_oracle(f, 2.0)
             errs.append(l2(grid, s.g12 - o.g12))
         ratio = errs[0] / errs[1]
         assert 16.0 <= ratio <= 64.0  # 2^5 within a factor of two
-
-    def test_order_validation(self, grid, small_gaussian):
-        with pytest.raises(LaxError):
-            greens_series(small_gaussian, 2.0, 2)
 
 
 class TestFixedPoint:
@@ -263,8 +263,8 @@ class TestFixedPoint:
 def reference_fixed_point(grid, q, r, kappa, tol=1e-12, max_iter=200, gamma0=None):
     """The physical-space fixed point built from dealiased_mul and
     apply_multiplier: the reference the Fourier-resident kernel must match."""
-    inv_m = inverse_shift_symbol(2.0 * kappa, -1)(grid.xi)
-    inv_p = inverse_shift_symbol(2.0 * kappa, +1)(grid.xi)
+    inv_m = inverse_shift_symbol(grid, 2.0 * kappa, -1)
+    inv_p = inverse_shift_symbol(grid, 2.0 * kappa, +1)
     gamma = np.zeros_like(q) if gamma0 is None else gamma0.astype(np.complex128)
     damping = 1.0
     prev_res = np.inf
@@ -486,8 +486,8 @@ class TestDeterminant:
         f = random_schwartz(grid, np.random.default_rng(2), norm=0.15)
         q, r = f.values, f.r
         for kappa in (1.0, -2.0, 4.0):
-            half_m = dense_multiplier_matrix(grid, fractional_symbol(kappa, -1, 0.5))
-            half_p = dense_multiplier_matrix(grid, fractional_symbol(kappa, +1, 0.5))
+            half_m = dense_multiplier_matrix(grid, fractional_symbol(grid, kappa, -1, 0.5))
+            half_p = dense_multiplier_matrix(grid, fractional_symbol(grid, kappa, +1, 0.5))
             lam = half_m @ (q[:, None] * half_p)
             gam = half_p @ (r[:, None] * half_m)
             pair = operator_pair(f, kappa)
@@ -496,7 +496,7 @@ class TestDeterminant:
             prod = lam @ gam
             radius = _power_radius(prod)
             sgn = 1.0 if kappa > 0 else -1.0
-            mq = apply_multiplier(q, inverse_shift_symbol(2.0 * kappa, -1), grid)
+            mq = apply_multiplier(q, inverse_shift_symbol(grid, 2.0 * kappa, -1), grid)
             term = sgn * grid.integrate(r * mq)
             total = term
             power = prod

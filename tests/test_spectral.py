@@ -12,7 +12,7 @@ import pytest
 
 import aknslab
 from aknslab import diagnostics, flows, hierarchy, lax
-from aknslab.profiles import gaussian, plane_wave, random_schwartz
+from aknslab.profiles import gaussian, plane_wave, random_schwartz, spectral_profile
 from aknslab.spectral import (
     Cutoff,
     Field,
@@ -22,13 +22,14 @@ from aknslab.spectral import (
     apply_multiplier,
     bump,
     dealiased_mul,
-    derivative_symbol,
+    diff,
     fractional_symbol,
     inverse_shift_symbol,
     pad,
     pad_partner,
     partition_constant,
     sobolev_norm,
+    sobolev_weight,
     truncate,
     weighted_norm_sq,
 )
@@ -43,16 +44,22 @@ class TestGrid:
         assert np.isclose(grid.dxi, 2 * np.pi / 64.0)
         assert np.isclose(grid.xi[1], grid.dxi)
 
-    def test_roundtrip(self, grid, small_gaussian):
-        back = grid.ifft(grid.fft(small_gaussian.values))
-        assert np.max(np.abs(back - small_gaussian.values)) < 1e-12 * 0.1
+    def test_line_normalization_round_trip(self, grid):
+        # data prescribed by their line transform have the norm of that
+        # transform: spectral_profile and weighted_norm_sq share one scale
+        def profile(xi):
+            return np.exp(-((xi - 1.0) ** 2)) * (1.0 + 0.5j * xi)
+
+        f = spectral_profile(grid, profile)
+        weight = sobolev_weight(grid, -0.5)
+        want = grid.dxi * np.sum(weight * np.abs(profile(grid.xi)) ** 2)
+        got = weighted_norm_sq(np.fft.fft(f.values), grid, weight)
+        assert abs(got - want) <= 1e-12 * want
 
     def test_transform_matches_line_transform(self, grid):
         # e^{-x^2} has line transform e^{-xi^2/4}/sqrt(2)
-        f = gaussian(grid, 1.0)
-        coeffs = f.hat()
-        expected = np.exp(-grid.xi**2 / 4.0) / math.sqrt(2.0)
-        assert np.max(np.abs(coeffs - expected)) < 1e-12
+        f = spectral_profile(grid, lambda xi: np.exp(-xi**2 / 4.0) / math.sqrt(2.0))
+        assert np.max(np.abs(f.values - gaussian(grid, 1.0).values)) < 1e-12
 
     def test_points_must_be_power_of_two(self):
         with pytest.raises(SpectralError):
@@ -64,7 +71,7 @@ class TestGrid:
 class TestField:
     def test_plancherel(self, grid, small_gaussian):
         f = small_gaussian
-        freq = weighted_norm_sq(f.hat(), grid.xi, grid.dxi, 0.0)
+        freq = weighted_norm_sq(np.fft.fft(f.values), grid, sobolev_weight(grid, 0.0))
         assert abs(f.l2_norm() ** 2 - freq) <= 1e-12 * f.l2_norm() ** 2
 
     def test_boundary_decay_check(self, grid):
@@ -113,6 +120,33 @@ def test_one_way_to_pass_the_partner():
                       and not name.startswith("_") and not name.endswith("_raw")]
     for fn in callables:
         assert not {"r", "r0"} & set(inspect.signature(fn).parameters), fn.__qualname__
+
+
+def test_every_import_is_used():
+    """No module of the package imports a name it never reads: a name bound
+    by an import (``from __future__`` aside) must appear as a name somewhere
+    in the module, or in ``__all__`` for the package's re-exports."""
+    package = os.path.dirname(aknslab.__file__)
+    unused = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    bound[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    bound[a.asname or a.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{os.path.basename(path)}:{line} {name}"
+                   for name, line in bound.items() if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(sorted(unused))
 
 
 #: Public names that neither the CLI nor the check table reaches, each with
@@ -228,28 +262,27 @@ def test_every_public_name_is_reached():
 class TestMultipliers:
     def test_constant_mode(self, grid):
         f = plane_wave(grid, 1.0, 0.0)
-        out = apply_multiplier(f.values, inverse_shift_symbol(2.0, -1), grid)
+        out = apply_multiplier(f.values, inverse_shift_symbol(grid, 2.0, -1), grid)
         assert np.max(np.abs(out - 0.5)) < 1e-13
 
     def test_single_mode_symbol_value(self):
         g = Grid(8 * np.pi, 256)
         f = plane_wave(g, 1.0, 1.0)
-        out = apply_multiplier(f.values, inverse_shift_symbol(2.0, +1), g)
+        out = apply_multiplier(f.values, inverse_shift_symbol(g, 2.0, +1), g)
         expected = f.values / (2.0 + 1.0j)
         assert np.max(np.abs(out - expected)) < 1e-13
         assert abs(np.abs(out[0]) - 1.0 / math.sqrt(5.0)) < 1e-13
 
     def test_identity_symbol(self, grid, rng):
         f = random_schwartz(grid, rng)
-        out = apply_multiplier(f.values, lambda xi: np.ones_like(xi), grid)
+        out = apply_multiplier(f.values, np.ones_like(grid.xi), grid)
         assert rel_l2(grid, out, f.values) < 1e-12
 
     def test_composition(self, grid, rng):
         f = random_schwartz(grid, rng)
-        m1 = inverse_shift_symbol(4.0, -1)
-        m2 = derivative_symbol(1)
-        one = apply_multiplier(apply_multiplier(f.values, m1, grid), m2, grid)
-        both = apply_multiplier(f.values, lambda xi: m1(xi) * m2(xi), grid)
+        m1 = inverse_shift_symbol(grid, 4.0, -1)
+        one = diff(apply_multiplier(f.values, m1, grid), grid)
+        both = apply_multiplier(f.values, m1 * (1j * grid.xi), grid)
         assert rel_l2(grid, one, both) < 1e-12
 
     def test_adjoint_convention(self, grid, rng):
@@ -258,25 +291,36 @@ class TestMultipliers:
         g2 = random_schwartz(grid, rng)
         for sigma in (0.5, 0.25, 1.0):
             left = grid.integrate(np.conj(f.values) * apply_multiplier(
-                g2.values, fractional_symbol(2.0, -1, sigma), grid))
+                g2.values, fractional_symbol(grid, 2.0, -1, sigma), grid))
             right = grid.integrate(np.conj(apply_multiplier(
-                f.values, fractional_symbol(2.0, +1, sigma), grid)) * g2.values)
+                f.values, fractional_symbol(grid, 2.0, +1, sigma), grid)) * g2.values)
             assert abs(left - right) <= 1e-12 * abs(left)
 
     def test_branch_cut_convention(self):
-        sym = fractional_symbol(1.0, -1, 0.5)
-        val = sym(np.array([1.0]))[0]
-        z = 1.0 - 1.0j
+        g = Grid(2 * np.pi, 4)  # xi[1] = 1
+        val = fractional_symbol(g, 1.0, -1, 0.5)[1]
+        z = 1.0 - 1j * g.xi[1]
         expected = abs(z) ** -0.5 * np.exp(-0.5j * np.angle(z))
         assert abs(val - expected) < 1e-15
 
     def test_singular_symbol_rejected(self, grid, small_gaussian):
         with pytest.raises(SingularSymbolError):
-            inverse_shift_symbol(0.0, -1)
+            inverse_shift_symbol(grid, 0.0, -1)
         with pytest.raises(SingularSymbolError, match="xi = 0"):
-            apply_multiplier(small_gaussian.values,
-                             lambda xi: np.where(xi == 0, np.inf, 1.0 / np.maximum(np.abs(xi), 1e-30)),
-                             grid)
+            apply_multiplier(small_gaussian.values, np.where(grid.xi == 0, np.inf, 1.0), grid)
+
+    def test_symbols_and_weights_are_cached_read_only(self, grid):
+        # every solve shares these arrays, so a write must fail, not corrupt them
+        for build, args in ((inverse_shift_symbol, (grid, 4.0, -1)),
+                            (fractional_symbol, (grid, 2.0, +1, 0.5)),
+                            (sobolev_weight, (grid, -0.25)),
+                            (sobolev_weight, (grid, 0.75, 2.0))):
+            values = build(*args)
+            assert build(*args) is values, build.__name__
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                values *= 2.0
 
 
 class TestSobolevNorms:

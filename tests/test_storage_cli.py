@@ -221,16 +221,15 @@ class TestCli:
     def test_green_computes_the_series_once_per_kappa(self, monkeypatch, base_config):
         # the series(3) entry and the oracle share one order-3 series
         path, cfg = base_config
-        orders = []
+        calls = []
 
-        def counted(grid, q, r, kappa, order):
-            orders.append((kappa, order))
-            return series_raw(grid, q, r, kappa, order)
+        def counted(grid, q, r, kappa):
+            calls.append(kappa)
+            return series_raw(grid, q, r, kappa)
 
         monkeypatch.setattr(lax, "series_raw", counted)
         assert main(["green", "--config", path]) == 0
-        kappas = cfg["diagnostics"]["kappas"]
-        assert sorted(k for k, order in orders if order == 3) == kappas
+        assert sorted(calls) == cfg["diagnostics"]["kappas"]
         with open(os.path.join(cfg["out"], "green", "meta_k2.json")) as fh:
             assert "oracle" in json.load(fh)["methods"]
 
@@ -495,7 +494,8 @@ class TestConfigProperty:
         ("h_count", 0, ("micro", "sweep")), ("h_count", -1, ("micro", "sweep")),
         ("h_count_sup", 0, ("smoothing",)), ("lambdas", [], ("inflate",)),
         ("lambdas", [0.0], ("inflate",)), ("lambdas", [-1.0], ("inflate",)),
-        ("sigma", 400, ("smoothing",))])
+        ("sigma", 400, ("smoothing",)),
+        ("kappas", [0.0], ("green", "evolve", "conserved", "smoothing"))])
     def test_bad_diagnostics_field_is_a_numerical_failure(self, key, value, failing):
         tree = copy.deepcopy(SMALL)
         tree["flow"]["snapshot_stride"] = 2
