@@ -207,6 +207,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if star not in ("nls", "mkdv"):
         raise ConfigError(f"sweep runs the nls or mkdv difference flow; "
                           f"flow.kind {cfg.flow.kind!r} is neither")
+    if not cfg.diagnostics.sweep_kappas:
+        raise ConfigError("sweep needs at least one kappa in diagnostics.sweep_kappas")
     steps = flows.FlowSpec(star, cfg.flow.dt, cfg.flow.t_final).steps
     if steps < 1:
         raise ConfigError(f"sweep needs at least one step, but flow.t_final and dt "

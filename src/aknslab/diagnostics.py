@@ -115,10 +115,17 @@ class ResidualReport:
         return max(row[4] for row in self.integrated)
 
 
-def _triples_along(grid: Grid, fields: list[Field], param: float,
-                   fp_tol: float) -> list[GreensTriple]:
-    chain = FixedPointChain(grid, param, fp_tol)
-    return [chain.solve(f.values, f.r) for f in fields]
+def _triples_along(grid: Grid, fields: list[Field], params: tuple,
+                   fp_tol: float) -> list[list[GreensTriple]]:
+    """Per field, its triples at each of ``params``: one batched chain, each
+    row warm-started from its own triple at the previous field."""
+    chain = FixedPointChain(grid, params, fp_tol)
+    out = []
+    for f in fields:
+        t = chain.solve(f.values, f.r)
+        out.append([GreensTriple(p, t.g12[i], t.g21[i], t.gamma[i], t.method, t.meta)
+                    for i, p in enumerate(params)])
+    return out
 
 
 def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
@@ -149,15 +156,16 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
         raise DiagnosticsError("snapshots must be uniformly spaced in time")
     grid = traj.grid
     fields = [traj.field(i) for i in range(len(traj))]
-    vk_triples = _triples_along(grid, fields, varkappa, fp_tol)
     kap = traj.spec.kappa
     # the kappa-flows' currents also take the triples at kappa (and -kappa)
-    extras: list[tuple[GreensTriple, ...]] = [()] * len(traj)
+    params = (varkappa,)
     if flavor == "a_flow":
-        extras = [(t,) for t in _triples_along(grid, fields, kap, fp_tol)]
+        params += (kap,)
     elif flavor in ("nls_diff", "mkdv_diff"):
-        extras = list(zip(_triples_along(grid, fields, kap, fp_tol),
-                          _triples_along(grid, fields, -kap, fp_tol)))
+        params += (kap, -kap)
+    solved = _triples_along(grid, fields, params, fp_tol)
+    vk_triples = [t[0] for t in solved]
+    extras = [tuple(t[1:]) for t in solved]
 
     tilde = flavor == "tilde_mkdv"
     rhos = [density(f, vk, tilde=tilde) for f, vk in zip(fields, vk_triples)]
@@ -298,10 +306,14 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
     For each kappa, evolve under the star-difference flow to ``t_final`` and
     report  max over snapshot times of
     sup_h || psi_h^12 [g12(vk; q(t)) - g12(vk; q0)] ||_{H^(s+1)}.
-    Rows come back as (kappa, defect).
+    Rows come back as (kappa, defect).  The kappas are one family, stepped
+    in lockstep, and their snapshots are solved at vk as one batch; each row
+    is bitwise that of its own flow and chain.
     """
     if star not in ("nls", "mkdv"):
         raise DiagnosticsError(f"star must be nls or mkdv, got {star!r}")
+    if not kappas:
+        raise DiagnosticsError("the sweep needs at least one kappa")
     if varkappa < 4.0:
         raise DiagnosticsError(f"varkappa must be >= 4, got {varkappa}")
     for kap in kappas:
@@ -311,24 +323,22 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
             )
     grid = q0.grid
     g12_ref = greens_fixed_point(q0, varkappa, tol=fp_tol).g12
-    rows = []
-    for kap in kappas:
-        spec = FlowSpec(f"{star}_diff", dt, t_final, kappa=kap,
-                        snapshot_stride=snapshot_stride, fp_tol=fp_tol)
-        traj = evolve(q0, spec)
-        # built after the flow's step gate, which rejects the tiny boxes whose
-        # frequencies would overflow the weight
-        psis = np.array([bump(grid.x - h) ** 12 for h in h_lattice(grid, h_count)])
-        weight = sobolev_weight(grid, s + 1.0)
-        # snapshot 0 is q0 itself; the chain starts cold at snapshot 1
-        fields = [traj.field(i) for i in range(1, len(traj))]
-        defect = 0.0
-        for triple in _triples_along(grid, fields, varkappa, fp_tol):
-            coeffs = np.fft.fft(psis * (triple.g12 - g12_ref))
-            norms_sq = weighted_norm_sq(coeffs, grid, weight)
-            defect = max(defect, math.sqrt(float(np.max(norms_sq))))
-        rows.append((float(kap), defect))
-    return rows
+    spec = FlowSpec(f"{star}_diff", dt, t_final, kappa=tuple(float(k) for k in kappas),
+                    snapshot_stride=snapshot_stride, fp_tol=fp_tol)
+    traj = evolve(q0, spec)
+    # built after the flow's step gate, which rejects the tiny boxes whose
+    # frequencies would overflow the weight
+    psis = np.array([bump(grid.x - h) ** 12 for h in h_lattice(grid, h_count)])
+    weight = sobolev_weight(grid, s + 1.0)
+    # snapshot 0 is q0 itself; the chain starts cold at snapshot 1
+    chain = FixedPointChain(grid, varkappa, fp_tol)
+    defect = np.zeros(len(kappas))
+    for q in traj.states[1:]:
+        g12 = chain.solve(q, q0.sign * np.conj(q)).g12
+        coeffs = np.fft.fft(psis * (g12 - g12_ref)[:, None])
+        norms_sq = weighted_norm_sq(coeffs, grid, weight)
+        defect = np.maximum(defect, np.sqrt(np.max(norms_sq, axis=-1)))
+    return [(k, float(d)) for k, d in zip(spec.kappa, defect)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ so the step size never couples to kappa.  Every kind takes Lawson-RK4
 ``evolve(f, FlowSpec(kind, dt, dt, ...))``.  The kappa-kinds make their
 Green's solves through one ``lax.FixedPointChain`` per integrator.
 
+A kappa family is one regularized or difference flow at several kappa, from
+the same data: a ``FlowSpec`` whose kappa is a tuple.  ``evolve`` steps it
+in lockstep as one (B, N) state, row b at ``kappa[b]``; the integrator holds
+kappa as a (B, 1) column, so the linear symbols, the step exponentials and
+the leading Green's terms are per row, and each stage makes one batched
+solve for the whole family.  Every row is bitwise the flow at its own kappa.
+
 A flow's state is the raw ``np.fft`` coefficients q_hat: ``evolve``
 transforms the initial state once and inverse-transforms each recorded
 snapshot, and is a flow's only boundary with grid values.
@@ -24,7 +31,8 @@ of their own.  The regularized fields transform q_hat back once per stage
 for the Green's solve, which works on grid values.  A difference flow's
 field is the full nls or mkdv field minus the kappa-flow's field beyond its
 leading Green's term; the linear symbols stay in closed form, since full
-minus regularized would cancel at low modes.
+minus regularized would cancel at low modes.  Every stage acts on the last
+axis, so a kappa family's rows go through each transform call together.
 
 The generating flow evolves q and its partner r as independent unknowns (its
 Hamiltonian is complex, so it does not preserve r = sign * conj(q)); the
@@ -45,8 +53,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lax import FixedPointChain, LaxError
-from .spectral import (Field, Grid, apply_multiplier, dealiased_mul, inverse_shift_symbol,
-                       pad, pad_partner, truncate)
+from .spectral import (Field, Grid, apply_multiplier, dealiased_mul, inverse_shift_rows,
+                       inverse_shift_symbol, pad, pad_partner, truncate)
 
 _REGULARIZED_KINDS = ("nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
 _KAPPA_KINDS = ("a_flow",) + _REGULARIZED_KINDS
@@ -98,7 +106,7 @@ class FlowSpec:
     t_final: float
     scheme: str = ""
     snapshot_stride: int = 1
-    kappa: float | None = None
+    kappa: float | tuple | None = None  # a tuple steps a kappa family
     fp_tol: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -117,7 +125,12 @@ class FlowSpec:
         if self.snapshot_stride < 1:
             raise SpecError("snapshot stride must be >= 1")
         if self.kind in _KAPPA_KINDS:
-            if self.kappa is None or not math.isfinite(self.kappa) or self.kappa < 1.0:
+            family = isinstance(self.kappa, tuple)
+            if family and self.kind not in _REGULARIZED_KINDS:
+                raise SpecError(f"flow kind {self.kind!r} takes one kappa, not a family")
+            kappas = self.kappa if family else (self.kappa,)
+            if not kappas or any(k is None or not math.isfinite(k) or k < 1.0
+                                 for k in kappas):
                 raise SpecError(f"flow kind {self.kind!r} requires finite kappa >= 1")
         elif self.kappa is not None:
             raise SpecError(f"flow kind {self.kind!r} takes no kappa")
@@ -140,13 +153,15 @@ class FlowSpec:
 @dataclass
 class Trajectory:
     """Snapshots of one flow: row i of ``states`` (and of ``r_states``, for the
-    generating flow) is the state at ``times[i]``; a list of rows is stacked."""
+    generating flow) is the state at ``times[i]``; a list of rows is stacked.
+    For a kappa family ``states`` is (snapshots, B, N), row b at
+    ``spec.kappa[b]``."""
 
     spec: FlowSpec
     grid: Grid
     sign: int
     times: list
-    states: np.ndarray               # (snapshots, N)
+    states: np.ndarray               # (snapshots, N), or (snapshots, B, N)
     r_states: np.ndarray | None = None
     stats: dict = dc_field(default_factory=dict)
 
@@ -194,6 +209,9 @@ class Integrator:
                 f"dt * max|xi|^{order} = {gate:.1f} exceeds the "
                 f"{spec.scheme} bound {STABILITY_BOUND:.0f}"
             )
+        family = isinstance(spec.kappa, tuple)
+        # one row per member of a kappa family
+        self.kappa = np.reshape(spec.kappa, (-1, 1)) if family else spec.kappa
         mu = self._linear_symbol(xi)
         h = spec.dt
         if spec.scheme == "splitting4":
@@ -204,16 +222,18 @@ class Integrator:
             self._eh, self._e2 = np.exp(mu * h), np.exp(mu * (0.5 * h))
         if spec.kind in _REGULARIZED_KINDS:
             # (2 kappa - d)^{-1} and (2 kappa + d)^{-1}, the leading Green's terms
-            self._inv_m = inverse_shift_symbol(grid, 2.0 * spec.kappa, -1)
-            self._inv_p = inverse_shift_symbol(grid, 2.0 * spec.kappa, +1)
-        # every solve is at spec.kappa; the full equations make none
+            self._inv_m, self._inv_p = (
+                inverse_shift_rows(grid, tuple(2.0 * k for k in spec.kappa), sgn) if family
+                else inverse_shift_symbol(grid, 2.0 * spec.kappa, sgn) for sgn in (-1, +1))
+        # every solve is at spec.kappa, one row per member of a family; the
+        # full equations make none
         self.chain = FixedPointChain(grid, spec.kappa, spec.fp_tol)
 
     # -- linearization ------------------------------------------------------
 
     def _linear_symbol(self, xi: np.ndarray) -> np.ndarray:
         kind = self.spec.kind
-        kap = self.spec.kappa
+        kap = self.kappa
         if kind == "nls":
             return -1j * xi**2
         if kind == "mkdv":
@@ -260,7 +280,7 @@ class Integrator:
     def _full(self, star: str, q_hat: np.ndarray) -> np.ndarray:
         """The nls or mkdv field beyond its dispersive term: one cubic
         Galerkin product, padded to 2N points and truncated once."""
-        n = q_hat.shape[0]
+        n = q_hat.shape[-1]
         q_fine = pad(q_hat, 2 * n)
         r_fine = pad_partner(q_fine, q_hat, self.sign)
         if star == "nls":
@@ -270,7 +290,7 @@ class Integrator:
 
     def _regularized(self, star: str, q_hat: np.ndarray) -> np.ndarray:
         """The kappa-flow field beyond its leading Green's term."""
-        kap = self.spec.kappa
+        kap = self.kappa
         inv_m, inv_p = self._inv_m, self._inv_p
         gp, gm = self._g12_pm(np.fft.ifft(q_hat))
         if star == "nls":
@@ -321,7 +341,10 @@ def evolve(f: Field, spec: FlowSpec) -> Trajectory:
             f"t_final {spec.t_final} is not an integer number of steps of {spec.dt}"
         )
     pair = spec.kind == "a_flow"
+    family = isinstance(spec.kappa, tuple)
     values = np.stack((f.values, f.r)) if pair else f.values
+    if family:
+        values = np.broadcast_to(values, (len(spec.kappa),) + values.shape)
     snapshots = spec.snapshots
     try:
         states = np.empty((snapshots,) + values.shape, dtype=np.complex128)
@@ -344,8 +367,12 @@ def evolve(f: Field, spec: FlowSpec) -> Trajectory:
                     (n - 1) * spec.dt,
                 ) from exc
             if not np.all(np.isfinite(state)):
+                where = ""
+                if family:
+                    row = int(np.argmin(np.isfinite(state).all(axis=-1)))
+                    where = f" at kappa={spec.kappa[row]}"
                 raise NumericalBlowup(
-                    f"non-finite state at t = {n * spec.dt:.6g}; "
+                    f"non-finite state{where} at t = {n * spec.dt:.6g}; "
                     f"last valid time {(n - 1) * spec.dt:.6g}",
                     (n - 1) * spec.dt,
                 )

@@ -16,11 +16,13 @@ spectral parameter kappa, |kappa| >= 1:
                             gamma = 2 g12 g21 - gamma^2/2.
 
 Its kernel ``fixed_point_raw`` works on raw ``np.fft`` coefficients and
-checks the H^{-1/4} smallness gate ``DELTA_GATE`` on every solve.  Callers
-outside this module solve through ``greens_fixed_point``, or through
-``FixedPointChain`` for a sequence of solves at one kappa (flow stages,
-trajectory snapshots); its ``solve`` is the one grid boundary, and its
-``solve_raw`` serves callers that hold coefficients already.
+checks the H^{-1/4} smallness gate ``DELTA_GATE`` on every solve; it also
+takes a batch of independent solves stacked along axis 0, one kappa per
+row.  Callers outside this module solve through ``greens_fixed_point``, or
+through ``FixedPointChain`` for a sequence of solves at one kappa or one
+batch of kappas (flow stages, trajectory snapshots); its ``solve`` is the
+one grid boundary, and its ``solve_raw`` serves callers that hold
+coefficients already.
 
 The determinant A(kappa) comes either from the trace series over the
 Hilbert-Schmidt pair (Lambda, Gamma), summed by one LU as
@@ -46,6 +48,7 @@ from .spectral import (
     apply_multiplier,
     dealiased_mul,
     fractional_symbol,
+    inverse_shift_rows,
     inverse_shift_symbol,
     pad,
     sobolev_weight,
@@ -92,7 +95,8 @@ def _check_kappa(kappa: float) -> None:
 
 @dataclass
 class GreensTriple:
-    """Diagonal Green's data at one spectral parameter."""
+    """Diagonal Green's data at one spectral parameter; from a batched chain,
+    (B, N) rows at the chain's kappa."""
 
     kappa: float
     g12: np.ndarray
@@ -112,7 +116,7 @@ class GreensTriple:
 # Fixed point
 
 
-def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa: float,
+def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa,
                     tol: float = 1e-12, max_iter: int = 200,
                     gamma0: np.ndarray | None = None,
                     delta: float = DELTA_GATE):
@@ -124,6 +128,15 @@ def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa: flo
     ``NonContraction``: inside the gate the iteration contracts, so a growth
     means the data are too large for this route.
 
+    A batch of B independent solves is stacked along axis 0: q_hat, r_hat
+    and gamma0 of shape (B, N), or (N,) shared by every row, and kappa of
+    shape (B,), or a scalar shared by every row.  Each row has its own gate,
+    residual and ``NonContraction``, naming its kappa, and leaves the batch
+    once it converges, so its triple is bitwise that of its one-row solve.
+    A batch returns (B, N) rows, the number of iterations the batch ran (the
+    largest over its rows) and the largest final residual; both stay Python
+    numbers, as for one row.
+
     Every solve first checks the contraction gate: ``DataTooLarge`` unless
     both |q| and |conj r| in H^{-1/4} are at most ``delta`` (so non-finite
     data, whose norms are nan, never pass).  The two norms are
@@ -131,61 +144,92 @@ def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa: flo
     transform; the H^{-1/4} weight is even on the lattice, so it also weighs
     r's coefficients for |conj r|.
 
-    q and r are padded to 3N/2 points once per solve.  Each iteration pads
-    gamma, forms gamma q and gamma r there and truncates them, applies
-    (2 kappa -/+ d)^{-1} as a coefficient multiply, pads g12 and g21, and
-    truncates 2 g12 g21 - gamma^2/2 once: six transforms of size 3N/2.
+    q and r are padded to 3N/2 points together, once per solve.  Each
+    iteration pads gamma, forms gamma q and gamma r there and truncates them
+    together, applies (2 kappa -/+ d)^{-1} as a coefficient multiply, pads
+    g12 and g21 together, and truncates 2 g12 g21 - gamma^2/2: four
+    transform calls of size 3N/2, each over every row still iterating.
     Every product is quadratic, so ``pad`` and ``truncate`` at 3N/2 give the
     Galerkin products ``dealiased_mul`` forms for two factors, and the
     residual is the L2 norm of the update by Parseval.
 
-    A solve of k iterations makes 6k + 5 transforms, all of size 3N/2: two
-    pads of q and r, and three to rebuild g12 and g21 from the final gamma.
-    The symbols need no finiteness check: ``_check_kappa`` gives
-    |2 kappa -/+ i xi| >= 2.
+    A call of k iterations makes 4k + 3 transform calls, all of size 3N/2:
+    one pad of q and r, and two to rebuild g12 and g21 of every row from its
+    final gamma.  The symbols need no finiteness check: ``_check_kappa``
+    gives |2 kappa -/+ i xi| >= 2.
     """
-    _check_kappa(kappa)
-    inv_m = inverse_shift_symbol(grid, 2.0 * kappa, -1)
-    inv_p = inverse_shift_symbol(grid, 2.0 * kappa, +1)
+    kappa = np.asarray(kappa, dtype=np.float64)
+    for k in kappa.flat:
+        _check_kappa(k)
     n = grid.points
-    parseval = grid.dx / n
+    rows = np.broadcast_shapes(kappa.shape, q_hat.shape[:-1], r_hat.shape[:-1],
+                               () if gamma0 is None else gamma0.shape[:-1])
+    if len(rows) > 1:
+        raise LaxError(f"a batch of solves stacks rows along axis 0, got shape {rows + (n,)}")
+    b = rows[0] if rows else 1
+    if b == 0:
+        raise LaxError("a batch of solves needs at least one row")
+    kappas = np.broadcast_to(kappa, (b,))
+    qr = np.stack((np.broadcast_to(q_hat, (b, n)), np.broadcast_to(r_hat, (b, n))))
     weight = sobolev_weight(grid, -0.25)
     # huge data overflow the squares to size inf, and non-finite data give a
     # nan size; the gate rejects both
     with np.errstate(over="ignore", invalid="ignore"):
-        sizes = [math.sqrt(weighted_norm_sq(h, grid, weight)) for h in (q_hat, r_hat)]
-    if not (sizes[0] <= delta and sizes[1] <= delta):
-        detail = ("the data is not finite" if math.isnan(sum(sizes))
-                  else f"|q| in H^(-1/4) is {max(sizes):.3g} > {delta}")
-        raise DataTooLarge(f"{detail}; outside the contraction gate")
+        sizes = np.sqrt(weighted_norm_sq(qr, grid, weight))
+    inside = (sizes <= delta).all(axis=0)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        detail = ("the data is not finite" if math.isnan(sizes[0, i] + sizes[1, i])
+                  else f"|q| in H^(-1/4) is {max(sizes[:, i]):.3g} > {delta}")
+        raise DataTooLarge(f"{detail} at kappa={kappas[i]}; outside the contraction gate")
+    twice = tuple(2.0 * k for k in kappas.tolist())
+    inv_m, inv_p = (inverse_shift_rows(grid, twice, sgn) for sgn in (-1, +1))
+    parseval = grid.dx / n
     m = 3 * n // 2  # every product below is quadratic
-    q_fine = pad(q_hat, m)
-    r_fine = pad(r_hat, m)
-    gamma_hat = np.zeros(n, dtype=np.complex128) if gamma0 is None else gamma0
-    prev_res = np.inf
+    qr_fine = pad(qr, m)
+    gamma_hat = (np.zeros((b, n), dtype=np.complex128) if gamma0 is None
+                 else np.array(np.broadcast_to(gamma0, (b, n))))
+    worst = 0.0
+    # the rows still iterating, and their slices of every per-row array
+    live = np.arange(b)
+    (q, r), gamma, q_fine, mi, pi = qr, gamma_hat, qr_fine, inv_m, inv_p
+    prev_res = np.full(b, np.inf)
     for it in range(1, max_iter + 1):
-        gamma_fine = pad(gamma_hat, m)
-        g12_fine = pad(-inv_m * (q_hat + truncate(gamma_fine * q_fine, n)), m)
-        g21_fine = pad(inv_p * (r_hat + truncate(gamma_fine * r_fine, n)), m)
-        update = truncate(2.0 * g12_fine * g21_fine - 0.5 * gamma_fine * gamma_fine, n)
-        diff = update - gamma_hat
-        res = math.sqrt(parseval * float(np.sum(np.abs(diff) ** 2)))
-        gamma_hat = gamma_hat + diff
-        if res < tol:
-            gamma_fine = pad(gamma_hat, m)
-            return (-inv_m * (q_hat + truncate(gamma_fine * q_fine, n)),
-                    inv_p * (r_hat + truncate(gamma_fine * r_fine, n)),
-                    gamma_hat, it, res)
-        if res >= prev_res:
+        gamma_fine = pad(gamma, m)
+        prods = truncate(gamma_fine * q_fine, n)
+        g_fine = pad(np.stack((-mi * (q + prods[0]), pi * (r + prods[1]))), m)
+        update = truncate(2.0 * g_fine[0] * g_fine[1] - 0.5 * gamma_fine * gamma_fine, n)
+        diff = update - gamma
+        res = np.sqrt(parseval * np.sum(np.abs(diff) ** 2, axis=-1))
+        gamma = gamma + diff
+        done = res < tol
+        grew = ~done & (res >= prev_res)
+        if grew.any():
+            i = int(np.argmax(grew))
             raise NonContraction(
-                f"fixed point diverging at kappa={kappa}: residual {res:.3e} "
-                f"grew from {prev_res:.3e}; reduce the data or use the dense oracle"
+                f"fixed point diverging at kappa={kappas[live[i]]}: residual "
+                f"{res[i]:.3e} grew from {prev_res[i]:.3e}; reduce the data or use "
+                "the dense oracle"
             )
+        if done.any():
+            gamma_hat[live[done]] = gamma[done]
+            worst = max(worst, float(np.max(res[done])))
+            if done.all():
+                break
+            keep = ~done
+            live, gamma, res = live[keep], gamma[keep], res[keep]
+            (q, r), q_fine, mi, pi = qr[:, live], qr_fine[:, live], inv_m[live], inv_p[live]
         prev_res = res
-    raise NonContraction(
-        f"fixed point did not reach tol={tol:.1e} in {max_iter} iterations "
-        f"(last residual {prev_res:.3e})"
-    )
+    else:
+        raise NonContraction(
+            f"fixed point did not reach tol={tol:.1e} in {max_iter} iterations at "
+            f"kappa={kappas[live[0]]} (last residual {prev_res[0]:.3e})"
+        )
+    prods = truncate(pad(gamma_hat, m) * qr_fine, n)
+    g12_hat, g21_hat = -inv_m * (qr[0] + prods[0]), inv_p * (qr[1] + prods[1])
+    if not rows:
+        return g12_hat[0], g21_hat[0], gamma_hat[0], it, worst
+    return g12_hat, g21_hat, gamma_hat, it, worst
 
 
 def greens_fixed_point(f: Field, kappa: float, tol: float = 1e-12) -> GreensTriple:
@@ -199,9 +243,13 @@ class FixedPointChain:
     the gamma of the previous one (the first is cold), with their work
     counted.  ``solve_raw`` takes and returns raw ``np.fft`` coefficients and
     keeps gamma's as the next warm start; ``solve`` wraps it for grid values,
-    transforming q and r and inverse-transforming the three rows at once."""
+    transforming q and r and inverse-transforming the three rows at once.
 
-    def __init__(self, grid: Grid, kappa: float, tol: float = 1e-12):
+    A chain of batched solves takes kappa as an array of shape (B,), or
+    solves (B, N) data at one kappa; each row warm-starts from its own
+    previous gamma, and the counts are the batch's (``fixed_point_raw``)."""
+
+    def __init__(self, grid: Grid, kappa, tol: float = 1e-12):
         self.grid = grid
         self.kappa = kappa
         self.tol = tol
@@ -226,6 +274,8 @@ class FixedPointChain:
         return out
 
     def solve(self, q: np.ndarray, r: np.ndarray) -> GreensTriple:
+        """The triple at the chain's kappa; for a batch, its rows are the
+        rows of q and r (or of kappa)."""
         # huge data overflow the transform; the kernel's gate rejects them
         with np.errstate(over="ignore", invalid="ignore"):
             q_hat, r_hat = np.fft.fft(q), np.fft.fft(r)

@@ -5,7 +5,8 @@ The periodic box of length L stands in for the whole line.  There is one
 Fourier representation, the raw ``np.fft`` coefficients
 X_k = sum_j q(x_j) exp(-2 pi i j k / N), listed on the frequency lattice
 ``Grid.xi`` in wrap-around order, and one form of a Fourier symbol, its
-array of values on that lattice.  ``inverse_shift_symbol``,
+array of values on that lattice.  ``inverse_shift_symbol`` (and its
+stacked rows for a batch of solves, ``inverse_shift_rows``),
 ``fractional_symbol`` and the Sobolev weight ``sobolev_weight`` are cached
 per grid and read-only, so every solve shares them.
 
@@ -166,16 +167,17 @@ class Field:
 
 
 def apply_multiplier(values: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.ndarray:
-    """Apply a Fourier multiplier to grid values: the inverse transform of
-    symbol * fft(values), for the symbol's array of values on the lattice.
-    Singular/non-finite symbol values raise, naming the offending frequency.
+    """Apply a Fourier multiplier to grid values along the last axis: the
+    inverse transform of symbol * fft(values), for the symbol's values on
+    the lattice (one row, or one row per row of a batch).  Singular or
+    non-finite symbol values raise, naming the offending frequency.
     """
     m = np.asarray(symbol, dtype=np.complex128)
-    if m.shape != grid.xi.shape:
+    if m.shape[-1:] != grid.xi.shape:
         raise SpectralError(f"symbol shape {m.shape} does not match lattice {grid.xi.shape}")
     bad = ~np.isfinite(m)
     if np.any(bad):
-        k = int(np.argmax(bad))
+        k = int(np.argmax(bad)) % grid.points
         raise SingularSymbolError(
             f"multiplier symbol singular on the lattice at xi = {grid.xi[k]:.6g}"
         )
@@ -189,6 +191,13 @@ def inverse_shift_symbol(grid: Grid, c: float, deriv_sign: int) -> np.ndarray:
     if c == 0:
         raise SingularSymbolError("(c +/- d/dx)^(-1) needs c != 0")
     return _frozen(1.0 / (c + deriv_sign * 1j * grid.xi))
+
+
+@lru_cache(maxsize=64)
+def inverse_shift_rows(grid: Grid, cs: tuple, deriv_sign: int) -> np.ndarray:
+    """``inverse_shift_symbol`` at each c of ``cs``, one row each, stacked
+    into a (B, N) batch of symbols and cached read-only."""
+    return _frozen(np.stack([inverse_shift_symbol(grid, c, deriv_sign) for c in cs]))
 
 
 @lru_cache(maxsize=64)
@@ -215,31 +224,36 @@ def diff(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Dealiased products (zero padding: a product of d band-limited factors is
-# alias-free on (d+1)N/2 points, so each product is padded and truncated once)
+# alias-free on (d+1)N/2 points, so each product is padded and truncated once).
+# Each function acts on the last axis, so a stack of rows goes through one
+# transform call.
 
 
 def pad(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Values on m >= N points of the band-limited function whose N raw
     ``np.fft`` coefficients are ``coeffs`` (modes -N/2 .. N/2-1)."""
-    n = coeffs.shape[0]
+    n = coeffs.shape[-1]
     h = n // 2
-    out = np.zeros(m, dtype=np.complex128)
-    out[:h] = coeffs[:h]
-    out[m - h:] = coeffs[n - h:]
-    return np.fft.ifft(out) * (m / n)
+    out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
+    out[..., :h] = coeffs[..., :h]
+    out[..., m - h:] = coeffs[..., n - h:]
+    np.fft.ifft(out, out=out)
+    out *= m / n
+    return out
 
 
 def truncate(values: np.ndarray, n: int) -> np.ndarray:
     """The N raw ``np.fft`` coefficients (modes -N/2 .. N/2-1) of values on
     a padded grid.  Applied to a product of ``pad`` factors it gives the
     Galerkin product; it is linear, so a sum of products truncates once."""
-    m = values.shape[0]
+    m = values.shape[-1]
     h = n // 2
     full = np.fft.fft(values)
-    out = np.empty(n, dtype=np.complex128)
-    out[:h] = full[:h]
-    out[n - h:] = full[m - h:]
-    return out * (n / m)
+    out = np.empty(values.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = full[..., :h]
+    out[..., n - h:] = full[..., m - h:]
+    out *= n / m
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -258,16 +272,16 @@ def pad_partner(padded_q: np.ndarray, q_hat: np.ndarray, sign: int) -> np.ndarra
     partner except at the unpaired Nyquist mode: it carries conj(q_hat[N/2])
     at +N/2, where the partner keeps it at -N/2.  One cached wave moves it.
     """
-    n = q_hat.shape[0]
+    n = q_hat.shape[-1]
     h = n // 2
-    wave = _nyquist_wave(padded_q.shape[0], h)
-    return sign * (np.conj(padded_q) + (np.conj(q_hat[h]) / n) * wave)
+    wave = _nyquist_wave(padded_q.shape[-1], h)
+    return sign * (np.conj(padded_q) + (np.conj(q_hat[..., h:h + 1]) / n) * wave)
 
 
 def dealiased_mul(*factors: np.ndarray) -> np.ndarray:
     """Galerkin product of d grid functions: each factor is transformed and
     padded once to (d+1)N/2 points, multiplied there and truncated once."""
-    n = factors[0].shape[0]
+    n = factors[0].shape[-1]
     m = (len(factors) + 1) * n // 2
     prod = pad(np.fft.fft(factors[0]), m)
     for f in factors[1:]:

@@ -273,6 +273,10 @@ class TestKappaConvergence:
         with pytest.raises(DiagnosticsError):
             kappa_convergence_study(small_gaussian, "nls", 4.0, (6.0,), 0.02)
 
+    def test_empty_kappa_list_rejected(self, small_gaussian):
+        with pytest.raises(DiagnosticsError, match="at least one kappa"):
+            kappa_convergence_study(small_gaussian, "nls", 4.0, (), 0.02)
+
     def test_every_kappa_checked_before_any_flow(self, monkeypatch, small_gaussian):
         calls = []
         monkeypatch.setattr("aknslab.diagnostics.evolve",

@@ -366,6 +366,70 @@ class TestDifferenceFlows:
         assert moves[0] > moves[1] > moves[2]
 
 
+class TestKappaFamily:
+    """A FlowSpec whose kappa is a tuple steps the family in lockstep."""
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("kind", ["nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff"])
+    def test_rows_equal_the_one_kappa_runs(self, grid, kind, sign):
+        f = random_schwartz(grid, np.random.default_rng(2), norm=0.1, sign=sign)
+        kappas = (8.0, 16.0, 32.0)
+        family = evolve(f, FlowSpec(kind, 2e-3, 0.02, kappa=kappas, snapshot_stride=4))
+        assert family.states.shape == (4, 3, grid.points)
+        for b, kappa in enumerate(kappas):
+            one = evolve(f, FlowSpec(kind, 2e-3, 0.02, kappa=kappa, snapshot_stride=4))
+            assert family.times == one.times
+            assert np.array_equal(family.states[:, b], one.states)
+
+    def test_family_spec_validation(self):
+        with pytest.raises(SpecError):
+            FlowSpec("nls_diff", 1e-3, 1.0, kappa=())
+        with pytest.raises(SpecError):
+            FlowSpec("nls_diff", 1e-3, 1.0, kappa=(8.0, 0.5))
+        with pytest.raises(SpecError):
+            FlowSpec("a_flow", 1e-3, 1.0, kappa=(2.0, 4.0))
+
+    def test_failed_solve_in_one_row_names_its_kappa(self, monkeypatch, grid):
+        from aknslab.flows import NumericalBlowup
+        from aknslab.lax import DataTooLarge
+
+        # from the 9th solve (step 3's first stage) the kappa = 16 row is
+        # pushed past the gate; the other rows are untouched
+        calls = []
+
+        def kernel(grid, q_hat, r_hat, kappa, **kwargs):
+            calls.append(1)
+            if len(calls) >= 9:
+                q_hat, r_hat = q_hat.copy(), r_hat.copy()
+                q_hat[1] *= 1e3
+                r_hat[1] *= 1e3
+            return fixed_point_raw(grid, q_hat, r_hat, kappa, **kwargs)
+
+        monkeypatch.setattr("aknslab.lax.fixed_point_raw", kernel)
+        with pytest.raises(NumericalBlowup, match=r"kappa=16\.0") as info:
+            evolve(gaussian(grid, 0.1), FlowSpec("nls_diff", 1e-3, 0.01, kappa=(8.0, 16.0, 32.0)))
+        assert info.value.last_valid_time == pytest.approx(2e-3)
+        assert isinstance(info.value.__cause__, DataTooLarge)
+
+    def test_non_finite_row_names_its_kappa(self, monkeypatch, grid):
+        from aknslab.flows import NumericalBlowup
+
+        nonlinear = Integrator.nonlinear
+        calls = []
+
+        def poisoned(self, state):
+            out = nonlinear(self, state)
+            calls.append(1)
+            if len(calls) >= 5:  # from step 2 on, the kappa = 32 row
+                out[2, 7] = np.nan
+            return out
+
+        monkeypatch.setattr(Integrator, "nonlinear", poisoned)
+        with pytest.raises(NumericalBlowup, match=r"kappa=32\.0") as info:
+            evolve(gaussian(grid, 0.1), FlowSpec("mkdv_diff", 1e-3, 0.01, kappa=(8.0, 16.0, 32.0)))
+        assert info.value.last_valid_time == pytest.approx(1e-3)
+
+
 class TwoSolveIntegrator(Integrator):
     """Reference: g12 at -kappa from its own warm-started fixed point, as the
     integrator computed it before deriving it from the +kappa solve."""

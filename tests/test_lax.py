@@ -352,6 +352,88 @@ class TestFixedPointKernel:
             fixed_point_raw(grid, np.fft.fft(q), np.fft.fft(np.conj(q)), 1.0, delta=99.0)
 
 
+class TestBatchedKernel:
+    """fixed_point_raw on a (B, N) batch along axis 0, one kappa per row,
+    against its one-row solves."""
+
+    @staticmethod
+    def rows(grid):
+        # different data, kappas of both signs, and cold and warm starts, so
+        # the rows converge at different iterations
+        rng = np.random.default_rng(11)
+        fields = [random_schwartz(grid, rng, norm=0.1, sign=s) for s in (1, -1, 1)]
+        kappas = np.array([4.0, -8.0, 16.0])
+        q = np.fft.fft([f.values for f in fields])
+        r = np.fft.fft([f.r for f in fields])
+        warm = fixed_point_raw(grid, q[2], r[2], 16.0)[2]
+        gamma0 = np.stack([np.zeros(grid.points), np.zeros(grid.points), warm])
+        return q, r, kappas, gamma0
+
+    def test_each_row_is_its_one_row_solve(self, grid):
+        q, r, kappas, gamma0 = self.rows(grid)
+        got = fixed_point_raw(grid, q, r, kappas, gamma0=gamma0)
+        ones = [fixed_point_raw(grid, q[i], r[i], k, gamma0=gamma0[i])
+                for i, k in enumerate(kappas)]
+        for i, one in enumerate(ones):
+            for k in range(3):
+                assert np.array_equal(got[k][i], one[k]), (i, k)
+        iters = [one[3] for one in ones]
+        assert len(set(iters)) > 1  # a converged row left the batch early
+        assert type(got[3]) is int and got[3] == max(iters)
+        assert type(got[4]) is float and got[4] == max(one[4] for one in ones)
+
+    def test_shared_data_broadcasts_over_kappas(self, grid):
+        q, r, kappas, _ = self.rows(grid)
+        got = fixed_point_raw(grid, q[0], r[0], kappas)
+        for i, k in enumerate(kappas):
+            one = fixed_point_raw(grid, q[0], r[0], k)
+            assert all(np.array_equal(got[j][i], one[j]) for j in range(3))
+
+    def test_one_row_batch_is_the_one_row_solve(self, grid):
+        q, r, _, _ = self.rows(grid)
+        batch = fixed_point_raw(grid, q[:1], r[:1], np.array([4.0]))
+        one = fixed_point_raw(grid, q[0], r[0], 4.0)
+        for k in range(3):
+            assert batch[k].shape == (1, grid.points) and one[k].shape == (grid.points,)
+            assert np.array_equal(batch[k][0], one[k])
+        assert batch[3:] == one[3:]
+
+    def test_row_over_the_gate_names_its_kappa(self, grid):
+        q, r, kappas, _ = self.rows(grid)
+        q[1], r[1] = 10.0 * q[1], 10.0 * r[1]
+        with pytest.raises(DataTooLarge, match=r"kappa=-8\.0"):
+            fixed_point_raw(grid, q, r, kappas)
+
+    def test_growing_row_names_its_kappa(self, grid):
+        # the data of test_first_growth_raises, whose residual grows at
+        # iteration 3 at kappa = 1, beside two rows that converge
+        q, r, _, _ = self.rows(grid)
+        big = random_schwartz(grid, np.random.default_rng(5)).values
+        big *= 3.2 / sobolev_norm(Field(grid, big), -0.25)
+        q[2], r[2] = np.fft.fft(big), np.fft.fft(np.conj(big))
+        with pytest.raises(NonContraction, match=r"kappa=1\.0: .*grew from"):
+            fixed_point_raw(grid, q, r, np.array([4.0, 8.0, 1.0]), delta=99.0)
+
+    def test_empty_batch_rejected(self, grid):
+        q, r, _, _ = self.rows(grid)
+        with pytest.raises(LaxError, match="at least one row"):
+            fixed_point_raw(grid, q[:0], r[:0], np.array([]))
+
+    def test_chain_warm_starts_each_row_from_its_own_gamma(self, grid):
+        q, r, kappas, _ = self.rows(grid)
+        chain = FixedPointChain(grid, kappas, tol=1e-13)
+        first = chain.solve_raw(q, r)
+        second = chain.solve_raw(1.01 * q, 0.99 * r)
+        for i, k in enumerate(kappas):
+            cold = fixed_point_raw(grid, q[i], r[i], k, tol=1e-13)
+            warm = fixed_point_raw(grid, 1.01 * q[i], 0.99 * r[i], k, tol=1e-13,
+                                   gamma0=cold[2])
+            assert np.array_equal(first[2][i], cold[2])
+            assert all(np.array_equal(second[j][i], warm[j]) for j in range(3))
+        assert np.array_equal(chain.gamma_hat, second[2])
+        assert chain.solves == 2 and chain.iterations == first[3] + second[3]
+
+
 class TestFixedPointChain:
     def test_warm_starts_from_the_previous_solve(self, grid):
         f = random_schwartz(grid, np.random.default_rng(3), norm=0.1)

@@ -187,6 +187,8 @@ MISPAIRED_FLAVOR = {"flow": {"kind": "nls"}, "diagnostics": {"flavor": "mkdv"}}
 SWEEP_OF_A_FLOW = {"flow": {"kind": "a_flow", "kappa": 2.0}}
 # a sweep whose flows take no step would report a defect of 0 for every kappa
 SWEEP_WITHOUT_STEPS = {"flow": {"t_final": 0.0}}
+# a sweep over no kappa would write a header-only table
+SWEEP_WITHOUT_KAPPAS = {"diagnostics": {"sweep_kappas": []}}
 
 
 class TestCli:
@@ -313,6 +315,7 @@ class TestCli:
         MISPAIRED_FLAVOR,
         SWEEP_OF_A_FLOW,
         SWEEP_WITHOUT_STEPS,
+        SWEEP_WITHOUT_KAPPAS,
         {"diagnostics": {"trace_order": 8}},
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, tree):
@@ -321,10 +324,12 @@ class TestCli:
         if any(tree is t for t in (TOO_FEW_FOR_MICRO, UNKNOWN_FLAVOR, MISPAIRED_FLAVOR)):
             command = "micro"
         else:
-            command = ("sweep" if any(tree is t for t in (SWEEP_OF_A_FLOW, SWEEP_WITHOUT_STEPS))
+            command = ("sweep" if any(tree is t for t in (SWEEP_OF_A_FLOW, SWEEP_WITHOUT_STEPS,
+                                                          SWEEP_WITHOUT_KAPPAS))
                        else "evolve")
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / command / "sweep.csv").exists()
 
     def test_numerical_error_exit_code(self, tmp_path):
         cfg = {
