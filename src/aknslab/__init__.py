@@ -9,7 +9,6 @@ on a periodic pseudo-spectral grid.
 from .spectral import Cutoff, Field, Grid, apply_multiplier, sobolev_norm
 from .lax import (
     GreensTriple,
-    OperatorPair,
     alpha,
     greens_fixed_point,
     greens_oracle,
@@ -41,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cutoff", "Field", "Grid", "apply_multiplier", "sobolev_norm",
-    "GreensTriple", "OperatorPair", "alpha", "greens_fixed_point",
+    "GreensTriple", "alpha", "greens_fixed_point",
     "greens_oracle", "greens_series", "pdet_integral", "pdet_trace",
     "HamiltonianValue", "current", "density", "expansion_error",
     "hamiltonians", "poisson_bracket",

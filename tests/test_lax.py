@@ -14,6 +14,7 @@ from aknslab.lax import (
     IllConditioned,
     LaxError,
     NonContraction,
+    _multiplier_matrix,
     _power_radius,
     alpha,
     density_raw,
@@ -53,6 +54,15 @@ def dense_multiplier_matrix(grid, symbol):
     m = np.asarray(symbol, dtype=np.complex128)
     eye = np.eye(grid.points, dtype=np.complex128)
     return np.fft.ifft(m[:, None] * np.fft.fft(eye, axis=0), axis=0)
+
+
+def dense_pair(f, kappa):
+    """The Hilbert-Schmidt pair Lambda = H- Q H+ and Gamma = H+ R H-, with
+    H-/+ = (kappa -/+ d)^{-1/2}, as dense matrices."""
+    grid = f.grid
+    half_m = dense_multiplier_matrix(grid, fractional_symbol(grid, kappa, -1, 0.5))
+    half_p = dense_multiplier_matrix(grid, fractional_symbol(grid, kappa, +1, 0.5))
+    return half_m @ (f.values[:, None] * half_p), half_p @ (f.r[:, None] * half_m)
 
 
 def dense_reference_oracle(grid, q, r, kappa):
@@ -128,6 +138,25 @@ class TestOracle:
         greens_oracle(small_gaussian, 2.0)
         assert shapes == [(grid.points, grid.points)]
 
+    def test_trace_builds_one_dense_matrix(self, monkeypatch, grid, small_gaussian):
+        # the trace determinant's one N x N array is M = R C- Q C+, from one
+        # circulant, and its one LU; the pair Lambda, Gamma is never formed
+        calls = []
+        slogdet = np.linalg.slogdet
+
+        def circulant(m):
+            calls.append("circulant")
+            return _multiplier_matrix(m)
+
+        def counted(a):
+            calls.append(a.shape)
+            return slogdet(a)
+
+        monkeypatch.setattr("aknslab.lax._multiplier_matrix", circulant)
+        monkeypatch.setattr(np.linalg, "slogdet", counted)
+        pdet_trace(small_gaussian, 2.0)
+        assert calls == ["circulant", (grid.points, grid.points)]
+
     def test_singular_inverse_raises(self, monkeypatch, small_gaussian):
         def singular(a):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -171,8 +200,12 @@ class TestOracle:
     def test_size_cap_and_domain_gate(self):
         big = Grid(64.0, 2048)
         f = gaussian(big, 0.1)
-        with pytest.raises(LaxError, match="capped"):
-            greens_oracle(f, 2.0)
+        for dense in (greens_oracle, pdet_trace):
+            with pytest.raises(LaxError, match="capped"):
+                dense(f, 2.0)
+        # the Hilbert-Schmidt norms are closed forms, with no cap
+        a, b = operator_pair(f, 2.0)
+        assert 0.0 < a and abs(a - b) <= 1e-10 * a
         small_box = Grid(16.0, 128)
         with pytest.raises(LaxError, match="periodization"):
             greens_oracle(gaussian(small_box, 0.1), 1.0)
@@ -537,8 +570,8 @@ class TestDeterminant:
 
     def test_trace_term_decay(self, grid):
         f = gaussian(grid, 0.1)
-        pair = operator_pair(f, 2.0)
-        prod = pair.lam @ pair.gam
+        lam, gam = dense_pair(f, 2.0)
+        prod = lam @ gam
         radius = pdet_trace(f, 2.0).spectral_radius
         traces = []
         power = np.eye(prod.shape[0], dtype=complex)
@@ -568,15 +601,11 @@ class TestDeterminant:
         f = random_schwartz(grid, np.random.default_rng(2), norm=0.15)
         q, r = f.values, f.r
         for kappa in (1.0, -2.0, 4.0):
-            half_m = dense_multiplier_matrix(grid, fractional_symbol(grid, kappa, -1, 0.5))
-            half_p = dense_multiplier_matrix(grid, fractional_symbol(grid, kappa, +1, 0.5))
-            lam = half_m @ (q[:, None] * half_p)
-            gam = half_p @ (r[:, None] * half_m)
-            pair = operator_pair(f, kappa)
-            assert rel_l2(grid, pair.lam, lam) <= 1e-12
-            assert rel_l2(grid, pair.gam, gam) <= 1e-12
+            lam, gam = dense_pair(f, kappa)
+            for got, want in zip(operator_pair(f, kappa), map(np.linalg.norm, (lam, gam))):
+                assert abs(got - want) <= 1e-12 * want
             prod = lam @ gam
-            radius = _power_radius(prod)
+            radius = _power_radius(lambda v: prod @ v, grid.points)
             sgn = 1.0 if kappa > 0 else -1.0
             mq = apply_multiplier(q, inverse_shift_symbol(grid, 2.0 * kappa, -1), grid)
             term = sgn * grid.integrate(r * mq)
@@ -654,8 +683,10 @@ class TestOperatorPair:
     def test_hilbert_schmidt_norms_equal(self, grid, rng):
         for sign in (+1, -1):
             f = random_schwartz(grid, rng, norm=0.15, sign=sign)
-            a, b = operator_pair(f, 2.0).hs_norms()
+            a, b = operator_pair(f, 2.0)
             assert abs(a - b) <= 1e-10 * max(a, b)
+            want = np.linalg.norm(dense_pair(f, 2.0)[0])
+            assert abs(a - want) <= 1e-12 * want
 
     def test_overflowed_norms_raise_divergent_series(self, grid, small_gaussian):
         # at 1e155 both norms overflow to inf, and inf - inf must not pass
@@ -667,8 +698,11 @@ class TestOperatorPair:
                 with pytest.raises(DivergentSeries, match="not finite"):
                     operator_pair(g, 2.0)
         q = small_gaussian.values
-        a, b = operator_pair(Field(grid, q, partner=2.0 * q), 2.0).hs_norms()
+        g = Field(grid, q, partner=2.0 * q)
+        a, b = operator_pair(g, 2.0)
         assert abs(b - 2.0 * a) <= 1e-12 * b
+        for got, want in zip((a, b), map(np.linalg.norm, dense_pair(g, 2.0))):
+            assert abs(got - want) <= 1e-12 * want
 
     def test_hs_scaling_constant_stable(self, grid):
         # ||Lambda||_HS <= C kappa^{-(s+1/2)} ||q||_{H^s_kappa}, C stable in kappa
@@ -676,7 +710,7 @@ class TestOperatorPair:
         s = -0.25
         cs = []
         for kappa in (1.0, 2.0, 4.0, 8.0, 16.0):
-            hs = operator_pair(f, kappa).hs_norms()[0]
+            hs = operator_pair(f, kappa)[0]
             cs.append(hs / (kappa ** -(s + 0.5) * sobolev_norm(f, s, kappa)))
         assert max(cs) / min(cs) < 2.0
 
