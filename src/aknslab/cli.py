@@ -142,9 +142,9 @@ def cmd_micro(cfg: ExperimentConfig) -> int:
     if flavor not in diagnostics.FLAVORS:
         raise ConfigError(f"unknown diagnostics.flavor {flavor!r}; "
                           f"choose from {', '.join(diagnostics.FLAVORS)}")
-    if diagnostics.FLAVOR_FLOW[flavor] != cfg.flow.kind:
+    if diagnostics.FLAVORS[flavor] != cfg.flow.kind:
         raise ConfigError(f"diagnostics.flavor {flavor!r} pairs with flow.kind "
-                          f"{diagnostics.FLAVOR_FLOW[flavor]!r}, got {cfg.flow.kind!r}")
+                          f"{diagnostics.FLAVORS[flavor]!r}, got {cfg.flow.kind!r}")
     out = _prepare_out(cfg, "micro")
     _, traj = _run_flow(cfg, min_snapshots=diagnostics.STENCIL_SNAPSHOTS)
     rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa, flavor,

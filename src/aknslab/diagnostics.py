@@ -31,10 +31,6 @@ from .spectral import (
     weighted_norm_sq,
 )
 
-#: Which flow kind each current flavor is conserved under.
-FLAVOR_FLOW = {"nls": "nls", "mkdv": "mkdv", "tilde_mkdv": "mkdv",
-               "a_flow": "a_flow", "nls_diff": "nls_diff", "mkdv_diff": "mkdv_diff"}
-
 DEFAULT_H_COUNT_INTEGRATED = 9
 DEFAULT_H_COUNT_SUP = 33
 
@@ -141,9 +137,9 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     """
     if flavor not in FLAVORS:
         raise DiagnosticsError(f"unknown flavor {flavor!r}")
-    if FLAVOR_FLOW[flavor] != traj.spec.kind:
+    if FLAVORS[flavor] != traj.spec.kind:
         raise DiagnosticsError(
-            f"flavor {flavor!r} pairs with the {FLAVOR_FLOW[flavor]!r} flow, "
+            f"flavor {flavor!r} pairs with the {FLAVORS[flavor]!r} flow, "
             f"but the trajectory is {traj.spec.kind!r}"
         )
     times = np.asarray(traj.times)
@@ -205,7 +201,7 @@ def residual_refinement(q0: Field, varkappa: float, flavor: str, dts: tuple,
     """Rerun the flow at several step sizes and report the residuals."""
     reports = []
     for dt in dts:
-        spec = FlowSpec(FLAVOR_FLOW[flavor], dt, window, scheme=scheme,
+        spec = FlowSpec(FLAVORS[flavor], dt, window, scheme=scheme,
                         kappa=kappa, fp_tol=fp_tol)
         traj = evolve(q0, spec)
         reports.append(micro_residual(traj, varkappa, flavor, fp_tol=fp_tol))

@@ -257,8 +257,10 @@ class Integrator:
         quadratic product and one multiplier instead of a second solve.  It
         applies the lattice symbol of (2 kappa + d)^{-1} itself, so unlike the
         conjugation image of g21(kappa) it has no error at the unpaired
-        Nyquist mode; what remains is the O(|q_hat(N/2)|) gap between
-        gamma(-kappa) and conj gamma(kappa) left by the kept -N/2 mode.
+        Nyquist mode.  What remains is the gap between gamma(-kappa) and conj
+        gamma(kappa) at gamma_hat's own Nyquist coefficient, which the products
+        fill even where q_hat(N/2) is zero (3e-8 to 1.4e-6 of |gamma_hat| on
+        ``random_schwartz`` data, norm 0.1-0.2, N = 256, kappa = 1-32).
         """
         plus = self.chain.solve(q, self.sign * np.conj(q))
         conj_gamma_q = dealiased_mul(np.conj(plus.gamma), q)

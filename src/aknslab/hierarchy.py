@@ -14,8 +14,9 @@ import numpy as np
 from .lax import GreensTriple, density_denominator, density_raw
 from .spectral import Field, Grid, dealiased_mul, diff
 
-#: Current flavors (matched to the flow kinds they are conserved under).
-FLAVORS = ("a_flow", "nls", "mkdv", "nls_diff", "mkdv_diff", "tilde_mkdv")
+#: Current flavors, each mapped to the flow kind it is conserved under.
+FLAVORS = {"a_flow": "a_flow", "nls": "nls", "mkdv": "mkdv", "nls_diff": "nls_diff",
+           "mkdv_diff": "mkdv_diff", "tilde_mkdv": "mkdv"}
 
 #: Relative proximity of the two spectral parameters at which the generating
 #: current's pole is rejected rather than regularized.

@@ -29,7 +29,8 @@ Hilbert-Schmidt pair (Lambda, Gamma), summed by Sylvester's identity as
 log det(1 + Lambda Gamma) = log det(1 + R C- Q C+), C-/+ = (kappa -/+ d)^{-1},
 one dense matrix and one LU, or from integrating the density
 (q g21 - r g12)/(2 + gamma).  The pair is never formed: its norms are
-closed forms and its spectral radius comes from matrix-free power steps.
+closed forms, and its spectral radius is ARPACK's largest |eigenvalue| of
+the same M applied matrix-free, exact to about 1e-14.
 
 Field-level entry points read the conjugate partner as ``Field.r`` (the
 generating flow's independent ``partner``, else sign * conj(q)); only the
@@ -43,13 +44,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .spectral import (
     Field,
     Grid,
     apply_multiplier,
     dealiased_mul,
-    fractional_symbol,
     inverse_shift_rows,
     inverse_shift_symbol,
     pad,
@@ -538,42 +539,31 @@ class TraceDeterminant:
     spectral_radius: float
 
 
-def _power_radius(apply, n: int) -> float:
-    """60 power steps of the map ``apply`` on C^n from a fixed seed-7 start:
-    an estimate of its spectral radius, not a bound."""
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(60):
-        w = apply(v)
-        radius = np.linalg.norm(w)
-        if radius == 0.0:
-            return 0.0
-        v = w / radius
-    return float(radius)
-
-
 def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
     """Determinant from the alternating trace series, summed as
     sgn(kappa) * log det(1 + Lambda Gamma).
 
-    The norms come first (``operator_pair``), so non-finite data raise
-    ``DivergentSeries`` before any dense work.  Then 60 power steps on
-    P = Lambda Gamma = H- Q C+ R H-, three multiplier applications each,
-    estimate its spectral radius rho to about two digits (at N = 1024, up to
-    0.9% below the largest |eigenvalue|, and 0.23% from the same steps on
-    the similar M below); a rho not below 1 (or not finite) raises.
+    As C-/+ = H-/+^2, Sylvester's identity det(1 + AB) = det(1 + BA) gives
+    Lambda Gamma the eigenvalues, the trace and det(1 + .) of the one
+    operator M = R C- Q C+, the oracle's R C- Q times C+.  Its spectral
+    radius rho is ARPACK's (``eigs``, k = 1, seed-7 start) on M applied
+    matrix-free, two multipliers a step, exact to about 1e-14.  slogdet gives
+    sum_i arg(1 + lambda_i) only mod 2 pi, and that sum is at most
+    a b / (1 - rho) for the Hilbert-Schmidt norms a, b (``operator_pair``).
+    So ``DivergentSeries`` is raised, in this order, unless a and b are
+    finite, a b < pi (keeping data too large for the branch bound away from
+    the dense work and ARPACK), rho < 1 (rho = 0 if a b = 0; an ARPACK
+    failure raises too) and a b / (1 - rho) < pi.
 
     tr(Lambda Gamma) has a slowly decaying tail in the frequency direction
     that a band-limited matrix trace truncates at first order, so the m = 1
     term uses its exact closed form sgn(kappa) * int r (2k-d)^{-1} q dx; the
-    terms m >= 2 sum to log det(1 + P) - tr P.  As C-/+ = H-/+^2,
-    Sylvester's identity det(1 + AB) = det(1 + BA) makes these det(1 + M)
-    and tr M for M = R C- Q C+, the oracle's R C- Q times C+.  M is the one
-    N x N array (so N <= ``ORACLE_MAX_POINTS``) and its LU (``slogdet``) the
-    only cubic step.  slogdet gives sum_i arg(1 + lambda_i) only mod 2 pi,
-    and |sum_i arg(1 + lambda_i)| <= |Lambda|_HS |Gamma|_HS / (1 - rho), so
-    ``DivergentSeries`` is raised unless that branch bound is below pi.
+    terms m >= 2 sum to log det(1 + M) - tr M.  M is the one N x N array
+    (so N <= ``ORACLE_MAX_POINTS``) and its LU (``slogdet``) the only cubic
+    step.  The LU runs before the eigensolver: ARPACK's BLAS is scipy's
+    OpenBLAS, a thread pool apart from numpy's, and its worker spins for
+    about 0.1 s after each call, so an LU started right after it shares the
+    cores with that spin (at N = 1024 on two cores, about 25 ms slower).
     """
     grid, q, rr = f.grid, f.values, f.r
     n = grid.points
@@ -581,22 +571,10 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
         raise LaxError(f"dense trace determinant capped at N={ORACLE_MAX_POINTS}; "
                        f"got N={n} (use the density integral)")
     a, b = operator_pair(f, kappa)
-    h_m = fractional_symbol(grid, kappa, -1, 0.5)
+    if a * b >= math.pi:
+        raise DivergentSeries(f"branch bound |Lambda|_HS |Gamma|_HS / (1 - rho) >= "
+                              f"{a * b:.3g} is not below pi at kappa={kappa}")
     inv_m, inv_p = (inverse_shift_symbol(grid, kappa, sgn) for sgn in (-1, +1))
-
-    def apply_p(v):
-        w = apply_multiplier(rr * apply_multiplier(v, h_m, grid), inv_p, grid)
-        return apply_multiplier(q * w, h_m, grid)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # huge data: rho is inf or nan
-        radius = _power_radius(apply_p, n)
-    if not radius < 1.0:
-        raise DivergentSeries(f"spectral radius of Lambda*Gamma is {radius:.3f}, "
-                              f"not below 1, at kappa={kappa}")
-    bound = a * b / (1.0 - radius)
-    if bound >= math.pi:
-        raise DivergentSeries(f"branch bound |Lambda|_HS |Gamma|_HS / (1 - rho) = "
-                              f"{bound:.3f} is not below pi at kappa={kappa}")
     mat = _multiplier_matrix(inv_m)
     mat *= q
     mat *= rr[:, None]
@@ -607,6 +585,25 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
     trace = np.trace(mat)
     mat.flat[::n + 1] += 1.0  # I + M, in place
     sign, logabs = np.linalg.slogdet(mat)
+    radius = 0.0  # a b = 0 makes M zero, on which ARPACK fails
+    if a * b > 0.0:
+        op = LinearOperator((n, n), dtype=np.complex128, matvec=lambda v: rr * apply_multiplier(
+            q * apply_multiplier(v, inv_p, grid), inv_m, grid))  # M = R C- Q C+
+        rng = np.random.default_rng(7)
+        try:
+            top = eigs(op, k=1, which="LM", v0=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                       return_eigenvectors=False)
+        except ArpackError as exc:
+            raise DivergentSeries(f"spectral radius of Lambda*Gamma not found at "
+                                  f"kappa={kappa}: {str(exc).splitlines()[0]}") from exc
+        radius = float(np.abs(top[0]))
+    if not radius < 1.0:
+        raise DivergentSeries(f"spectral radius of Lambda*Gamma is {radius:.3f}, "
+                              f"not below 1, at kappa={kappa}")
+    bound = a * b / (1.0 - radius)
+    if bound >= math.pi:
+        raise DivergentSeries(f"branch bound |Lambda|_HS |Gamma|_HS / (1 - rho) = "
+                              f"{bound:.3f} is not below pi at kappa={kappa}")
     sgn = 1.0 if kappa > 0 else -1.0
     mq = apply_multiplier(q, inverse_shift_symbol(grid, 2.0 * kappa, -1), grid)
     term = sgn * grid.integrate(rr * mq)

@@ -471,9 +471,10 @@ class TestOneSolvePerStage:
     @pytest.mark.parametrize("kind", REGULARIZED_KINDS)
     def test_minus_kappa_with_nyquist_content(self, grid, kind, sign):
         # the random profile is band-limited; add a small unpaired Nyquist mode.
-        # The kept -N/2 mode breaks gamma(-kappa) = conj gamma(kappa) by O(its
-        # size), but the derived value carries the lattice symbol, so it stays
-        # far closer to the direct solve than the pure conjugation image
+        # gamma(-kappa) and conj gamma(kappa) differ at gamma_hat's own Nyquist
+        # coefficient, which the products fill whatever q_hat(N/2) is, but the
+        # derived value carries the lattice symbol, so it stays far closer to
+        # the direct solve than the pure conjugation image
         q = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign).values
         q = q + 1e-6 * (-1.0) ** np.arange(grid.points)
         assert abs(np.fft.fft(q)[grid.points // 2]) > 1e-4

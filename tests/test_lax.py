@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from aknslab.lax import (
     DataTooLarge,
@@ -15,7 +16,6 @@ from aknslab.lax import (
     LaxError,
     NonContraction,
     _multiplier_matrix,
-    _power_radius,
     alpha,
     density_raw,
     fixed_point_raw,
@@ -605,7 +605,7 @@ class TestDeterminant:
             for got, want in zip(operator_pair(f, kappa), map(np.linalg.norm, (lam, gam))):
                 assert abs(got - want) <= 1e-12 * want
             prod = lam @ gam
-            radius = _power_radius(lambda v: prod @ v, grid.points)
+            radius = max(abs(np.linalg.eigvals(prod)))
             sgn = 1.0 if kappa > 0 else -1.0
             mq = apply_multiplier(q, inverse_shift_symbol(grid, 2.0 * kappa, -1), grid)
             term = sgn * grid.integrate(r * mq)
@@ -617,6 +617,40 @@ class TestDeterminant:
             got = pdet_trace(f, kappa)
             assert abs(got.value - total) <= 1e-12 * abs(total), kappa
             assert abs(got.spectral_radius - radius) <= 1e-13 * radius
+
+    def test_radius_is_the_largest_eigenvalue_of_m(self):
+        # the top two eigenvalues are close in modulus (|lambda_2/lambda_1| =
+        # 0.96): 60 power steps from the same start read 0.9% low here
+        grid = Grid(64.0, 1024)
+        f = random_schwartz(grid, np.random.default_rng(1), norm=0.2, sign=-1)
+        c_m, c_p = (dense_multiplier_matrix(grid, inverse_shift_symbol(grid, 1.0, sgn))
+                    for sgn in (-1, +1))
+        m = f.r[:, None] * (c_m @ (f.values[:, None] * c_p))  # R C- Q C+
+        want = max(abs(np.linalg.eigvals(m)))
+        assert abs(pdet_trace(f, 1.0).spectral_radius - want) <= 1e-12 * want
+
+    def test_zero_partner_has_zero_radius_without_arpack(self, grid, small_gaussian,
+                                                          monkeypatch):
+        def no_eigs(*args, **kwargs):
+            raise AssertionError("ARPACK called on a zero operator")
+
+        monkeypatch.setattr("aknslab.lax.eigs", no_eigs)
+        f = Field(grid, small_gaussian.values, partner=np.zeros(grid.points))
+        got = pdet_trace(f, 2.0)
+        assert got.spectral_radius == 0.0
+        assert got.value == 0.0
+
+    def test_arpack_failure_is_one_line_divergent_series(self, grid, small_gaussian,
+                                                         monkeypatch, capfd):
+        def stuck(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                      np.empty((grid.points, 0)))
+
+        monkeypatch.setattr("aknslab.lax.eigs", stuck)
+        with pytest.raises(DivergentSeries, match="kappa=2.0") as info:
+            pdet_trace(small_gaussian, 2.0)
+        assert "\n" not in str(info.value)
+        assert capfd.readouterr() == ("", "")
 
     def test_overflowing_data_raise_divergent_series(self):
         # the dense products overflow to inf and nan; a nan radius is no
