@@ -99,7 +99,6 @@ def _run_flow(cfg: ExperimentConfig, min_snapshots: int = 1):
     ``min_snapshots`` snapshots is a usage error, raised before any step."""
     f = cfg.make_field()
     spec = flows.FlowSpec(cfg.flow.kind, cfg.flow.dt, cfg.flow.t_final,
-                          scheme=cfg.flow.scheme,
                           snapshot_stride=cfg.flow.snapshot_stride,
                           kappa=cfg.flow.kappa or None,
                           fp_tol=cfg.flow.fp_tol)
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default="", help="JSON config path")
         p.add_argument("--out", default="", help="output directory")
-        p.add_argument("--seed", type=int, default=-1, help="RNG seed")
+        p.add_argument("--seed", type=int, default=None, help="RNG seed, >= 0")
     return parser
 
 
@@ -279,7 +278,9 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
         if args.out:
             cfg.out = args.out
-        if args.seed >= 0:
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg.seed = args.seed
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -53,7 +53,6 @@ class FlowConfig:
     kind: str = "nls"
     dt: float = 1e-3
     t_final: float = 1.0
-    scheme: str = ""            # empty = per-kind default
     snapshot_stride: int = 10
     kappa: float = 0.0          # generating/regularized/difference parameter
     fp_tol: float = 1e-12
@@ -111,6 +110,8 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown config field {section}.{key}")
                 setattr(current, key,
                         _checked(f"{section}.{key}", value, getattr(current, key)))
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         return cfg
 
     @classmethod

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
-from .flows import FlowSpec, Integrator, Trajectory, evolve
+from .flows import FlowSpec, Integrator, SpecError, Trajectory, evolve
 from .hierarchy import FLAVORS, current, density, hamiltonians
 from .lax import FixedPointChain, GreensTriple, alpha as alpha_of, greens_fixed_point
 from .profiles import mean_zero_even, mean_zero_odd
@@ -42,10 +42,14 @@ class DiagnosticsError(RuntimeError):
     pass
 
 
+class DiagnosticsSpecError(DiagnosticsError, SpecError):
+    """A diagnostic request that cannot be run as given (a usage error)."""
+
+
 def h_lattice(grid: Grid, count: int) -> np.ndarray:
     """Cutoff-center lattice spanning [-L/4, L/4]."""
     if count < 1:
-        raise DiagnosticsError(f"cutoff count must be >= 1, got {count}")
+        raise DiagnosticsSpecError(f"cutoff count must be >= 1, got {count}")
     return np.linspace(-grid.length / 4.0, grid.length / 4.0, count)
 
 
@@ -136,21 +140,22 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     int [rho(T) - rho(0)] phi_h dx.
     """
     if flavor not in FLAVORS:
-        raise DiagnosticsError(f"unknown flavor {flavor!r}")
+        raise DiagnosticsSpecError(f"unknown flavor {flavor!r}")
     if FLAVORS[flavor] != traj.spec.kind:
-        raise DiagnosticsError(
+        raise DiagnosticsSpecError(
             f"flavor {flavor!r} pairs with the {FLAVORS[flavor]!r} flow, "
             f"but the trajectory is {traj.spec.kind!r}"
         )
     times = np.asarray(traj.times)
     if len(times) < STENCIL_SNAPSHOTS:
-        raise DiagnosticsError(
+        raise DiagnosticsSpecError(
             f"need at least {STENCIL_SNAPSHOTS} snapshots for the stencil")
     steps = np.diff(times)
     delta = float(steps[0])
     if np.max(np.abs(steps - delta)) > 1e-9 * delta:
-        raise DiagnosticsError("snapshots must be uniformly spaced in time")
+        raise DiagnosticsSpecError("snapshots must be uniformly spaced in time")
     grid = traj.grid
+    centres = h_lattice(grid, h_count)
     fields = [traj.field(i) for i in range(len(traj))]
     kap = traj.spec.kappa
     # the kappa-flows' currents also take the triples at kappa (and -kappa)
@@ -179,7 +184,7 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
 
     rows = []
     floor = 1e-300
-    for h in h_lattice(grid, h_count):
+    for h in centres:
         cutoff = Cutoff(grid, float(h), 12)
         psi12 = cutoff.samples()
         phi = cutoff.antiderivative()
@@ -197,12 +202,11 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
 
 def residual_refinement(q0: Field, varkappa: float, flavor: str, dts: tuple,
                         window: float, kappa: float | None = None,
-                        scheme: str = "", fp_tol: float = 1e-13) -> list[ResidualReport]:
+                        fp_tol: float = 1e-13) -> list[ResidualReport]:
     """Rerun the flow at several step sizes and report the residuals."""
     reports = []
     for dt in dts:
-        spec = FlowSpec(FLAVORS[flavor], dt, window, scheme=scheme,
-                        kappa=kappa, fp_tol=fp_tol)
+        spec = FlowSpec(FLAVORS[flavor], dt, window, kappa=kappa, fp_tol=fp_tol)
         traj = evolve(q0, spec)
         reports.append(micro_residual(traj, varkappa, flavor, fp_tol=fp_tol))
     return reports
@@ -278,11 +282,11 @@ def tightness_profile(x: np.ndarray, radius: float) -> np.ndarray:
 def tightness_metric(f: Field, radius: float, s: float) -> float:
     """Norm of the far-field part, || phi_R q ||_{H^s}."""
     if radius > f.grid.length / 2.0:
-        raise DiagnosticsError(
+        raise DiagnosticsSpecError(
             f"radius {radius} exceeds the grid half-length {f.grid.length / 2.0}"
         )
     if radius <= 0:
-        raise DiagnosticsError("radius must be positive")
+        raise DiagnosticsSpecError("radius must be positive")
     windowed = Field(f.grid, tightness_profile(f.grid.x, radius) * f.values, f.sign)
     return sobolev_norm(windowed, s)
 
@@ -307,24 +311,25 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
     is bitwise that of its own flow and chain.
     """
     if star not in ("nls", "mkdv"):
-        raise DiagnosticsError(f"star must be nls or mkdv, got {star!r}")
+        raise DiagnosticsSpecError(f"star must be nls or mkdv, got {star!r}")
     if not kappas:
-        raise DiagnosticsError("the sweep needs at least one kappa")
+        raise DiagnosticsSpecError("the sweep needs at least one kappa")
     if varkappa < 4.0:
-        raise DiagnosticsError(f"varkappa must be >= 4, got {varkappa}")
+        raise DiagnosticsSpecError(f"varkappa must be >= 4, got {varkappa}")
     for kap in kappas:
         if kap < 2.0 * varkappa:
-            raise DiagnosticsError(
+            raise DiagnosticsSpecError(
                 f"difference-flow parameter kappa={kap} must be >= 2*varkappa"
             )
     grid = q0.grid
+    centres = h_lattice(grid, h_count)
     g12_ref = greens_fixed_point(q0, varkappa, tol=fp_tol).g12
     spec = FlowSpec(f"{star}_diff", dt, t_final, kappa=tuple(float(k) for k in kappas),
                     snapshot_stride=snapshot_stride, fp_tol=fp_tol)
     traj = evolve(q0, spec)
     # built after the flow's step gate, which rejects the tiny boxes whose
     # frequencies would overflow the weight
-    psis = np.array([bump(grid.x - h) ** 12 for h in h_lattice(grid, h_count)])
+    psis = np.array([bump(grid.x - h) ** 12 for h in centres])
     weight = sobolev_weight(grid, s + 1.0)
     # snapshot 0 is q0 itself; the chain starts cold at snapshot 1
     chain = FixedPointChain(grid, varkappa, fp_tol)
@@ -431,14 +436,14 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
     superposition is additionally compared against the superposed evolution.
     """
     if sigma > -0.5:
-        raise DiagnosticsError(f"inflation experiment needs sigma <= -1/2, got {sigma}")
+        raise DiagnosticsSpecError(f"inflation experiment needs sigma <= -1/2, got {sigma}")
     if parity not in ("even", "odd"):
-        raise DiagnosticsError(f"parity must be even or odd, got {parity!r}")
+        raise DiagnosticsSpecError(f"parity must be even or odd, got {parity!r}")
     if bumps < 1:
-        raise DiagnosticsError("bumps must be >= 1")
+        raise DiagnosticsSpecError("bumps must be >= 1")
     if not lambdas or not all(lam > 0 for lam in lambdas):
-        raise DiagnosticsError(f"lambdas must be a non-empty list of values > 0, "
-                               f"got {list(lambdas)}")
+        raise DiagnosticsSpecError(f"lambdas must be a non-empty list of values > 0, "
+                                   f"got {list(lambdas)}")
     if grid is None:
         grid = Grid(64.0, 256)
     build = mean_zero_even if parity == "even" else mean_zero_odd

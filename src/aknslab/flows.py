@@ -2,12 +2,11 @@
 
 Seven flow kinds: the two full equations, the generating flow at a spectral
 parameter kappa, the two regularized kappa-flows, and the two difference
-flows.  All schemes integrate the full linearization exactly in Fourier
-space; for the kappa-regularized and difference flows that linearization is
-the bounded rational symbol produced by the leading Green's-function term,
-so the step size never couples to kappa.  Every kind takes Lawson-RK4
-(``rk4_spectral``); nls also takes fourth-order Yoshida splitting
-(``splitting4``), whose nonlinear substep is an exact pointwise phase.
+flows.  Every kind steps by one scheme, Lawson-RK4: classical RK4 in the
+variable exp(-t mu) q_hat, which integrates the full linearization mu
+exactly in Fourier space; for the kappa-regularized and difference flows
+that linearization is the bounded rational symbol produced by the leading
+Green's-function term, so the step size never couples to kappa.
 ``evolve`` is the one way to step a flow; a single step is
 ``evolve(f, FlowSpec(kind, dt, dt, ...))``.  The kappa-kinds make their
 Green's solves through one ``lax.FixedPointChain`` per integrator.
@@ -53,30 +52,21 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .lax import FixedPointChain, LaxError
-from .spectral import (Field, Grid, apply_multiplier, dealiased_mul, inverse_shift_rows,
-                       inverse_shift_symbol, pad, pad_partner, truncate)
+from .spectral import (Field, Grid, apply_multiplier, dealiased_mul, inverse_shift_symbol,
+                       pad, pad_partner, truncate)
 
 _REGULARIZED_KINDS = ("nls_kappa", "mkdv_kappa", "nls_diff", "mkdv_diff")
 _KAPPA_KINDS = ("a_flow",) + _REGULARIZED_KINDS
 KINDS = ("nls", "mkdv") + _KAPPA_KINDS
 
-#: The schemes each kind accepts; the first is its default.  Only nls takes
-#: splitting: its nonlinear substep has an exact pointwise solution, where
-#: every other kind would need an inner Runge-Kutta step.
-SCHEMES = {"nls": ("splitting4", "rk4_spectral"),
-           **{kind: ("rk4_spectral",) for kind in KINDS if kind != "nls"}}
-
 #: Exponent of the dispersive symbol entering the step-size gate.
 DISPERSION_ORDER = {"nls": 2, "nls_kappa": 2, "nls_diff": 2,
                     "mkdv": 3, "mkdv_kappa": 3, "mkdv_diff": 3, "a_flow": 0}
 
-#: Gate on dt * max|xi|^order, the same for every scheme.  The linear part is
-#: integrated exactly by both schemes, so this is a generous guard against
+#: Gate on dt * max|xi|^order, the same for every kind.  The Lawson step
+#: integrates the linear part exactly, so this is a generous guard against
 #: absurd step sizes rather than a tight CFL constant.
 STABILITY_BOUND = 2000.0
-
-_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_YOSHIDA_W0 = 1.0 - 2.0 * _YOSHIDA_W1
 
 
 class FlowError(RuntimeError):
@@ -88,7 +78,7 @@ class SpecError(FlowError):
 
 
 class UnstableStep(SpecError):
-    """Requested dt violates the scheme's stability gate."""
+    """Requested dt violates the step-size gate ``STABILITY_BOUND``."""
 
 
 class NumericalBlowup(FlowError):
@@ -99,12 +89,11 @@ class NumericalBlowup(FlowError):
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """What to integrate and how."""
+    """What to integrate, for how long, and what to record."""
 
     kind: str
     dt: float
     t_final: float
-    scheme: str = ""
     snapshot_stride: int = 1
     kappa: float | tuple | None = None  # a tuple steps a kappa family
     fp_tol: float = 1e-12
@@ -112,11 +101,6 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise SpecError(f"unknown flow kind {self.kind!r}")
-        scheme = self.scheme or SCHEMES[self.kind][0]
-        object.__setattr__(self, "scheme", scheme)
-        if scheme not in SCHEMES[self.kind]:
-            raise SpecError(f"flow kind {self.kind!r} takes scheme "
-                            f"{' or '.join(SCHEMES[self.kind])}, got {scheme!r}")
         if not (math.isfinite(self.dt) and self.dt > 0
                 and math.isfinite(self.t_final) and self.t_final >= 0
                 and math.isfinite(self.t_final / self.dt)):
@@ -146,7 +130,7 @@ class FlowSpec:
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "dt": self.dt, "t_final": self.t_final,
-                "scheme": self.scheme, "snapshot_stride": self.snapshot_stride,
+                "snapshot_stride": self.snapshot_stride,
                 "kappa": self.kappa, "fp_tol": self.fp_tol}
 
 
@@ -207,24 +191,18 @@ class Integrator:
         if gate > STABILITY_BOUND:
             raise UnstableStep(
                 f"dt * max|xi|^{order} = {gate:.1f} exceeds the "
-                f"{spec.scheme} bound {STABILITY_BOUND:.0f}"
+                f"step-size bound {STABILITY_BOUND:.0f}"
             )
         family = isinstance(spec.kappa, tuple)
         # one row per member of a kappa family
         self.kappa = np.reshape(spec.kappa, (-1, 1)) if family else spec.kappa
         mu = self._linear_symbol(xi)
-        h = spec.dt
-        if spec.scheme == "splitting4":
-            # the outer half-substeps, and the two that meet between substeps
-            self._outer = np.exp(mu * (0.5 * _YOSHIDA_W1 * h))
-            self._inner = np.exp(mu * (0.5 * (_YOSHIDA_W1 + _YOSHIDA_W0) * h))
-        else:
-            self._eh, self._e2 = np.exp(mu * h), np.exp(mu * (0.5 * h))
+        self._eh, self._e2 = np.exp(mu * spec.dt), np.exp(mu * (0.5 * spec.dt))
         if spec.kind in _REGULARIZED_KINDS:
             # (2 kappa - d)^{-1} and (2 kappa + d)^{-1}, the leading Green's terms
-            self._inv_m, self._inv_p = (
-                inverse_shift_rows(grid, tuple(2.0 * k for k in spec.kappa), sgn) if family
-                else inverse_shift_symbol(grid, 2.0 * spec.kappa, sgn) for sgn in (-1, +1))
+            twice = tuple(2.0 * k for k in spec.kappa) if family else 2.0 * spec.kappa
+            self._inv_m, self._inv_p = (inverse_shift_symbol(grid, twice, sgn)
+                                        for sgn in (-1, +1))
         # every solve is at spec.kappa, one row per member of a family; the
         # full equations make none
         self.chain = FixedPointChain(grid, spec.kappa, spec.fp_tol)
@@ -299,35 +277,17 @@ class Integrator:
             return -4j * kap**3 * (np.fft.fft(gp - gm) + (inv_m + inv_p) * q_hat)
         return 8.0 * kap**4 * (np.fft.fft(gp + gm) + (inv_m - inv_p) * q_hat)
 
-    # -- steppers ------------------------------------------------------------
+    # -- stepper -------------------------------------------------------------
 
-    def step(self, state: np.ndarray) -> np.ndarray:
-        """One step of dt from the raw coefficients of the state: q_hat, or
-        the stacked (q_hat, r_hat) for a_flow."""
-        if self.spec.scheme == "splitting4":
-            return self._step_splitting(state)
-        return self._step_lawson(state)
-
-    def _step_lawson(self, fq: np.ndarray) -> np.ndarray:
+    def step(self, fq: np.ndarray) -> np.ndarray:
+        """One Lawson-RK4 step of dt from the raw coefficients of the state:
+        q_hat, or the stacked (q_hat, r_hat) for a_flow."""
         h, eh, e2 = self.spec.dt, self._eh, self._e2
         n1 = self.nonlinear(fq)
         n2 = self.nonlinear(e2 * (fq + 0.5 * h * n1))
         n3 = self.nonlinear(e2 * fq + 0.5 * h * n2)
         n4 = self.nonlinear(eh * fq + h * e2 * n3)
         return eh * fq + (h / 6.0) * (eh * n1 + 2.0 * e2 * (n2 + n3) + n4)
-
-    def _step_splitting(self, q_hat: np.ndarray) -> np.ndarray:
-        """Yoshida's three Strang substeps of weights w1, w0, w1; the
-        half-step multipliers that meet between substeps merge into one."""
-        h, outer, inner = self.spec.dt, self._outer, self._inner
-        q_hat = outer * q_hat
-        for weight, after in ((_YOSHIDA_W1, inner), (_YOSHIDA_W0, inner),
-                              (_YOSHIDA_W1, outer)):
-            q = np.fft.ifft(q_hat)
-            # i q' = 2 q^2 r has the exact pointwise phase solution
-            qr = (q * (self.sign * np.conj(q))).real
-            q_hat = after * np.fft.fft(q * np.exp(-2j * (weight * h) * qr))
-        return q_hat
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from .spectral import (
     Grid,
     apply_multiplier,
     dealiased_mul,
-    inverse_shift_rows,
     inverse_shift_symbol,
     pad,
     sobolev_weight,
@@ -186,7 +185,7 @@ def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa,
                   else f"|q| in H^(-1/4) is {max(sizes[:, i]):.3g} > {delta}")
         raise DataTooLarge(f"{detail} at kappa={kappas[i]}; outside the contraction gate")
     twice = tuple(2.0 * k for k in kappas.tolist())
-    inv_m, inv_p = (inverse_shift_rows(grid, twice, sgn) for sgn in (-1, +1))
+    inv_m, inv_p = (inverse_shift_symbol(grid, twice, sgn) for sgn in (-1, +1))
     parseval = grid.dx / n
     m = 3 * n // 2  # every product below is quadratic
     qr_fine = pad(qr, m)

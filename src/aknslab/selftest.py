@@ -242,7 +242,7 @@ def criterion_6_commutation() -> list[Row]:
 
     def defect(star, t, n=8):
         dt = t / n
-        full = evolve(f, FlowSpec(star, dt, t, scheme="rk4_spectral")).states[-1]
+        full = evolve(f, FlowSpec(star, dt, t)).states[-1]
         mid = evolve(f, FlowSpec(f"{star}_diff", dt, t, kappa=8.0)).states[-1]
         out = evolve(Field(GRID, mid, f.sign),
                      FlowSpec(f"{star}_kappa", dt, t, kappa=8.0)).states[-1]
@@ -277,7 +277,7 @@ def criterion_7_microscopic_conservation() -> list[Row]:
     modulated = Field(g512, 0.15 * np.exp(-g512.x**2) * np.exp(2j * g512.x))
     for flavor, data, dts in (("nls", modulated, (1.6e-2, 8e-3, 4e-3)),
                               ("mkdv", f, (8e-3, 4e-3, 2e-3))):
-        reps = residual_refinement(data, 2.0, flavor, dts, window=0.096, scheme="rk4_spectral")
+        reps = residual_refinement(data, 2.0, flavor, dts, window=0.096)
         rows += [_row(f"criterion 7: {flavor} residual refinement ratio dt {dts[i]:g}/"
                       f"{dts[i + 1]:g}", reps[i].pointwise_l1 / reps[i + 1].pointwise_l1,
                       lower=8.0) for i in range(2)]
@@ -333,7 +333,7 @@ def criterion_10_integrator_order() -> list[Row]:
         exact = np.exp(1j * (g.x - omega))
         errs = []
         for dt in dts:
-            traj = evolve(wave, FlowSpec(kind, dt, 1.0, scheme="rk4_spectral"))
+            traj = evolve(wave, FlowSpec(kind, dt, 1.0))
             errs.append(float(np.max(np.abs(traj.states[-1] - exact))))
         rows += [_row(f"criterion 10: {kind} plane-wave error ratio dt {dts[i]:g}/"
                       f"{dts[i + 1]:g}", errs[i] / errs[i + 1], 12.0, 20.0) for i in range(2)]

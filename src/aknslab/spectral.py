@@ -5,10 +5,10 @@ The periodic box of length L stands in for the whole line.  There is one
 Fourier representation, the raw ``np.fft`` coefficients
 X_k = sum_j q(x_j) exp(-2 pi i j k / N), listed on the frequency lattice
 ``Grid.xi`` in wrap-around order, and one form of a Fourier symbol, its
-array of values on that lattice.  ``inverse_shift_symbol`` (and its
-stacked rows for a batch of solves, ``inverse_shift_rows``),
-``fractional_symbol`` and the Sobolev weight ``sobolev_weight`` are cached
-per grid and read-only, so every solve shares them.
+array of values on that lattice.  ``inverse_shift_symbol`` (one row per c
+when given a tuple of them, for a batch of solves), ``fractional_symbol``
+and the Sobolev weight ``sobolev_weight`` are cached per grid and
+read-only, so every solve shares them.
 
 The continuum line transform of data centred in the box is
 
@@ -185,19 +185,14 @@ def apply_multiplier(values: np.ndarray, symbol: np.ndarray, grid: Grid) -> np.n
 
 
 @lru_cache(maxsize=64)
-def inverse_shift_symbol(grid: Grid, c: float, deriv_sign: int) -> np.ndarray:
+def inverse_shift_symbol(grid: Grid, c: float | tuple, deriv_sign: int) -> np.ndarray:
     """Lattice values of the symbol of (c + deriv_sign * d/dx)^(-1), cached
-    read-only; requires c != 0."""
-    if c == 0:
+    read-only; requires c != 0.  A tuple of c gives one row each, a (B, N)
+    batch of symbols."""
+    cs = np.asarray(c)
+    if np.any(cs == 0):
         raise SingularSymbolError("(c +/- d/dx)^(-1) needs c != 0")
-    return _frozen(1.0 / (c + deriv_sign * 1j * grid.xi))
-
-
-@lru_cache(maxsize=64)
-def inverse_shift_rows(grid: Grid, cs: tuple, deriv_sign: int) -> np.ndarray:
-    """``inverse_shift_symbol`` at each c of ``cs``, one row each, stacked
-    into a (B, N) batch of symbols and cached read-only."""
-    return _frozen(np.stack([inverse_shift_symbol(grid, c, deriv_sign) for c in cs]))
+    return _frozen(1.0 / (cs[..., None] + deriv_sign * 1j * grid.xi))
 
 
 @lru_cache(maxsize=64)

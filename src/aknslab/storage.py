@@ -167,6 +167,8 @@ def read_trajectory(dirpath: str) -> Trajectory:
     with open(os.path.join(dirpath, "manifest.json")) as fh:
         manifest = json.load(fh)
     spec_dict = dict(manifest["spec"])
+    # manifests written while FlowSpec still had a scheme carry its name
+    spec_dict.pop("scheme", None)
     spec = FlowSpec(**spec_dict)
     grid = Grid(float(manifest["grid"]["L"]), int(manifest["grid"]["N"]))
     sign = int(manifest["sign"])

@@ -8,6 +8,7 @@ import pytest
 
 from aknslab.diagnostics import (
     DiagnosticsError,
+    DiagnosticsSpecError,
     conserved_drift,
     h_lattice,
     kappa_convergence_study,
@@ -21,7 +22,7 @@ from aknslab.diagnostics import (
     tightness_metric,
     tightness_profile,
 )
-from aknslab.flows import FlowSpec, Trajectory, evolve
+from aknslab.flows import FlowSpec, SpecError, Trajectory, evolve
 from aknslab.hierarchy import current, density
 from aknslab.lax import GreensTriple, fixed_point_raw
 from aknslab.profiles import gaussian, mean_zero_even, plane_wave
@@ -284,6 +285,13 @@ class TestKappaConvergence:
         with pytest.raises(DiagnosticsError, match="kappa=4.0"):
             kappa_convergence_study(small_gaussian, "nls", 4.0, (8.0, 4.0), 0.02)
         assert calls == []
+
+    def test_cutoff_count_checked_before_any_flow(self, monkeypatch, small_gaussian):
+        # a usage error: a DiagnosticsError that is also a flow SpecError
+        monkeypatch.setattr("aknslab.diagnostics.evolve", None)
+        assert issubclass(DiagnosticsSpecError, SpecError)
+        with pytest.raises(DiagnosticsSpecError, match="cutoff count"):
+            kappa_convergence_study(small_gaussian, "nls", 4.0, (8.0,), 0.02, h_count=0)
 
 
 class TestInflation:

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from aknslab.flows import (
-    _YOSHIDA_W0,
-    _YOSHIDA_W1,
     FlowError,
     FlowSpec,
     Integrator,
@@ -35,24 +33,13 @@ def mkdv_plane_wave(g, a, xi0, sign, t):
 
 
 class TestFlowSpec:
-    def test_kind_and_scheme_validation(self):
+    def test_kind_and_kappa_validation(self):
         with pytest.raises(SpecError):
             FlowSpec("bogus", 1e-3, 1.0)
-        with pytest.raises(SpecError):
-            FlowSpec("nls", 1e-3, 1.0, scheme="euler")
         with pytest.raises(SpecError):
             FlowSpec("nls_kappa", 1e-3, 1.0)  # missing kappa
         with pytest.raises(SpecError):
             FlowSpec("nls", 1e-3, 1.0, kappa=4.0)  # spurious kappa
-        for kind in ("nls", "mkdv"):
-            with pytest.raises(SpecError):
-                FlowSpec(kind, 1e-3, 1.0, scheme="etd4")
-        # splitting4 only for nls
-        for kind, kappa in (("mkdv", None), ("a_flow", 2.0), ("nls_kappa", 4.0),
-                            ("mkdv_kappa", 4.0), ("nls_diff", 8.0), ("mkdv_diff", 8.0)):
-            for scheme in ("splitting4", "etd4"):
-                with pytest.raises(SpecError):
-                    FlowSpec(kind, 1e-3, 1.0, scheme=scheme, kappa=kappa)
         with pytest.raises(SpecError):
             FlowSpec("nls", float("nan"), 1.0)
         assert issubclass(SpecError, FlowError) and issubclass(UnstableStep, SpecError)
@@ -91,7 +78,7 @@ class TestFullFlows:
         g = Grid(8 * np.pi, 128)
         a, xi0, dt = 1.0, 1.0, 5e-3
         f = plane_wave(g, a, xi0, sign=sign)
-        out = evolve(f, FlowSpec("nls", dt, dt, scheme="rk4_spectral")).states[-1]
+        out = evolve(f, FlowSpec("nls", dt, dt)).states[-1]
         exact = nls_plane_wave(g, a, xi0, sign, dt)
         # local error of one fourth-order step
         assert np.max(np.abs(out - exact)) < 10 * (2 * a * a * dt) ** 5
@@ -101,7 +88,7 @@ class TestFullFlows:
         f = plane_wave(g, 1.0, 1.0)
         errs = []
         for dt in (0.02, 0.01, 0.005):
-            traj = evolve(f, FlowSpec("nls", dt, 1.0, scheme="rk4_spectral"))
+            traj = evolve(f, FlowSpec("nls", dt, 1.0))
             errs.append(np.max(np.abs(traj.states[-1] - nls_plane_wave(g, 1.0, 1.0, 1, 1.0))))
         for a, b in zip(errs, errs[1:]):
             assert 12.0 <= a / b <= 20.0
@@ -111,7 +98,7 @@ class TestFullFlows:
         f = plane_wave(g, 1.0, 1.0)
         errs = []
         for dt in (0.02, 0.01):
-            traj = evolve(f, FlowSpec("mkdv", dt, 1.0, scheme="rk4_spectral"))
+            traj = evolve(f, FlowSpec("mkdv", dt, 1.0))
             errs.append(np.max(np.abs(traj.states[-1] - mkdv_plane_wave(g, 1.0, 1.0, 1, 1.0))))
         assert 12.0 <= errs[0] / errs[1] <= 20.0
 
@@ -344,7 +331,7 @@ class TestDifferenceFlows:
 
         def defect(t):
             dt = t / n
-            full = evolve(f, FlowSpec(star, dt, t, scheme="rk4_spectral")).states[-1]
+            full = evolve(f, FlowSpec(star, dt, t)).states[-1]
             mid = evolve(f, FlowSpec(f"{star}_diff", dt, t, kappa=kappa)).states[-1]
             out = evolve(Field(grid, mid), FlowSpec(f"{star}_kappa", dt, t, kappa=kappa)).states[-1]
             return l2(grid, out - full)
@@ -507,9 +494,8 @@ class TestOneSolvePerStage:
 
 class GridValueIntegrator(Integrator):
     """Reference: the Lawson-RK4 step with every stage on grid values, each
-    full field formed by ``dealiased_mul`` from q and r = sign * conj(q), and
-    the splitting step as three Strang substeps of grid values, as the
-    integrator computed them before their stages carried coefficients.
+    full field formed by ``dealiased_mul`` from q and r = sign * conj(q), as
+    the integrator computed them before its stages carried coefficients.
     ``step`` keeps the coefficient state of ``Integrator.step``."""
 
     def grid_field(self, q):
@@ -536,13 +522,6 @@ class GridValueIntegrator(Integrator):
 
     def grid_step(self, q):
         h, mu = self.spec.dt, self._linear_symbol(self.grid.xi)
-        if self.spec.scheme == "splitting4":
-            for tau in (_YOSHIDA_W1 * h, _YOSHIDA_W0 * h, _YOSHIDA_W1 * h):
-                half = np.exp(mu * (0.5 * tau))
-                q = np.fft.ifft(half * np.fft.fft(q))
-                q = q * np.exp(-2j * tau * (q * (self.sign * np.conj(q))).real)
-                q = np.fft.ifft(half * np.fft.fft(q))
-            return q
         eh, e2 = np.exp(mu * h), np.exp(mu * (0.5 * h))
 
         def field(v):
@@ -572,38 +551,27 @@ def fft_lengths(monkeypatch):
     return seen
 
 
-COEFFICIENT_STEPS = ([(kind, "rk4_spectral") for kind in ("nls", "mkdv") + REGULARIZED_KINDS]
-                     + [("nls", "splitting4")])
-
-
 class TestCoefficientStages:
     """Steps carry raw coefficients, from evolve's one forward transform to
     each snapshot's inverse transform."""
 
     @pytest.mark.parametrize("sign", [+1, -1])
-    @pytest.mark.parametrize("kind,scheme", COEFFICIENT_STEPS)
-    def test_matches_grid_value_stages_over_50_steps(self, grid, kind, scheme, sign):
+    @pytest.mark.parametrize("kind", ("nls", "mkdv") + REGULARIZED_KINDS)
+    def test_matches_grid_value_stages_over_50_steps(self, grid, kind, sign):
         f = random_schwartz(grid, np.random.default_rng(0), norm=0.1, sign=sign)
         kappa = 8.0 if kind in REGULARIZED_KINDS else None
-        spec = FlowSpec(kind, 1e-3, 0.05, scheme=scheme, kappa=kappa,
-                        snapshot_stride=50)
+        spec = FlowSpec(kind, 1e-3, 0.05, kappa=kappa, snapshot_stride=50)
         reference = GridValueIntegrator(grid, sign, spec)
         q_hat = np.fft.fft(f.values)
         for _ in range(50):
             q_hat = reference.step(q_hat)
         assert rel_l2(grid, evolve(f, spec).states[-1], np.fft.ifft(q_hat)) <= 1e-12
 
-    @pytest.mark.parametrize("kind,scheme,counts", [
-        ("mkdv", "rk4_spectral", {512: 12}),
-        ("nls", "rk4_spectral", {512: 8}),
-        ("nls", "splitting4", {256: 6}),
-    ])
-    def test_transforms_per_step(self, fft_lengths, grid, small_gaussian, kind, scheme,
-                                 counts):
+    @pytest.mark.parametrize("kind,counts", [("mkdv", {512: 12}), ("nls", {512: 8})])
+    def test_transforms_per_step(self, fft_lengths, grid, small_gaussian, kind, counts):
         # numpy.fft calls by length in one step: none at N around the
-        # stages, one cubic product on 2N points per Lawson stage, and two
-        # at N per splitting substep for its pointwise phase
-        stepper = Integrator(grid, 1, FlowSpec(kind, 1e-3, 1e-3, scheme=scheme))
+        # stages, and one cubic product on 2N points per Lawson stage
+        stepper = Integrator(grid, 1, FlowSpec(kind, 1e-3, 1e-3))
         q_hat = np.fft.fft(small_gaussian.values)
         fft_lengths.clear()
         stepper.step(q_hat)

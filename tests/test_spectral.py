@@ -303,15 +303,25 @@ class TestMultipliers:
         expected = abs(z) ** -0.5 * np.exp(-0.5j * np.angle(z))
         assert abs(val - expected) < 1e-15
 
+    def test_inverse_shift_tuple_gives_the_scalar_rows(self, grid):
+        for sign in (-1, +1):
+            rows = inverse_shift_symbol(grid, (2.0, 16.0, 64.0), sign)
+            assert rows.shape == (3, grid.points)
+            assert all(np.array_equal(row, inverse_shift_symbol(grid, c, sign))
+                       for row, c in zip(rows, (2.0, 16.0, 64.0)))
+
     def test_singular_symbol_rejected(self, grid, small_gaussian):
         with pytest.raises(SingularSymbolError):
             inverse_shift_symbol(grid, 0.0, -1)
+        with pytest.raises(SingularSymbolError):
+            inverse_shift_symbol(grid, (2.0, 0.0), +1)
         with pytest.raises(SingularSymbolError, match="xi = 0"):
             apply_multiplier(small_gaussian.values, np.where(grid.xi == 0, np.inf, 1.0), grid)
 
     def test_symbols_and_weights_are_cached_read_only(self, grid):
         # every solve shares these arrays, so a write must fail, not corrupt them
         for build, args in ((inverse_shift_symbol, (grid, 4.0, -1)),
+                            (inverse_shift_symbol, (grid, (4.0, 8.0), +1)),
                             (fractional_symbol, (grid, 2.0, +1, 0.5)),
                             (sobolev_weight, (grid, -0.25)),
                             (sobolev_weight, (grid, 0.75, 2.0))):

@@ -59,6 +59,15 @@ class TestSnapshots:
         assert all(np.array_equal(a, b) for a, b in zip(back.states, traj.states))
         assert back.spec == traj.spec
 
+    def test_manifest_naming_a_scheme_reads(self, tmp_path, grid, small_gaussian):
+        traj = evolve(small_gaussian, FlowSpec("nls", 1e-3, 2e-3))
+        write_trajectory(str(tmp_path / "old"), traj)
+        path = tmp_path / "old" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["spec"]["scheme"] = "splitting4"
+        path.write_text(json.dumps(manifest))
+        assert read_trajectory(str(tmp_path / "old")).spec == traj.spec
+
     def test_pair_trajectory_round_trip(self, tmp_path, grid, small_gaussian):
         traj = evolve(small_gaussian, FlowSpec("a_flow", 1e-3, 0.004, kappa=2.0,
                                                snapshot_stride=2))
@@ -296,6 +305,13 @@ class TestCli:
     def test_usage_error_exit_code(self, tmp_path):
         assert main(["evolve", "--config", str(tmp_path / "missing.json")]) == 2
 
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["evolve", "--seed", "-5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: --seed must be >= 0, got -5"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("tree", [
         {"grid": 5},
         {"diagnostics": {"kappas": 2.0}},
@@ -317,6 +333,7 @@ class TestCli:
         SWEEP_WITHOUT_STEPS,
         SWEEP_WITHOUT_KAPPAS,
         {"diagnostics": {"trace_order": 8}},
+        {"seed": -5, "data": {"profile": "random"}},
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, tree):
         path = tmp_path / "bad.json"
@@ -465,6 +482,16 @@ def assert_exits_cleanly(tree):
     return codes
 
 
+def exit_codes_with(key, value):
+    """``assert_exits_cleanly`` on SMALL with ``diagnostics.key = value``.
+    SMALL's three snapshots stop micro at its five-snapshot check, before it
+    reads its diagnostics fields; a stride of 2 gives it six."""
+    tree = copy.deepcopy(SMALL)
+    tree["flow"]["snapshot_stride"] = 2
+    tree["diagnostics"][key] = value
+    return assert_exits_cleanly(tree)
+
+
 class TestConfigProperty:
     @given(st.lists(st.tuples(st.sampled_from(TARGETS), st.sampled_from(BAD_VALUES)),
                     min_size=1, max_size=2))
@@ -493,17 +520,18 @@ class TestConfigProperty:
             tree.setdefault(section, {}).update(fields)
         assert_exits_cleanly(tree)
 
-    # SMALL's three snapshots stop micro at its five-snapshot check, before it
-    # reads its diagnostics fields; a stride of 2 gives it six
     @pytest.mark.parametrize("key, value, failing", [
         ("h_count", 0, ("micro", "sweep")), ("h_count", -1, ("micro", "sweep")),
         ("h_count_sup", 0, ("smoothing",)), ("lambdas", [], ("inflate",)),
         ("lambdas", [0.0], ("inflate",)), ("lambdas", [-1.0], ("inflate",)),
+        ("varkappa", 1.0, ("sweep",))])
+    def test_bad_diagnostics_field_is_a_usage_error(self, key, value, failing):
+        codes = exit_codes_with(key, value)
+        assert all(codes[sub] == 2 for sub in failing), codes
+
+    @pytest.mark.parametrize("key, value, failing", [
         ("sigma", 400, ("smoothing",)),
         ("kappas", [0.0], ("green", "evolve", "conserved", "smoothing"))])
     def test_bad_diagnostics_field_is_a_numerical_failure(self, key, value, failing):
-        tree = copy.deepcopy(SMALL)
-        tree["flow"]["snapshot_stride"] = 2
-        tree["diagnostics"][key] = value
-        codes = assert_exits_cleanly(tree)
+        codes = exit_codes_with(key, value)
         assert all(codes[sub] == 3 for sub in failing), codes
