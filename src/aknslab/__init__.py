@@ -6,7 +6,7 @@ regularized, and difference flows, and the norm-inflation experiment, all
 on a periodic pseudo-spectral grid.
 """
 
-from .spectral import Cutoff, Field, Grid, apply_multiplier, sobolev_norm
+from .spectral import Field, Grid, apply_multiplier, sobolev_norm
 from .lax import (
     GreensTriple,
     alpha,
@@ -39,7 +39,7 @@ from .config import ExperimentConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cutoff", "Field", "Grid", "apply_multiplier", "sobolev_norm",
+    "Field", "Grid", "apply_multiplier", "sobolev_norm",
     "GreensTriple", "alpha", "greens_fixed_point",
     "greens_oracle", "greens_series", "pdet_integral", "pdet_trace",
     "HamiltonianValue", "current", "density", "expansion_error",

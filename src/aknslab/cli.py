@@ -94,23 +94,17 @@ def cmd_conserved(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _run_flow(cfg: ExperimentConfig, min_snapshots: int = 1):
-    """Evolve the config's field.  A flow that would record fewer than
-    ``min_snapshots`` snapshots is a usage error, raised before any step."""
-    f = cfg.make_field()
-    spec = flows.FlowSpec(cfg.flow.kind, cfg.flow.dt, cfg.flow.t_final,
+def _flow_spec(cfg: ExperimentConfig) -> flows.FlowSpec:
+    return flows.FlowSpec(cfg.flow.kind, cfg.flow.dt, cfg.flow.t_final,
                           snapshot_stride=cfg.flow.snapshot_stride,
                           kappa=cfg.flow.kappa or None,
                           fp_tol=cfg.flow.fp_tol)
-    if spec.snapshots < min_snapshots:
-        raise ConfigError(f"need at least {min_snapshots} snapshots, but flow.t_final, "
-                          f"dt and snapshot_stride give {spec.snapshots}")
-    return f, flows.evolve(f, spec)
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> int:
+    f, spec = cfg.make_field(), _flow_spec(cfg)
     out = _prepare_out(cfg, "evolve")
-    _, traj = _run_flow(cfg)
+    traj = flows.evolve(f, spec)
     drift = diagnostics.conserved_drift(traj, kappas=tuple(cfg.diagnostics.kappas),
                                         fp_tol=cfg.flow.fp_tol)
     write_trajectory(os.path.join(out, "trajectory"), traj, drift.table)
@@ -122,8 +116,11 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_smoothing(cfg: ExperimentConfig) -> int:
+    f, spec = cfg.make_field(), _flow_spec(cfg)
+    # the cutoff count is checked before the flow
+    diagnostics.h_lattice(f.grid, cfg.diagnostics.h_count_sup)
     out = _prepare_out(cfg, "smoothing")
-    _, traj = _run_flow(cfg)
+    traj = flows.evolve(f, spec)
     rows = []
     for kappa in cfg.diagnostics.kappas:
         rep = diagnostics.local_smoothing_norm(
@@ -137,16 +134,12 @@ def cmd_smoothing(cfg: ExperimentConfig) -> int:
 
 
 def cmd_micro(cfg: ExperimentConfig) -> int:
-    flavor = cfg.diagnostics.flavor
-    if flavor not in diagnostics.FLAVORS:
-        raise ConfigError(f"unknown diagnostics.flavor {flavor!r}; "
-                          f"choose from {', '.join(diagnostics.FLAVORS)}")
-    if diagnostics.FLAVORS[flavor] != cfg.flow.kind:
-        raise ConfigError(f"diagnostics.flavor {flavor!r} pairs with flow.kind "
-                          f"{diagnostics.FLAVORS[flavor]!r}, got {cfg.flow.kind!r}")
+    f, spec = cfg.make_field(), _flow_spec(cfg)
+    diagnostics.micro_centres(spec, f.grid, cfg.diagnostics.flavor, cfg.diagnostics.h_count)
     out = _prepare_out(cfg, "micro")
-    _, traj = _run_flow(cfg, min_snapshots=diagnostics.STENCIL_SNAPSHOTS)
-    rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa, flavor,
+    traj = flows.evolve(f, spec)
+    rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa,
+                                     cfg.diagnostics.flavor,
                                      h_count=cfg.diagnostics.h_count,
                                      fp_tol=cfg.flow.fp_tol)
     write_csv(os.path.join(out, "integrated.csv"),

@@ -20,11 +20,11 @@ from .lax import FixedPointChain, GreensTriple, alpha as alpha_of, greens_fixed_
 from .profiles import mean_zero_even, mean_zero_odd
 from .spectral import (
     TWO_PI,
-    Cutoff,
     Field,
     Grid,
     apply_multiplier,
     bump,
+    cutoff_antiderivative,
     diff,
     sobolev_norm,
     sobolev_weight,
@@ -128,6 +128,31 @@ def _triples_along(grid: Grid, fields: list[Field], params: tuple,
     return out
 
 
+def micro_centres(spec: FlowSpec, grid: Grid, flavor: str, h_count: int) -> np.ndarray:
+    """The cutoff centres of ``micro_residual`` for ``flavor`` on a flow of
+    ``spec``, after every check of the request that needs no trajectory: a
+    known flavor that pairs with the flow's kind, at least
+    ``STENCIL_SNAPSHOTS`` snapshots, a stride that divides the step count
+    (so the snapshots are uniformly spaced), and ``h_count >= 1``.  A run
+    calls it before its flow, so a usage error costs no step.
+    """
+    if flavor not in FLAVORS:
+        raise DiagnosticsSpecError(f"unknown flavor {flavor!r}; "
+                                   f"choose from {', '.join(FLAVORS)}")
+    if FLAVORS[flavor] != spec.kind:
+        raise DiagnosticsSpecError(f"flavor {flavor!r} pairs with the {FLAVORS[flavor]!r} "
+                                   f"flow, but the flow is {spec.kind!r}")
+    if spec.snapshots < STENCIL_SNAPSHOTS:
+        raise DiagnosticsSpecError(
+            f"need at least {STENCIL_SNAPSHOTS} snapshots for the stencil, but t_final, "
+            f"dt and snapshot_stride give {spec.snapshots}")
+    if spec.steps % spec.snapshot_stride:
+        raise DiagnosticsSpecError(
+            f"snapshot stride {spec.snapshot_stride} does not divide the "
+            f"{spec.steps} steps, so the snapshots are not uniformly spaced")
+    return h_lattice(grid, h_count)
+
+
 def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
                    h_count: int = DEFAULT_H_COUNT_INTEGRATED,
                    fp_tol: float = 1e-13) -> ResidualReport:
@@ -139,23 +164,16 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     integral (composite Simpson) of int j psi_h^12 dx against
     int [rho(T) - rho(0)] phi_h dx.
     """
-    if flavor not in FLAVORS:
-        raise DiagnosticsSpecError(f"unknown flavor {flavor!r}")
-    if FLAVORS[flavor] != traj.spec.kind:
-        raise DiagnosticsSpecError(
-            f"flavor {flavor!r} pairs with the {FLAVORS[flavor]!r} flow, "
-            f"but the trajectory is {traj.spec.kind!r}"
-        )
-    times = np.asarray(traj.times)
-    if len(times) < STENCIL_SNAPSHOTS:
-        raise DiagnosticsSpecError(
-            f"need at least {STENCIL_SNAPSHOTS} snapshots for the stencil")
-    steps = np.diff(times)
-    delta = float(steps[0])
-    if np.max(np.abs(steps - delta)) > 1e-9 * delta:
-        raise DiagnosticsSpecError("snapshots must be uniformly spaced in time")
     grid = traj.grid
-    centres = h_lattice(grid, h_count)
+    centres = micro_centres(traj.spec, grid, flavor, h_count)
+    # a trajectory that evolve did not make need not hold its spec's times
+    times = np.asarray(traj.times)
+    steps = np.diff(times)
+    if len(times) != traj.spec.snapshots or \
+            np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
+        raise DiagnosticsSpecError(f"the trajectory's times must be its spec's "
+                                   f"{traj.spec.snapshots} snapshots, uniformly spaced")
+    delta = float(steps[0])
     fields = [traj.field(i) for i in range(len(traj))]
     kap = traj.spec.kappa
     # the kappa-flows' currents also take the triples at kappa (and -kappa)
@@ -185,9 +203,8 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     rows = []
     floor = 1e-300
     for h in centres:
-        cutoff = Cutoff(grid, float(h), 12)
-        psi12 = cutoff.samples()
-        phi = cutoff.antiderivative()
+        psi12 = bump(grid.x - h) ** 12
+        phi = cutoff_antiderivative(grid.x - h, 12)
         flux = np.array([grid.dx * float(np.sum((j * psi12).real))
                          + 1j * grid.dx * float(np.sum((j * psi12).imag))
                          for j in currents])
@@ -409,10 +426,8 @@ class InflationReport:
     threshold: float
     production_rate: complex
     predicted_imag_sign: int
-    initial_family: dict         # lam -> squared H^(-1/2) norm of rescaled q(0)
-    evolved_family: dict | None  # same for q(t1)
-    evolved_log_fit: tuple | None
-    initial_band: float          # max/min over the lam sweep at t = 0
+    evolved_log_fit: tuple | None  # log_lambda_fit of the H^(-1/2)^2 family at t1
+    initial_band: float            # max/min of that family over lam at t = 0
     bumps: int
     separation: float
     superposition_error: list | None = None
@@ -483,20 +498,17 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
         else:
             growth[lam] = 1.0 if max(vals) == 0 else math.inf
 
-    initial_family = {lam: scale_family_norm_sq(u0, lam, -0.5) for lam in lambdas}
-    fam0 = np.array([initial_family[lam] for lam in lambdas])
+    fam0 = np.array([scale_family_norm_sq(u0, lam, -0.5) for lam in lambdas])
     if np.min(fam0) > 0:
         initial_band = float(np.max(fam0) / np.min(fam0))
     else:
         initial_band = 1.0 if np.max(fam0) == 0 else math.inf
-    evolved_family = None
     evolved_fit = None
     if t1 is not None:
-        idx = traj.times.index(t1)
-        f1 = traj.field(idx)
-        evolved_family = {lam: scale_family_norm_sq(f1, lam, -0.5) for lam in lambdas}
+        f1 = traj.field(traj.times.index(t1))
         evolved_fit = log_lambda_fit(
-            np.asarray(lambdas), np.array([evolved_family[lam] for lam in lambdas]))
+            np.asarray(lambdas), np.array([scale_family_norm_sq(f1, lam, -0.5)
+                                           for lam in lambdas]))
 
     sup_err = None
     if bumps > 1:
@@ -504,8 +516,8 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
 
     return InflationReport(sigma, tuple(lambdas), list(traj.times), series, growth,
                            mean_series, t1, t1 is not None, threshold, rate,
-                           predicted, initial_family, evolved_family, evolved_fit,
-                           initial_band, bumps, separation, sup_err)
+                           predicted, evolved_fit, initial_band, bumps, separation,
+                           sup_err)
 
 
 def _superposition_error(u0: Field, base: Trajectory, bumps: int,

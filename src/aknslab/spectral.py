@@ -6,9 +6,11 @@ Fourier representation, the raw ``np.fft`` coefficients
 X_k = sum_j q(x_j) exp(-2 pi i j k / N), listed on the frequency lattice
 ``Grid.xi`` in wrap-around order, and one form of a Fourier symbol, its
 array of values on that lattice.  ``inverse_shift_symbol`` (one row per c
-when given a tuple of them, for a batch of solves), ``fractional_symbol``
-and the Sobolev weight ``sobolev_weight`` are cached per grid and
-read-only, so every solve shares them.
+when given a tuple of them, for a batch of solves) and the Sobolev weight
+``sobolev_weight`` are cached per grid and read-only, so every solve and
+every norm shares them.  ``fractional_symbol`` is cached the same way; no
+solve uses it, only the selftest's fractional-adjoint check and the tests,
+whose dense reference is built on it.
 
 The continuum line transform of data centred in the box is
 
@@ -33,8 +35,8 @@ from scipy.integrate import quad
 TWO_PI = 2.0 * math.pi
 
 #: Decay scale of the cutoff sech(x / CUTOFF_SCALE), the slowly-varying choice
-#: every diagnostic uses.  ``Cutoff`` and ``bump`` default to it; their tests
-#: check the cutoff algebra at smaller scales.
+#: every diagnostic uses.  ``bump`` and ``cutoff_antiderivative`` default to
+#: it; their tests check the cutoff algebra at smaller scales.
 CUTOFF_SCALE = 99.0
 
 
@@ -324,42 +326,23 @@ def bump(x, scale: float = CUTOFF_SCALE):
     return 2.0 * e / (1.0 + e * e)
 
 
-def _even_power_antiderivative(t: np.ndarray, p: int) -> np.ndarray:
-    # int_{-1}^{t} (1-u^2)^(p/2-1) du, the tanh-substituted primitive of sech^p
-    m = p // 2 - 1
+def cutoff_antiderivative(x, power: int, scale: float = CUTOFF_SCALE) -> np.ndarray:
+    """phi(x) = int_{-inf}^{x} bump(y, scale)^power dy for an even power,
+    exact through the tanh primitive int_{-1}^{t} (1-u^2)^(power/2-1) du.
+
+    On the box, phi_h is ``cutoff_antiderivative(grid.x - h, power)``: the
+    box boundary stands in for -infinity, which is accurate once the power
+    of the bump has decayed there.
+    """
+    if power % 2 != 0:
+        raise SpectralError(f"the cutoff antiderivative takes even powers, got {power}")
+    t = np.tanh(np.asarray(x, dtype=np.float64) / scale)
+    m = power // 2 - 1
     acc = np.zeros_like(t)
     for k in range(m + 1):
         c = math.comb(m, k) * (-1.0) ** k / (2 * k + 1)
         acc = acc + c * (t ** (2 * k + 1) + 1.0)
-    return acc
-
-
-@dataclass(frozen=True)
-class Cutoff:
-    """Translated powers of the cutoff: psi_h^p(x) = sech((x-h)/scale)^p."""
-
-    grid: Grid
-    center: float
-    power: int
-    scale: float = CUTOFF_SCALE
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.power <= 12:
-            raise SpectralError(f"cutoff power must lie in 1..12, got {self.power}")
-
-    def samples(self) -> np.ndarray:
-        return bump(self.grid.x - self.center, self.scale) ** self.power
-
-    def antiderivative(self) -> np.ndarray:
-        """phi_h(x) = int_{-inf}^{x} psi_h^p dy, exact via the tanh primitive.
-
-        Only even powers admit the polynomial primitive; the box boundary is
-        treated as -infinity, which is accurate once psi_h^p has decayed there.
-        """
-        if self.power % 2 != 0:
-            raise SpectralError("antiderivative implemented for even powers only")
-        t = np.tanh((self.grid.x - self.center) / self.scale)
-        return self.scale * _even_power_antiderivative(t, self.power)
+    return scale * acc
 
 
 def partition_constant(scale: float = CUTOFF_SCALE) -> float:

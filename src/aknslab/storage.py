@@ -137,6 +137,9 @@ def read_snapshot(base: str) -> tuple[Field, dict]:
 
 def write_trajectory(dirpath: str, traj: Trajectory,
                      conserved: dict | None = None) -> None:
+    if isinstance(traj.spec.kappa, tuple):
+        raise ValueError(f"cannot write the trajectory of a kappa family "
+                         f"{traj.spec.kappa}: write one flow per kappa")
     os.makedirs(dirpath, exist_ok=True)
     entries = []
     for i in range(len(traj)):

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aknslab import lax, selftest
-from aknslab.cli import _run_flow, main
+from aknslab import flows, lax, selftest
+from aknslab.cli import _flow_spec, main
 from aknslab.config import ConfigError, ExperimentConfig, config_reference
 from aknslab.diagnostics import micro_residual
 from aknslab.flows import FlowSpec, evolve
@@ -67,6 +67,13 @@ class TestSnapshots:
         manifest["spec"]["scheme"] = "splitting4"
         path.write_text(json.dumps(manifest))
         assert read_trajectory(str(tmp_path / "old")).spec == traj.spec
+
+    def test_kappa_family_trajectory_is_refused(self, tmp_path, grid, small_gaussian):
+        # a family's (B, N) states are no snapshot: refused before a file is made
+        traj = evolve(small_gaussian, FlowSpec("nls_diff", 1e-3, 2e-3, kappa=(8.0, 16.0)))
+        with pytest.raises(ValueError, match="kappa family"):
+            write_trajectory(str(tmp_path / "family"), traj)
+        assert not (tmp_path / "family").exists()
 
     def test_pair_trajectory_round_trip(self, tmp_path, grid, small_gaussian):
         traj = evolve(small_gaussian, FlowSpec("a_flow", 1e-3, 0.004, kappa=2.0,
@@ -260,7 +267,7 @@ class TestCli:
         text = open(os.path.join(out1, "micro", "density_current.csv"), "rb").read()
         assert text == open(os.path.join(out2, "micro", "density_current.csv"), "rb").read()
         cfg = ExperimentConfig.load(path)
-        _, traj = _run_flow(cfg)
+        traj = evolve(cfg.make_field(), _flow_spec(cfg))
         rep = micro_residual(traj, cfg.diagnostics.varkappa, cfg.diagnostics.flavor,
                              h_count=cfg.diagnostics.h_count, fp_tol=cfg.flow.fp_tol)
         lines = text.decode().splitlines()
@@ -460,9 +467,28 @@ SMALL = {"grid": {"length": 32.0, "points": 64},
          "diagnostics": {"kappas": [2.0]}}
 
 
+def run_counting_steps(sub, path, out):
+    """``main`` on one subcommand: its exit code, its stderr, and the number
+    of ``Integrator.step`` calls it made."""
+    steps = 0
+    step = flows.Integrator.step
+
+    def counted(self, *args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return step(self, *args, **kwargs)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(flows.Integrator, "step", counted)
+        code = main([sub, "--config", path, "--out", out])
+    return code, err.getvalue(), steps
+
+
 def assert_exits_cleanly(tree):
     """Every subcommand but ``selftest`` on ``tree`` exits 0, 2 or 3 (``sweep``
-    also 1, its property failure) with at most one line on stderr; a
+    also 1, its property failure) with at most one line on stderr, and a
+    usage error (2) is raised before the first step of any flow; a
     traceback or an escaped RuntimeWarning fails by raising.  Returns the
     exit code of each subcommand."""
     codes = {}
@@ -472,12 +498,11 @@ def assert_exits_cleanly(tree):
             json.dump(tree, fh)
         for sub in ("green", "evolve", "conserved", "smoothing", "micro", "inflate",
                     "sweep"):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([sub, "--config", path, "--out", tmp])
+            code, err, steps = run_counting_steps(sub, path, tmp)
             allowed = (0, 1, 2, 3) if sub == "sweep" else (0, 2, 3)
-            assert code in allowed, (sub, tree, err.getvalue())
-            assert len(err.getvalue().splitlines()) <= 1, (sub, tree, err.getvalue())
+            assert code in allowed, (sub, tree, err)
+            assert len(err.splitlines()) <= 1, (sub, tree, err)
+            assert code != 2 or steps == 0, (sub, tree, steps, err)
             codes[sub] = code
     return codes
 
@@ -528,6 +553,22 @@ class TestConfigProperty:
     def test_bad_diagnostics_field_is_a_usage_error(self, key, value, failing):
         codes = exit_codes_with(key, value)
         assert all(codes[sub] == 2 for sub in failing), codes
+
+    # usage errors found from the flow spec or the grid: raised before any step
+    @pytest.mark.parametrize("sub, section, key, value", [
+        ("micro", "diagnostics", "h_count", 0), ("micro", "diagnostics", "h_count", -1),
+        ("micro", "flow", "snapshot_stride", 3),  # 10 steps: snapshots not uniform
+        ("smoothing", "diagnostics", "h_count_sup", 0),
+        ("smoothing", "diagnostics", "h_count_sup", -1)])
+    def test_usage_error_before_the_first_step(self, tmp_path, sub, section, key, value):
+        tree = copy.deepcopy(SMALL)
+        tree["flow"]["snapshot_stride"] = 2
+        tree[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tree))
+        code, err, steps = run_counting_steps(sub, str(path), str(tmp_path))
+        assert (code, len(err.splitlines()), steps) == (2, 1, 0), err
+        assert not (tmp_path / sub).exists()
 
     @pytest.mark.parametrize("key, value, failing", [
         ("sigma", 400, ("smoothing",)),
