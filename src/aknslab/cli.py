@@ -1,10 +1,12 @@
 """Config-driven experiment runner.
 
 Subcommands: green, conserved, evolve, smoothing, micro, inflate, sweep,
-selftest.  Every run writes the resolved config and a generated reference
-file beside its outputs.  ``selftest`` runs every check of ``selftest.GROUPS``
-on fixed data (``--seed`` does not change it), one CSV row each.  Exit codes:
-0 pass, 1 property failure, 2 usage error, 3 numerical failure.
+selftest.  Each computes first and writes last: a run that fails writes
+nothing, and every run that completes writes the resolved config and a
+generated reference file beside its outputs.  ``selftest`` runs every check
+of ``selftest.GROUPS`` on fixed data (``--seed`` does not change it), one
+CSV row each.  Exit codes: 0 pass, 1 property failure, 2 usage error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ def _prepare_out(cfg: ExperimentConfig, subcommand: str) -> str:
 
 
 def cmd_green(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg, "green")
     f = cfg.make_field()
     grid = f.grid
-    rows = []
+    solved = []
     for kappa in cfg.diagnostics.kappas:
         # the fixed point first: its gate rejects data that would overflow the series
         fixed = lax.greens_fixed_point(f, kappa, tol=cfg.flow.fp_tol)
@@ -49,6 +50,10 @@ def cmd_green(cfg: ExperimentConfig) -> int:
         if grid.points <= lax.ORACLE_MAX_POINTS and \
                 abs(kappa) * grid.length >= lax.ORACLE_MIN_KAPPA_L:
             entries.append(("oracle", lax.greens_oracle(f, kappa, series=series)))
+        solved.append((kappa, entries))
+    out = _prepare_out(cfg, "green")
+    rows = []
+    for kappa, entries in solved:
         reference = dict(entries).get("oracle", entries[0][1])
         for method, triple in entries:
             for part in ("g12", "g21", "gamma"):
@@ -71,11 +76,8 @@ def cmd_green(cfg: ExperimentConfig) -> int:
 
 
 def cmd_conserved(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg, "conserved")
     f = cfg.make_field()
     ham = hierarchy.hamiltonians(f)
-    write_json(os.path.join(out, "hamiltonians.json"),
-               {**ham.as_dict(), "imag_leakage": ham.imag_leakage})
     rows = []
     nan = float("nan")
     for kappa in cfg.diagnostics.kappas:
@@ -88,6 +90,9 @@ def cmd_conserved(cfg: ExperimentConfig) -> int:
         err = hierarchy.expansion_error(f, kappa, det_i) if kappa >= 4.0 else nan
         rows.append([kappa, det_i, det_t.value, abs(det_i - det_t.value),
                      det_t.spectral_radius, alp, err])
+    out = _prepare_out(cfg, "conserved")
+    write_json(os.path.join(out, "hamiltonians.json"),
+               {**ham.as_dict(), "imag_leakage": ham.imag_leakage})
     write_csv(os.path.join(out, "determinant.csv"),
               ["kappa", "det_integral", "det_trace", "method_gap",
                "spectral_radius", "alpha", "expansion_error"], rows)
@@ -103,10 +108,10 @@ def _flow_spec(cfg: ExperimentConfig) -> flows.FlowSpec:
 
 def cmd_evolve(cfg: ExperimentConfig) -> int:
     f, spec = cfg.make_field(), _flow_spec(cfg)
-    out = _prepare_out(cfg, "evolve")
+    kappas = diagnostics.check_kappas(cfg.diagnostics.kappas)
     traj = flows.evolve(f, spec)
-    drift = diagnostics.conserved_drift(traj, kappas=tuple(cfg.diagnostics.kappas),
-                                        fp_tol=cfg.flow.fp_tol)
+    drift = diagnostics.conserved_drift(traj, kappas=kappas, fp_tol=cfg.flow.fp_tol)
+    out = _prepare_out(cfg, "evolve")
     write_trajectory(os.path.join(out, "trajectory"), traj, drift.table)
     rows = [[name, max_dev] for name, max_dev in sorted(drift.relative_drift.items())]
     write_csv(os.path.join(out, "drift.csv"), ["quantity", "relative_drift"], rows)
@@ -117,17 +122,18 @@ def cmd_evolve(cfg: ExperimentConfig) -> int:
 
 def cmd_smoothing(cfg: ExperimentConfig) -> int:
     f, spec = cfg.make_field(), _flow_spec(cfg)
-    # the cutoff count is checked before the flow
+    # the kappas and the cutoff count are checked before the flow
+    kappas = diagnostics.check_kappas(cfg.diagnostics.kappas)
     diagnostics.h_lattice(f.grid, cfg.diagnostics.h_count_sup)
-    out = _prepare_out(cfg, "smoothing")
     traj = flows.evolve(f, spec)
     rows = []
-    for kappa in cfg.diagnostics.kappas:
+    for kappa in kappas:
         rep = diagnostics.local_smoothing_norm(
             traj, cfg.diagnostics.sigma, kappa=kappa,
             h_count=cfg.diagnostics.h_count_sup)
         rows.append([cfg.diagnostics.sigma, kappa, rep.window,
                      rep.value, rep.value_kappa])
+    out = _prepare_out(cfg, "smoothing")
     write_csv(os.path.join(out, "smoothing.csv"),
               ["sigma", "kappa", "window", "x_norm_sq", "x_kappa_norm_sq"], rows)
     return EXIT_OK
@@ -135,13 +141,12 @@ def cmd_smoothing(cfg: ExperimentConfig) -> int:
 
 def cmd_micro(cfg: ExperimentConfig) -> int:
     f, spec = cfg.make_field(), _flow_spec(cfg)
-    diagnostics.micro_centres(spec, f.grid, cfg.diagnostics.flavor, cfg.diagnostics.h_count)
-    out = _prepare_out(cfg, "micro")
+    d = cfg.diagnostics
+    diagnostics.micro_centres(spec, f.grid, d.flavor, d.varkappa, d.h_count)
     traj = flows.evolve(f, spec)
-    rep = diagnostics.micro_residual(traj, cfg.diagnostics.varkappa,
-                                     cfg.diagnostics.flavor,
-                                     h_count=cfg.diagnostics.h_count,
+    rep = diagnostics.micro_residual(traj, d.varkappa, d.flavor, h_count=d.h_count,
                                      fp_tol=cfg.flow.fp_tol)
+    out = _prepare_out(cfg, "micro")
     write_csv(os.path.join(out, "integrated.csv"),
               ["h", "flux_side", "density_side", "gap", "relative_gap"],
               [[h, lhs, rhs, gap, rel] for h, lhs, rhs, gap, rel in rep.integrated])
@@ -160,7 +165,6 @@ def cmd_micro(cfg: ExperimentConfig) -> int:
 
 
 def cmd_inflate(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg, "inflate")
     parity = "odd" if cfg.data.profile == "appendix_odd" else "even"
     rep = diagnostics.norm_inflation_experiment(
         parity, cfg.data.amplitude, tuple(cfg.diagnostics.lambdas),
@@ -169,10 +173,8 @@ def cmd_inflate(cfg: ExperimentConfig) -> int:
         grid=cfg.make_grid(), window=cfg.flow.t_final, dt=cfg.flow.dt,
         snapshot_stride=cfg.flow.snapshot_stride,
         threshold_factor=cfg.diagnostics.threshold_factor)
-    rows = []
-    for lam in rep.lambdas:
-        for t, v in zip(rep.times, rep.series[lam]):
-            rows.append([lam, t, v])
+    out = _prepare_out(cfg, "inflate")
+    rows = [[lam, t, v] for lam in rep.lambdas for t, v in zip(rep.times, rep.series[lam])]
     write_csv(os.path.join(out, "series.csv"), ["lambda", "t", "h_sigma_norm"], rows)
     write_csv(os.path.join(out, "mean.csv"), ["t", "mean"],
               [[t, m] for t, m in zip(rep.times, rep.mean_series)])
@@ -196,24 +198,20 @@ def cmd_inflate(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     # the nls or mkdv family of flow.kind picks the difference flow
     star = cfg.flow.kind.split("_")[0]
-    if star not in ("nls", "mkdv"):
-        raise ConfigError(f"sweep runs the nls or mkdv difference flow; "
-                          f"flow.kind {cfg.flow.kind!r} is neither")
-    if not cfg.diagnostics.sweep_kappas:
-        raise ConfigError("sweep needs at least one kappa in diagnostics.sweep_kappas")
-    steps = flows.FlowSpec(star, cfg.flow.dt, cfg.flow.t_final).steps
+    # the step count depends on dt and t_final alone
+    steps = flows.FlowSpec("nls", cfg.flow.dt, cfg.flow.t_final).steps
     if steps < 1:
         raise ConfigError(f"sweep needs at least one step, but flow.t_final and dt "
                           f"give {steps}")
-    out = _prepare_out(cfg, "sweep")
     f = cfg.make_field()
     rows = diagnostics.kappa_convergence_study(
         f, star, cfg.diagnostics.varkappa, tuple(cfg.diagnostics.sweep_kappas),
         cfg.flow.t_final, s=cfg.diagnostics.s, dt=cfg.flow.dt,
         h_count=cfg.diagnostics.h_count, snapshot_stride=cfg.flow.snapshot_stride,
         fp_tol=cfg.flow.fp_tol)
-    write_csv(os.path.join(out, "sweep.csv"), ["kappa", "defect"], rows)
     monotone = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
+    out = _prepare_out(cfg, "sweep")
+    write_csv(os.path.join(out, "sweep.csv"), ["kappa", "defect"], rows)
     write_json(os.path.join(out, "summary.json"),
                {"star": star, "varkappa": cfg.diagnostics.varkappa,
                 "monotone_decreasing": monotone})
@@ -224,10 +222,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_selftest(cfg: ExperimentConfig) -> int:
-    out = _prepare_out(cfg, "selftest")
     rows = run_selftest()
     report = format_report(rows)
     print(report)
+    out = _prepare_out(cfg, "selftest")
     with open(os.path.join(out, "selftest.txt"), "w", newline="\n") as fh:
         fh.write(report + "\n")
     write_csv(os.path.join(out, "selftest.csv"),

@@ -15,8 +15,9 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
 from .flows import FlowSpec, Integrator, SpecError, Trajectory, evolve
-from .hierarchy import FLAVORS, current, density, hamiltonians
-from .lax import FixedPointChain, GreensTriple, alpha as alpha_of, greens_fixed_point
+from .hierarchy import FLAVORS, POLE_GUARD, current, density, hamiltonians
+from .lax import (FixedPointChain, GreensTriple, alpha as alpha_of, check_kappa,
+                  greens_fixed_point)
 from .profiles import mean_zero_even, mean_zero_odd
 from .spectral import (
     TWO_PI,
@@ -51,6 +52,14 @@ def h_lattice(grid: Grid, count: int) -> np.ndarray:
     if count < 1:
         raise DiagnosticsSpecError(f"cutoff count must be >= 1, got {count}")
     return np.linspace(-grid.length / 4.0, grid.length / 4.0, count)
+
+
+def check_kappas(kappas) -> tuple:
+    """``kappas`` after the rule of alpha and the H^s_kappa norms, kappa >= 1."""
+    for k in kappas:
+        if not k >= 1.0:
+            raise DiagnosticsSpecError(f"alpha and H^s_kappa norms need kappa >= 1, got {k}")
+    return tuple(kappas)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +137,21 @@ def _triples_along(grid: Grid, fields: list[Field], params: tuple,
     return out
 
 
-def micro_centres(spec: FlowSpec, grid: Grid, flavor: str, h_count: int) -> np.ndarray:
-    """The cutoff centres of ``micro_residual`` for ``flavor`` on a flow of
-    ``spec``, after every check of the request that needs no trajectory: a
-    known flavor that pairs with the flow's kind, at least
+def _generating_kappas(flavor: str, kappa) -> tuple:
+    """The generating parameters whose triples the current of ``flavor`` takes."""
+    if flavor == "a_flow":
+        return (kappa,)
+    if flavor in ("nls_diff", "mkdv_diff"):
+        return (kappa, -kappa)
+    return ()
+
+
+def micro_centres(spec: FlowSpec, grid: Grid, flavor: str, varkappa: float,
+                  h_count: int) -> np.ndarray:
+    """The cutoff centres of ``micro_residual`` for ``flavor`` at ``varkappa``
+    on a flow of ``spec``, after every check of the request that needs no
+    trajectory: a known flavor that pairs with the flow's kind, |varkappa|
+    >= 1 away from the generating current's pole, at least
     ``STENCIL_SNAPSHOTS`` snapshots, a stride that divides the step count
     (so the snapshots are uniformly spaced), and ``h_count >= 1``.  A run
     calls it before its flow, so a usage error costs no step.
@@ -142,6 +162,10 @@ def micro_centres(spec: FlowSpec, grid: Grid, flavor: str, h_count: int) -> np.n
     if FLAVORS[flavor] != spec.kind:
         raise DiagnosticsSpecError(f"flavor {flavor!r} pairs with the {FLAVORS[flavor]!r} "
                                    f"flow, but the flow is {spec.kind!r}")
+    check_kappa(varkappa)
+    for k in _generating_kappas(flavor, spec.kappa):
+        if abs(k - varkappa) < POLE_GUARD * max(abs(k), abs(varkappa)):
+            raise DiagnosticsSpecError(f"the {flavor} current has a pole at varkappa={k}")
     if spec.snapshots < STENCIL_SNAPSHOTS:
         raise DiagnosticsSpecError(
             f"need at least {STENCIL_SNAPSHOTS} snapshots for the stencil, but t_final, "
@@ -165,7 +189,7 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     int [rho(T) - rho(0)] phi_h dx.
     """
     grid = traj.grid
-    centres = micro_centres(traj.spec, grid, flavor, h_count)
+    centres = micro_centres(traj.spec, grid, flavor, varkappa, h_count)
     # a trajectory that evolve did not make need not hold its spec's times
     times = np.asarray(traj.times)
     steps = np.diff(times)
@@ -176,12 +200,7 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     delta = float(steps[0])
     fields = [traj.field(i) for i in range(len(traj))]
     kap = traj.spec.kappa
-    # the kappa-flows' currents also take the triples at kappa (and -kappa)
-    params = (varkappa,)
-    if flavor == "a_flow":
-        params += (kap,)
-    elif flavor in ("nls_diff", "mkdv_diff"):
-        params += (kap, -kap)
+    params = (varkappa,) + _generating_kappas(flavor, kap)
     solved = _triples_along(grid, fields, params, fp_tol)
     vk_triples = [t[0] for t in solved]
     extras = [tuple(t[1:]) for t in solved]
@@ -253,8 +272,7 @@ def local_smoothing_norm(traj: Trajectory, sigma: float, kappa: float = 1.0,
     The window is whatever the trajectory covers; it is reported alongside.
     kappa >= 1, as for every H^s_kappa norm.
     """
-    if not kappa >= 1.0:
-        raise DiagnosticsError(f"local smoothing requires kappa >= 1, got {kappa}")
+    check_kappas((kappa,))
     grid = traj.grid
     times = np.asarray(traj.times)
     best_plain = 0.0
@@ -328,7 +346,8 @@ def kappa_convergence_study(q0: Field, star: str, varkappa: float,
     is bitwise that of its own flow and chain.
     """
     if star not in ("nls", "mkdv"):
-        raise DiagnosticsSpecError(f"star must be nls or mkdv, got {star!r}")
+        raise DiagnosticsSpecError(f"the sweep runs the nls_diff or mkdv_diff flow, "
+                                   f"so star must be nls or mkdv, got {star!r}")
     if not kappas:
         raise DiagnosticsSpecError("the sweep needs at least one kappa")
     if varkappa < 4.0:
@@ -470,6 +489,7 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
         raise DiagnosticsError(f"seed mean {mean0:.3e} fails the vanishing check")
 
     spec = FlowSpec(kind, dt, window, snapshot_stride=snapshot_stride)
+    single = _embedded_bump(u0, bumps, separation) if bumps > 1 else None
     traj = evolve(u0, spec)
 
     # mean production rate at t = 0 from the vector field itself: dx times
@@ -511,8 +531,8 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
                                            for lam in lambdas]))
 
     sup_err = None
-    if bumps > 1:
-        sup_err = _superposition_error(u0, traj, bumps, separation, spec)
+    if single is not None:
+        sup_err = _superposition_error(single, bumps, separation, spec)
 
     return InflationReport(sigma, tuple(lambdas), list(traj.times), series, growth,
                            mean_series, t1, t1 is not None, threshold, rate,
@@ -520,10 +540,8 @@ def norm_inflation_experiment(parity: str, amplitude: float, lambdas: tuple,
                            sup_err)
 
 
-def _superposition_error(u0: Field, base: Trajectory, bumps: int,
-                         separation: float, spec: FlowSpec) -> list:
-    """Evolve a train of translated bumps and compare against the superposed
-    single-bump evolution, snapshot by snapshot (relative L2)."""
+def _embedded_bump(u0: Field, bumps: int, separation: float) -> Field:
+    """The seed in a box for ``bumps`` copies ``separation`` apart, which must not overlap."""
     grid = u0.grid
     need = bumps * separation + grid.length
     factor = 1
@@ -539,16 +557,23 @@ def _superposition_error(u0: Field, base: Trajectory, bumps: int,
     mask = np.abs(big.x) > separation / 2.0
     overlap = float(np.max(np.abs(single.values[mask]))) / peak
     if overlap > 1e-8:
-        raise DiagnosticsError(
+        raise DiagnosticsSpecError(
             f"bump overlap {overlap:.2e} at separation {separation} exceeds 1e-8"
         )
+    return single
+
+
+def _superposition_error(single: Field, bumps: int, separation: float, spec: FlowSpec) -> list:
+    """Evolve a train of translated bumps and compare against the superposed
+    single-bump evolution, snapshot by snapshot (relative L2)."""
+    big = single.grid
     offsets = [(n - (bumps - 1) / 2.0) * separation for n in range(bumps)]
 
     def translate(values: np.ndarray, shift: float) -> np.ndarray:
         return apply_multiplier(values, np.exp(-1j * big.xi * shift), big)
 
     multi0 = np.sum([translate(single.values, off) for off in offsets], axis=0)
-    multi_traj = evolve(Field(big, multi0, u0.sign), spec)
+    multi_traj = evolve(Field(big, multi0, single.sign), spec)
     single_traj = evolve(single, spec)
     errs = []
     for i in range(len(multi_traj)):

@@ -106,6 +106,10 @@ class FlowSpec:
                 and math.isfinite(self.t_final / self.dt)):
             raise SpecError("dt must be positive and t_final nonnegative, both finite, "
                             "with a finite number of steps")
+        if abs(self.steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
+            raise SpecError(
+                f"t_final {self.t_final} is not an integer number of steps of {self.dt}"
+            )
         if self.snapshot_stride < 1:
             raise SpecError("snapshot stride must be >= 1")
         if self.kind in _KAPPA_KINDS:
@@ -298,10 +302,6 @@ def evolve(f: Field, spec: FlowSpec) -> Trajectory:
     """Integrate to t_final, snapshotting every ``snapshot_stride`` steps."""
     stepper = Integrator(f.grid, f.sign, spec)
     n_steps = spec.steps
-    if abs(n_steps * spec.dt - spec.t_final) > 1e-9 * max(1.0, spec.t_final):
-        raise SpecError(
-            f"t_final {spec.t_final} is not an integer number of steps of {spec.dt}"
-        )
     pair = spec.kind == "a_flow"
     family = isinstance(spec.kappa, tuple)
     values = np.stack((f.values, f.r)) if pair else f.values

@@ -49,6 +49,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 from .spectral import (
     Field,
     Grid,
+    SpectralError,
     apply_multiplier,
     dealiased_mul,
     inverse_shift_symbol,
@@ -90,9 +91,13 @@ class DivergentSeries(LaxError):
     """Trace series outside the small ball: spectral radius or branch bound too large."""
 
 
-def _check_kappa(kappa: float) -> None:
+class KappaError(LaxError, SpectralError):
+    """A spectral parameter outside the range a routine takes (a usage error)."""
+
+
+def check_kappa(kappa: float) -> None:
     if not np.isfinite(kappa) or abs(kappa) < 1.0:
-        raise LaxError(f"spectral parameter must be real with |kappa| >= 1, got {kappa}")
+        raise KappaError(f"spectral parameter must be real with |kappa| >= 1, got {kappa}")
 
 
 @dataclass
@@ -157,12 +162,12 @@ def fixed_point_raw(grid: Grid, q_hat: np.ndarray, r_hat: np.ndarray, kappa,
 
     A call of k iterations makes 4k + 3 transform calls, all of size 3N/2:
     one pad of q and r, and two to rebuild g12 and g21 of every row from its
-    final gamma.  The symbols need no finiteness check: ``_check_kappa``
+    final gamma.  The symbols need no finiteness check: ``check_kappa``
     gives |2 kappa -/+ i xi| >= 2.
     """
     kappa = np.asarray(kappa, dtype=np.float64)
     for k in kappa.flat:
-        _check_kappa(k)
+        check_kappa(k)
     n = grid.points
     rows = np.broadcast_shapes(kappa.shape, q_hat.shape[:-1], r_hat.shape[:-1],
                                () if gamma0 is None else gamma0.shape[:-1])
@@ -302,7 +307,7 @@ class FixedPointChain:
 
 
 def series_raw(grid: Grid, q: np.ndarray, r: np.ndarray, kappa: float):
-    _check_kappa(kappa)
+    check_kappa(kappa)
     inv_m = inverse_shift_symbol(grid, 2.0 * kappa, -1)
     inv_p = inverse_shift_symbol(grid, 2.0 * kappa, +1)
     mq = apply_multiplier(q, inv_m, grid)     # q/(2k - d)
@@ -410,7 +415,7 @@ def greens_oracle(f: Field, kappa: float,
     is not finite.
     """
     grid, q, rr = f.grid, f.values, f.r
-    _check_kappa(kappa)
+    check_kappa(kappa)
     n = grid.points
     if n > ORACLE_MAX_POINTS:
         raise LaxError(
@@ -519,7 +524,7 @@ def operator_pair(f: Field, kappa: float) -> tuple[float, float]:
     fft(|k|^2), and |Gamma|_HS that of r.  They must be finite, and agree to
     1e-10 when the partner is slaved."""
     grid = f.grid
-    _check_kappa(kappa)
+    check_kappa(kappa)
     kernel = np.fft.ifft(np.abs(inverse_shift_symbol(grid, kappa, -1)))
     weight = np.fft.fft(np.abs(kernel) ** 2).real / grid.dx
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms raise below
@@ -640,7 +645,7 @@ def pdet_integral(f: Field, kappa: float, triple: GreensTriple) -> complex:
 def alpha(f: Field, kappa: float, tol: float = 1e-12) -> float:
     """The real conserved quantity: (focusing sign) * Re A(kappa), kappa >= 1."""
     if kappa < 1.0:
-        raise LaxError(f"alpha requires kappa >= 1, got {kappa}")
+        raise KappaError(f"alpha requires kappa >= 1, got {kappa}")
     triple = greens_fixed_point(f, kappa, tol=tol)
     a = pdet_integral(f, kappa, triple)
     return f.sign * a.real

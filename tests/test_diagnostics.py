@@ -14,6 +14,7 @@ from aknslab.diagnostics import (
     kappa_convergence_study,
     local_smoothing_norm,
     log_lambda_fit,
+    micro_centres,
     micro_residual,
     norm_inflation_experiment,
     residual_refinement,
@@ -24,7 +25,7 @@ from aknslab.diagnostics import (
 )
 from aknslab.flows import FlowSpec, SpecError, Trajectory, evolve
 from aknslab.hierarchy import current, density
-from aknslab.lax import GreensTriple, fixed_point_raw
+from aknslab.lax import GreensTriple, KappaError, fixed_point_raw
 from aknslab.profiles import gaussian, mean_zero_even, plane_wave
 from aknslab.spectral import Field, Grid, bump, sobolev_norm
 
@@ -71,6 +72,20 @@ class TestMicroResidual:
         rep = micro_residual(traj, 2.0, "nls")
         assert rep.pointwise_l1 == 0.0
         assert all(gap == 0.0 for _, _, _, gap, _ in rep.integrated)
+
+    @pytest.mark.parametrize("kind, kappa, flavor, varkappa, match", [
+        ("nls", None, "nls", 0.5, "kappa"),
+        ("a_flow", 4.0, "a_flow", 4.0, "pole"),
+        ("nls_diff", 8.0, "nls_diff", 8.0, "pole"),
+        ("mkdv_diff", 8.0, "mkdv_diff", -8.0, "pole")])
+    def test_varkappa_checked_before_any_flow(self, grid, kind, kappa, flavor, varkappa,
+                                              match):
+        # |varkappa| >= 1, away from the generating current's pole at +-kappa
+        spec = FlowSpec(kind, 1e-3, 0.01, kappa=kappa)
+        with pytest.raises((KappaError, DiagnosticsSpecError), match=match):
+            micro_centres(spec, grid, flavor, varkappa, 9)
+        # a negative varkappa is a valid parameter
+        assert len(micro_centres(FlowSpec("nls", 1e-3, 0.01), grid, "nls", -2.0, 9)) == 9
 
     def test_flavor_flow_mismatch(self, grid, small_gaussian):
         traj = evolve(small_gaussian, FlowSpec("nls", 1e-3, 0.01))
@@ -132,6 +147,11 @@ class TestLocalSmoothing:
         traj = frozen_trajectory(grid, Field(grid, np.zeros(grid.points)))
         rep = local_smoothing_norm(traj, -0.25)
         assert rep.value == 0.0 and rep.value_kappa == 0.0
+
+    def test_kappa_below_one_is_a_usage_error(self, grid, small_gaussian):
+        traj = frozen_trajectory(grid, small_gaussian)
+        with pytest.raises(DiagnosticsSpecError, match="kappa >= 1"):
+            local_smoothing_norm(traj, -0.25, kappa=0.5)
 
     def test_frozen_field_value(self, grid, small_gaussian):
         traj = frozen_trajectory(grid, small_gaussian)
@@ -345,6 +365,13 @@ class TestInflation:
 
     def test_overlap_gate(self):
         with pytest.raises(DiagnosticsError, match="overlap"):
+            norm_inflation_experiment("even", 0.3, (8.0,), -0.5, bumps=2,
+                                      separation=2.0, window=0.01, dt=1e-3,
+                                      snapshot_stride=5)
+
+    def test_overlap_checked_before_any_flow(self, monkeypatch):
+        monkeypatch.setattr("aknslab.diagnostics.evolve", None)
+        with pytest.raises(DiagnosticsSpecError, match="overlap"):
             norm_inflation_experiment("even", 0.3, (8.0,), -0.5, bumps=2,
                                       separation=2.0, window=0.01, dt=1e-3,
                                       snapshot_stride=5)

@@ -44,6 +44,12 @@ class TestFlowSpec:
             FlowSpec("nls", float("nan"), 1.0)
         assert issubclass(SpecError, FlowError) and issubclass(UnstableStep, SpecError)
 
+    def test_whole_number_of_steps(self):
+        # the spec refuses it, so its steps and snapshots describe a valid flow
+        with pytest.raises(SpecError, match="integer number of steps"):
+            FlowSpec("nls", 3e-4, 1e-3)
+        assert FlowSpec("nls", 1e-3, 0.01, snapshot_stride=3).snapshots == 5
+
     def test_stability_gate(self):
         g = Grid(32.0, 1024)  # max|xi| ~ 100
         f = gaussian(g, 0.1, width=2.0)

@@ -13,6 +13,7 @@ from aknslab.lax import (
     FixedPointChain,
     GreensTriple,
     IllConditioned,
+    KappaError,
     LaxError,
     NonContraction,
     _multiplier_matrix,
@@ -32,6 +33,7 @@ from aknslab.profiles import constant, gaussian, plane_wave, random_schwartz
 from aknslab.spectral import (
     Field,
     Grid,
+    SpectralError,
     apply_multiplier,
     dealiased_mul,
     diff,
@@ -711,6 +713,14 @@ class TestAlpha:
     def test_kappa_gate(self, grid, small_gaussian):
         with pytest.raises(LaxError):
             alpha(small_gaussian, 0.5)
+
+    def test_kappa_gates_are_usage_errors(self, small_gaussian):
+        # a numerical-module error that is also a SpectralError, so the CLI
+        # exits 2 on a spectral parameter out of range
+        assert issubclass(KappaError, LaxError) and issubclass(KappaError, SpectralError)
+        for call, kappa in ((alpha, -2.0), (alpha, 0.5), (greens_fixed_point, 0.9)):
+            with pytest.raises(KappaError):
+                call(small_gaussian, kappa)
 
 
 class TestOperatorPair:

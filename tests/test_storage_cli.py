@@ -373,6 +373,8 @@ class TestCli:
         cfg["flow"].update(kind="nls_diff", kappa=8.0)
         path.write_text(json.dumps(cfg))
         assert main(["evolve", "--config", str(path)]) == 3
+        # a failed run writes nothing
+        assert not os.path.exists(cfg["out"])
 
     def test_green_zero_field_exports_zeros(self, tmp_path):
         cfg = {
@@ -487,10 +489,11 @@ def run_counting_steps(sub, path, out):
 
 def assert_exits_cleanly(tree):
     """Every subcommand but ``selftest`` on ``tree`` exits 0, 2 or 3 (``sweep``
-    also 1, its property failure) with at most one line on stderr, and a
-    usage error (2) is raised before the first step of any flow; a
-    traceback or an escaped RuntimeWarning fails by raising.  Returns the
-    exit code of each subcommand."""
+    also 1, its property failure) with at most one line on stderr, a
+    usage error (2) is raised before the first step of any flow, and a run
+    that fails (2 or 3) leaves no output directory; a traceback or an
+    escaped RuntimeWarning fails by raising.  Returns the exit code of each
+    subcommand."""
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -503,6 +506,8 @@ def assert_exits_cleanly(tree):
             assert code in allowed, (sub, tree, err)
             assert len(err.splitlines()) <= 1, (sub, tree, err)
             assert code != 2 or steps == 0, (sub, tree, steps, err)
+            assert code not in (2, 3) or not os.path.exists(os.path.join(tmp, sub)), \
+                (sub, tree, code, err)
             codes[sub] = code
     return codes
 
@@ -549,30 +554,67 @@ class TestConfigProperty:
         ("h_count", 0, ("micro", "sweep")), ("h_count", -1, ("micro", "sweep")),
         ("h_count_sup", 0, ("smoothing",)), ("lambdas", [], ("inflate",)),
         ("lambdas", [0.0], ("inflate",)), ("lambdas", [-1.0], ("inflate",)),
-        ("varkappa", 1.0, ("sweep",))])
+        ("varkappa", 1.0, ("sweep",)),
+        ("kappas", [0.0], ("green", "evolve", "conserved", "smoothing"))])
     def test_bad_diagnostics_field_is_a_usage_error(self, key, value, failing):
         codes = exit_codes_with(key, value)
         assert all(codes[sub] == 2 for sub in failing), codes
 
-    # usage errors found from the flow spec or the grid: raised before any step
+    # usage errors found from the config alone, each raised before any step:
+    # (exit code, stderr lines, steps), and no output directory
+    @staticmethod
+    def usage_outcome(tmp_path, sub, changes):
+        tree = copy.deepcopy(SMALL)
+        tree["flow"]["snapshot_stride"] = 2
+        for section, fields in changes.items():
+            tree[section].update(fields)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tree))
+        code, err, steps = run_counting_steps(sub, str(path), str(tmp_path))
+        assert not (tmp_path / sub).exists(), (code, err)
+        return code, len(err.splitlines()), steps
+
     @pytest.mark.parametrize("sub, section, key, value", [
         ("micro", "diagnostics", "h_count", 0), ("micro", "diagnostics", "h_count", -1),
         ("micro", "flow", "snapshot_stride", 3),  # 10 steps: snapshots not uniform
         ("smoothing", "diagnostics", "h_count_sup", 0),
-        ("smoothing", "diagnostics", "h_count_sup", -1)])
+        ("smoothing", "diagnostics", "h_count_sup", -1),
+        ("inflate", "diagnostics", "lambdas", []),
+        ("sweep", "diagnostics", "varkappa", 1.0),
+        ("evolve", "diagnostics", "kappas", [0.5]),
+        ("evolve", "diagnostics", "kappas", [-2.0]),
+        ("smoothing", "diagnostics", "kappas", [0.5]),
+        ("smoothing", "diagnostics", "kappas", [-2.0]),
+        ("micro", "diagnostics", "varkappa", 0.5),
+        ("green", "diagnostics", "kappas", [0.0]),
+        ("conserved", "diagnostics", "kappas", [0.0])])
     def test_usage_error_before_the_first_step(self, tmp_path, sub, section, key, value):
+        outcome = self.usage_outcome(tmp_path, sub, {section: {key: value}})
+        assert outcome == (2, 1, 0)
+
+    # the generating current's pole at varkappa = +-kappa, and bumps that
+    # overlap at their separation
+    @pytest.mark.parametrize("sub, changes", [
+        ("micro", {"flow": {"kind": "a_flow", "kappa": 4.0},
+                   "diagnostics": {"flavor": "a_flow", "varkappa": 4.0}}),
+        ("micro", {"flow": {"kind": "nls_diff", "kappa": 8.0},
+                   "diagnostics": {"flavor": "nls_diff", "varkappa": 8.0}}),
+        ("micro", {"flow": {"kind": "nls_diff", "kappa": 8.0},
+                   "diagnostics": {"flavor": "nls_diff", "varkappa": -8.0}}),
+        ("inflate", {"diagnostics": {"bumps": 2, "separation": 2.0}})])
+    def test_pole_and_overlap_before_the_first_step(self, tmp_path, sub, changes):
+        assert self.usage_outcome(tmp_path, sub, changes) == (2, 1, 0)
+
+    def test_negative_varkappa_runs(self, tmp_path):
         tree = copy.deepcopy(SMALL)
         tree["flow"]["snapshot_stride"] = 2
-        tree[section][key] = value
+        tree["diagnostics"]["varkappa"] = -2.0
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tree))
-        code, err, steps = run_counting_steps(sub, str(path), str(tmp_path))
-        assert (code, len(err.splitlines()), steps) == (2, 1, 0), err
-        assert not (tmp_path / sub).exists()
+        assert main(["micro", "--config", str(path), "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("key, value, failing", [
-        ("sigma", 400, ("smoothing",)),
-        ("kappas", [0.0], ("green", "evolve", "conserved", "smoothing"))])
+        ("sigma", 400, ("smoothing",))])
     def test_bad_diagnostics_field_is_a_numerical_failure(self, key, value, failing):
         codes = exit_codes_with(key, value)
         assert all(codes[sub] == 3 for sub in failing), codes
