@@ -41,6 +41,8 @@ def _prepare_out(cfg: ExperimentConfig, subcommand: str) -> str:
 def cmd_green(cfg: ExperimentConfig) -> int:
     f = cfg.make_field()
     grid = f.grid
+    for kappa in cfg.diagnostics.kappas:  # every kappa before the first solve
+        lax.check_kappa(kappa)
     solved = []
     for kappa in cfg.diagnostics.kappas:
         # the fixed point first: its gate rejects data that would overflow the series
@@ -77,6 +79,8 @@ def cmd_green(cfg: ExperimentConfig) -> int:
 
 def cmd_conserved(cfg: ExperimentConfig) -> int:
     f = cfg.make_field()
+    for kappa in cfg.diagnostics.kappas:  # every kappa before the first solve
+        lax.check_kappa(kappa)
     ham = hierarchy.hamiltonians(f)
     rows = []
     nan = float("nan")

@@ -605,6 +605,18 @@ class TestConfigProperty:
     def test_pole_and_overlap_before_the_first_step(self, tmp_path, sub, changes):
         assert self.usage_outcome(tmp_path, sub, changes) == (2, 1, 0)
 
+    @pytest.mark.parametrize("sub", ["green", "conserved"])
+    def test_every_kappa_checked_before_any_solve(self, tmp_path, monkeypatch, sub):
+        # kappa = 4 is valid, but nothing is solved before 0.5 is refused
+        calls = {}
+        for name in ("series_raw", "fixed_point_raw"):
+            def counted(*args, _name=name, _solve=getattr(lax, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(lax, name, counted)
+        outcome = self.usage_outcome(tmp_path, sub, {"diagnostics": {"kappas": [4.0, 0.5]}})
+        assert outcome == (2, 1, 0) and calls == {}, calls
+
     def test_negative_varkappa_runs(self, tmp_path):
         tree = copy.deepcopy(SMALL)
         tree["flow"]["snapshot_stride"] = 2
