@@ -2,6 +2,15 @@
 microscopic conservation residuals, local smoothing norms, tightness,
 kappa-convergence of the difference flows, and the norm-inflation
 experiment.
+
+The time integrals (the flux side of a microscopic conservation law, the
+local smoothing norm) are Simpson sums taken by ``_simpson``, a numpy copy of
+``scipy.integrate.simpson``.  scipy's ``quad`` and ``CubicSpline`` are
+imported only inside the scale-family quadrature, and ``quad`` inside
+``spectral.partition_constant``; ``inflate`` and ``selftest`` alone call
+them.  The reason is start-up cost: ``scipy.integrate`` and
+``scipy.interpolate`` load ``scipy.special`` and ``scipy.optimize``, which
+would otherwise be most of every subcommand's start-up.
 """
 
 from __future__ import annotations
@@ -11,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad, simpson
-from scipy.interpolate import CubicSpline
 
 from .flows import FlowSpec, Integrator, SpecError, Trajectory, evolve
 from .hierarchy import FLAVORS, POLE_GUARD, current, density, hamiltonians
@@ -60,6 +67,34 @@ def check_kappas(kappas) -> tuple:
         if not k >= 1.0:
             raise DiagnosticsSpecError(f"alpha and H^s_kappa norms need kappa >= 1, got {k}")
     return tuple(kappas)
+
+
+def _simpson(y: np.ndarray, times: np.ndarray) -> np.float64:
+    """``scipy.integrate.simpson(y, x=times)`` for 1-D ``y`` over strictly
+    increasing ``times``, bitwise: composite Simpson over pairs of intervals
+    with their own spacings, and for an even count Cartwright's correction
+    for the last interval (the trapezoid rule at two points).  Each
+    operation is scipy 1.17's, in its order, so the sums round alike."""
+    n = len(y)
+    d = np.diff(times)
+    if n == 2:
+        return 0.5 * d[-1] * (y[-1] + y[-2])
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = d[0:stop:2], d[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2:
+        return result
+    # the last two spacings stay 0-d arrays, as in scipy: a scalar ** can
+    # round differently
+    a, b = np.squeeze(d[-2:-1]), np.squeeze(d[-1:])
+    alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+    beta = (b ** 2 + 3.0 * a * b) / (6 * a)
+    eta = 1 * b ** 3 / (6 * a * (a + b))
+    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +262,7 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
         flux = np.array([grid.dx * float(np.sum((j * psi12).real))
                          + 1j * grid.dx * float(np.sum((j * psi12).imag))
                          for j in currents])
-        lhs = complex(simpson(flux.real, x=times) + 1j * simpson(flux.imag, x=times))
+        lhs = complex(_simpson(flux.real, times) + 1j * _simpson(flux.imag, times))
         rhs = grid.integrate((rhos[-1] - rhos[0]) * phi)
         gap = abs(lhs - rhs)
         rel = gap / max(abs(lhs), abs(rhs), floor)
@@ -284,8 +319,8 @@ def local_smoothing_norm(traj: Trajectory, sigma: float, kappa: float = 1.0,
         w_kappa = sobolev_weight(grid, sigma + 1.0) / sobolev_weight(grid, 1.0, kappa)
         for h in h_lattice(grid, h_count):
             coeffs = np.fft.fft(bump(grid.x - h) ** 6 * traj.states)
-            plain = float(simpson(weighted_norm_sq(coeffs, grid, w_plain), x=times))
-            kap = float(simpson(weighted_norm_sq(coeffs, grid, w_kappa), x=times))
+            plain = float(_simpson(weighted_norm_sq(coeffs, grid, w_plain), times))
+            kap = float(_simpson(weighted_norm_sq(coeffs, grid, w_kappa), times))
             if not (math.isfinite(plain) and math.isfinite(kap)):
                 raise DiagnosticsError(f"localized norm at h={h:.3g} is not finite")
             best_plain = max(best_plain, plain)
@@ -386,6 +421,7 @@ def _scale_family_quad(spectrum, lo: float, hi: float, lam: float,
                        sigma: float) -> float:
     """lam * int_lo^hi (4 + lam^2 eta^2)^sigma spectrum(eta) d eta, adaptively,
     with breakpoints where the weight turns over."""
+    from scipy.integrate import quad
 
     def integrand(e):
         return (4.0 + (lam * e) ** 2) ** sigma * spectrum(e)
@@ -406,6 +442,8 @@ def scale_family_norm_sq(f: Field, lam: float, sigma: float) -> float:
     transform q_hat is (dx / sqrt(2 pi)) (-1)^k times the raw coefficients;
     the node phase (-1)^k drops out of |q_hat|.
     """
+    from scipy.interpolate import CubicSpline
+
     grid = f.grid
     order = np.argsort(grid.xi)
     eta = grid.xi[order]

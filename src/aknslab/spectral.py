@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,6 +360,11 @@ def cutoff_antiderivative(x, power: int, scale: float = CUTOFF_SCALE) -> np.ndar
 
 
 def partition_constant(scale: float = CUTOFF_SCALE) -> float:
-    """Numerically integrate int psi^12 dx (a calibration self-test)."""
+    """Numerically integrate int psi^12 dx (a calibration self-test).
+
+    ``quad`` is imported here, not with the module, so that a run that does
+    not calibrate does not load ``scipy.integrate``."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda x: bump(x, scale) ** 12, -np.inf, np.inf)
     return val

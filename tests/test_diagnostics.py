@@ -9,6 +9,7 @@ import pytest
 from aknslab.diagnostics import (
     DiagnosticsError,
     DiagnosticsSpecError,
+    _simpson,
     conserved_drift,
     h_lattice,
     kappa_convergence_study,
@@ -51,6 +52,21 @@ def frozen_trajectory(grid, field, n=11, dt=0.01):
     times = [dt * i for i in range(n)]
     return Trajectory(FlowSpec("nls", dt, dt * (n - 1)), grid, field.sign,
                       times, [field.values.copy() for _ in times])
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_bitwise_scipy(self, uniform):
+        # every count up to 60, odd and even, at uniform steps i*dt and at
+        # random increasing times
+        rng = np.random.default_rng(28)
+        for n in range(2, 61):
+            for _ in range(20):
+                dt = rng.uniform(1e-4, 0.1)
+                times = (np.arange(n) * dt if uniform
+                         else np.cumsum(rng.uniform(1e-3, 1.0, n)))
+                y = rng.standard_normal(n)
+                assert _simpson(y, times) == simpson(y, x=times), (n, times, y)
 
 
 class TestConservedDrift:

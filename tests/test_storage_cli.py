@@ -452,6 +452,18 @@ class TestCli:
             capture_output=True, text=True, timeout=500)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_no_quadrature_module(self):
+        # scipy.integrate and scipy.interpolate load scipy.special and
+        # scipy.optimize, most of a run's start-up; only the scale-family
+        # quadrature and partition_constant import them, when called
+        script = ("import sys, aknslab.cli; print(' '.join(m for m in ('scipy.integrate', "
+                  "'scipy.interpolate', 'scipy.special', 'scipy.optimize') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flows.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
 
 # every field and every section of the config tree, as (section, key) with key
 # None for a whole section or a top-level scalar
