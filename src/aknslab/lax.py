@@ -29,8 +29,9 @@ Hilbert-Schmidt pair (Lambda, Gamma), summed by Sylvester's identity as
 log det(1 + Lambda Gamma) = log det(1 + R C- Q C+), C-/+ = (kappa -/+ d)^{-1},
 one dense matrix and one LU, or from integrating the density
 (q g21 - r g12)/(2 + gamma).  The pair is never formed: its norms are
-closed forms, and its spectral radius is ARPACK's largest |eigenvalue| of
-the same M applied matrix-free, exact to about 1e-14.
+closed forms, and its spectral radius is the largest |eigenvalue| of the
+same M applied matrix-free, found by a short Arnoldi iteration in numpy and
+exact to about 1e-14.  The module imports no scipy.
 
 Field-level entry points read the conjugate partner as ``Field.r`` (the
 generating flow's independent ``partner``, else sign * conj(q)); only the
@@ -43,8 +44,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+from numpy.lib.stride_tricks import as_strided
+# imported by name so that numpy 2's lazy numpy.random loads with aknslab,
+# not inside the first run
+from numpy.random import default_rng
 
 from .spectral import (
     Field,
@@ -340,8 +343,13 @@ def greens_series(f: Field, kappa: float) -> GreensTriple:
 
 def _multiplier_matrix(m: np.ndarray) -> np.ndarray:
     """The matrix of the multiplier C v = ifft(m * fft(v)) with symbol values
-    m on the lattice: the circulant C_ij = c[(i - j) mod N], c = ifft(m)."""
-    return scipy.linalg.circulant(np.fft.ifft(m))
+    m on the lattice: the circulant C_ij = c[(i - j) mod N], c = ifft(m),
+    copied from a strided view of (c reversed, then c[N-1:0:-1])."""
+    c = np.fft.ifft(m)
+    n = c.size
+    ext = np.concatenate((c[::-1], c[:0:-1]))
+    step = ext.strides[0]
+    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
 
 
 def _apply_right(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -537,6 +545,42 @@ def operator_pair(f: Field, kappa: float) -> tuple[float, float]:
     return float(a), float(b)
 
 
+#: Arnoldi steps ``pdet_trace`` allows for the spectral radius; 9 to 27
+#: reach the residual test on the tested data.
+RADIUS_MAX_STEPS = 100
+
+
+def _arnoldi_radius(matvec, v0: np.ndarray, steps: int) -> float | None:
+    """Largest |eigenvalue| of the N x N operator ``matvec``, by Arnoldi from
+    v0 with classical Gram-Schmidt applied twice.  The Ritz values are the
+    eigenvalues of the Hessenberg matrix H, and the top Ritz pair (theta, y),
+    |y| = 1, after j steps has the residual |h_{j+1,j} y_j|.  Returns |theta|
+    once that residual is at most 1e-15 |theta| or the basis spans all N
+    dimensions, nan once H is not finite, and None if neither happens
+    within ``steps`` steps."""
+    n = v0.size
+    m = min(steps, n)
+    basis = np.empty((m + 1, n), dtype=np.complex128)
+    hess = np.zeros((m + 1, m), dtype=np.complex128)
+    basis[0] = v0 / np.linalg.norm(v0)
+    for j in range(m):
+        w = matvec(basis[j])
+        for _ in range(2):
+            h = basis[:j + 1].conj() @ w
+            w -= h @ basis[:j + 1]
+            hess[:j + 1, j] += h
+        beta = np.linalg.norm(w)
+        hess[j + 1, j] = beta
+        if not np.all(np.isfinite(hess[:j + 2, j])):
+            return math.nan
+        theta, y = np.linalg.eig(hess[:j + 1, :j + 1])
+        top = np.argmax(np.abs(theta))
+        if beta * abs(y[j, top]) <= 1e-15 * abs(theta[top]) or j + 1 == n:
+            return float(abs(theta[top]))
+        basis[j + 1] = w / beta
+    return None
+
+
 @dataclass
 class TraceDeterminant:
     value: complex
@@ -550,24 +594,22 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
     As C-/+ = H-/+^2, Sylvester's identity det(1 + AB) = det(1 + BA) gives
     Lambda Gamma the eigenvalues, the trace and det(1 + .) of the one
     operator M = R C- Q C+, the oracle's R C- Q times C+.  Its spectral
-    radius rho is ARPACK's (``eigs``, k = 1, seed-7 start) on M applied
-    matrix-free, two multipliers a step, exact to about 1e-14.  slogdet gives
-    sum_i arg(1 + lambda_i) only mod 2 pi, and that sum is at most
-    a b / (1 - rho) for the Hilbert-Schmidt norms a, b (``operator_pair``).
-    So ``DivergentSeries`` is raised, in this order, unless a and b are
-    finite, a b < pi (keeping data too large for the branch bound away from
-    the dense work and ARPACK), rho < 1 (rho = 0 if a b = 0; an ARPACK
-    failure raises too) and a b / (1 - rho) < pi.
+    radius rho comes from Arnoldi (``_arnoldi_radius``, seed-7 start, at most
+    ``RADIUS_MAX_STEPS`` steps) on M applied matrix-free, two multipliers a
+    step, exact to about 1e-14.  slogdet gives sum_i arg(1 + lambda_i) only
+    mod 2 pi, and that sum is at most a b / (1 - rho) for the
+    Hilbert-Schmidt norms a, b (``operator_pair``).  So ``DivergentSeries``
+    is raised, in this order, unless a and b are finite, a b < pi (keeping
+    data too large for the branch bound away from the dense work and
+    Arnoldi), rho < 1 (rho = 0 if a b = 0; Arnoldi that does not converge
+    raises too) and a b / (1 - rho) < pi.
 
     tr(Lambda Gamma) has a slowly decaying tail in the frequency direction
     that a band-limited matrix trace truncates at first order, so the m = 1
     term uses its exact closed form sgn(kappa) * int r (2k-d)^{-1} q dx; the
     terms m >= 2 sum to log det(1 + M) - tr M.  M is the one N x N array
     (so N <= ``ORACLE_MAX_POINTS``) and its LU (``slogdet``) the only cubic
-    step.  The LU runs before the eigensolver: ARPACK's BLAS is scipy's
-    OpenBLAS, a thread pool apart from numpy's, and its worker spins for
-    about 0.1 s after each call, so an LU started right after it shares the
-    cores with that spin (at N = 1024 on two cores, about 25 ms slower).
+    step.
     """
     grid, q, rr = f.grid, f.values, f.r
     n = grid.points
@@ -589,18 +631,15 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
     trace = np.trace(mat)
     mat.flat[::n + 1] += 1.0  # I + M, in place
     sign, logabs = np.linalg.slogdet(mat)
-    radius = 0.0  # a b = 0 makes M zero, on which ARPACK fails
+    radius = 0.0  # a b = 0 makes M zero
     if a * b > 0.0:
-        op = LinearOperator((n, n), dtype=np.complex128, matvec=lambda v: rr * apply_multiplier(
-            q * apply_multiplier(v, inv_p, grid), inv_m, grid))  # M = R C- Q C+
-        rng = np.random.default_rng(7)
-        try:
-            top = eigs(op, k=1, which="LM", v0=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                       return_eigenvectors=False)
-        except ArpackError as exc:
-            raise DivergentSeries(f"spectral radius of Lambda*Gamma not found at "
-                                  f"kappa={kappa}: {str(exc).splitlines()[0]}") from exc
-        radius = float(np.abs(top[0]))
+        rng = default_rng(7)
+        radius = _arnoldi_radius(lambda v: rr * apply_multiplier(
+            q * apply_multiplier(v, inv_p, grid), inv_m, grid),  # M = R C- Q C+
+            rng.standard_normal(n) + 1j * rng.standard_normal(n), RADIUS_MAX_STEPS)
+        if radius is None:
+            raise DivergentSeries(f"spectral radius of Lambda*Gamma not found in "
+                                  f"{RADIUS_MAX_STEPS} Arnoldi steps at kappa={kappa}")
     if not radius < 1.0:
         raise DivergentSeries(f"spectral radius of Lambda*Gamma is {radius:.3f}, "
                               f"not below 1, at kappa={kappa}")

@@ -30,6 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# imported by name so that numpy 2's lazy numpy.fft loads with aknslab, not
+# inside the first transform of a run
+from numpy.fft import fftfreq
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,7 +58,7 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _lattice(length: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     x = -0.5 * length + (length / points) * np.arange(points)
-    xi = TWO_PI * np.fft.fftfreq(points, d=length / points)
+    xi = TWO_PI * fftfreq(points, d=length / points)
     return _frozen(x), _frozen(xi)
 
 

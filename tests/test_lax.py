@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from aknslab.lax import (
     DataTooLarge,
@@ -16,6 +15,7 @@ from aknslab.lax import (
     KappaError,
     LaxError,
     NonContraction,
+    _arnoldi_radius,
     _multiplier_matrix,
     alpha,
     density_raw,
@@ -631,12 +631,40 @@ class TestDeterminant:
         want = max(abs(np.linalg.eigvals(m)))
         assert abs(pdet_trace(f, 1.0).spectral_radius - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("n", [4, 128, 1024])
+    def test_multiplier_matrix_is_scipy_circulant(self, n):
+        from scipy.linalg import circulant
+        m = inverse_shift_symbol(Grid(64.0, n), 2.0, -1)
+        assert np.array_equal(_multiplier_matrix(m), circulant(np.fft.ifft(m)))
+
+    @pytest.mark.parametrize("n", [128, 256, 1024])
+    def test_radius_matches_arpack(self, n):
+        # the Arnoldi radius against ARPACK's on the same operator and start
+        from scipy.sparse.linalg import LinearOperator, eigs
+        grid = Grid(64.0, n)
+        fields = [random_schwartz(grid, np.random.default_rng(seed), norm=norm)
+                  for seed in (0, 1, 3) for norm in (0.1, 0.17, 0.24)] + [gaussian(grid, 0.1)]
+        for f in fields:
+            for kappa in (1.0, 2.0, 4.0, -2.0):
+                inv_m, inv_p = (inverse_shift_symbol(grid, kappa, sgn) for sgn in (-1, +1))
+
+                def matvec(v):
+                    return f.r * apply_multiplier(f.values * apply_multiplier(v, inv_p, grid),
+                                                  inv_m, grid)
+
+                rng = np.random.default_rng(7)
+                v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                got = _arnoldi_radius(matvec, v0, 100)
+                want = abs(eigs(LinearOperator((n, n), dtype=np.complex128, matvec=matvec),
+                                k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
+                assert abs(got - want) <= 1e-13 * want, kappa
+
     def test_zero_partner_has_zero_radius_without_arpack(self, grid, small_gaussian,
                                                           monkeypatch):
-        def no_eigs(*args, **kwargs):
-            raise AssertionError("ARPACK called on a zero operator")
+        def no_solver(*args, **kwargs):
+            raise AssertionError("Arnoldi called on a zero operator")
 
-        monkeypatch.setattr("aknslab.lax.eigs", no_eigs)
+        monkeypatch.setattr("aknslab.lax._arnoldi_radius", no_solver)
         f = Field(grid, small_gaussian.values, partner=np.zeros(grid.points))
         got = pdet_trace(f, 2.0)
         assert got.spectral_radius == 0.0
@@ -644,11 +672,8 @@ class TestDeterminant:
 
     def test_arpack_failure_is_one_line_divergent_series(self, grid, small_gaussian,
                                                          monkeypatch, capfd):
-        def stuck(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
-                                      np.empty((grid.points, 0)))
-
-        monkeypatch.setattr("aknslab.lax.eigs", stuck)
+        # two Arnoldi steps leave the top Ritz value far from converged
+        monkeypatch.setattr("aknslab.lax.RADIUS_MAX_STEPS", 2)
         with pytest.raises(DivergentSeries, match="kappa=2.0") as info:
             pdet_trace(small_gaussian, 2.0)
         assert "\n" not in str(info.value)

@@ -455,14 +455,34 @@ class TestCli:
     def test_import_loads_no_quadrature_module(self):
         # scipy.integrate and scipy.interpolate load scipy.special and
         # scipy.optimize, most of a run's start-up; only the scale-family
-        # quadrature and partition_constant import them, when called
+        # quadrature and partition_constant import them, when called.  No
+        # other scipy module loads either, while numpy 2's lazy numpy.fft and
+        # numpy.random load at import, not inside the first run
         script = ("import sys, aknslab.cli; print(' '.join(m for m in ('scipy.integrate', "
-                  "'scipy.interpolate', 'scipy.special', 'scipy.optimize') if m in sys.modules))")
+                  "'scipy.interpolate', 'scipy.special', 'scipy.optimize') if m in sys.modules)); "
+                  "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                  "print(' '.join(m for m in ('numpy.fft', 'numpy.random') if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flows.__file__)))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        quadrature, loaded, lazy = proc.stdout.split("\n")[:3]
+        assert quadrature.split() == []
+        assert loaded.split() == []
+        assert lazy.split() == ["numpy.fft", "numpy.random"]
+
+    def test_green_and_conserved_load_no_scipy(self, tmp_path, base_config):
+        # the dense oracle, the circulant and the spectral radius are numpy
+        path, _ = base_config
+        script = ("import sys; from aknslab.cli import main; "
+                  f"codes = [main([sub, '--config', {path!r}, '--out', {str(tmp_path / 'o')!r}]) "
+                  "for sub in ('green', 'conserved')]; "
+                  "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flows.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] []"
 
 
 # every field and every section of the config tree, as (section, key) with key
