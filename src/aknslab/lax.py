@@ -30,8 +30,8 @@ log det(1 + Lambda Gamma) = log det(1 + R C- Q C+), C-/+ = (kappa -/+ d)^{-1},
 one dense matrix and one LU, or from integrating the density
 (q g21 - r g12)/(2 + gamma).  The pair is never formed: its norms are
 closed forms, and its spectral radius is the largest |eigenvalue| of the
-same M applied matrix-free, found by a short Arnoldi iteration in numpy and
-exact to about 1e-14.  The module imports no scipy.
+same M applied matrix-free, found by a thick-restart Arnoldi iteration in
+numpy and exact to about 1e-14.  The module imports no scipy.
 
 Field-level entry points read the conjugate partner as ``Field.r`` (the
 generating flow's independent ``partner``, else sign * conj(q)); only the
@@ -545,25 +545,37 @@ def operator_pair(f: Field, kappa: float) -> tuple[float, float]:
     return float(a), float(b)
 
 
-#: Arnoldi steps ``pdet_trace`` allows for the spectral radius; 9 to 27
-#: reach the residual test on the tested data.
-RADIUS_MAX_STEPS = 100
+#: Arnoldi vectors ``_arnoldi_radius`` holds at once; localized data reach the
+#: residual test in 9 to 27 steps, before the first restart.
+RADIUS_BASIS = 40
+#: Arnoldi steps ``pdet_trace`` allows per grid point.  Spread-out data
+#: (constant, plane wave) have a clustered top: at N = 1024 and L = 128,
+#: constant q needs 191 steps at kappa = 4 and 1,101 at kappa = 32.
+RADIUS_STEPS_PER_POINT = 10
 
 
 def _arnoldi_radius(matvec, v0: np.ndarray, steps: int) -> float | None:
-    """Largest |eigenvalue| of the N x N operator ``matvec``, by Arnoldi from
-    v0 with classical Gram-Schmidt applied twice.  The Ritz values are the
-    eigenvalues of the Hessenberg matrix H, and the top Ritz pair (theta, y),
-    |y| = 1, after j steps has the residual |h_{j+1,j} y_j|.  Returns |theta|
-    once that residual is at most 1e-15 |theta| or the basis spans all N
-    dimensions, nan once H is not finite, and None if neither happens
-    within ``steps`` steps."""
+    """Largest |eigenvalue| of the N x N operator ``matvec``, by thick-restart
+    Arnoldi from v0 with classical Gram-Schmidt applied twice.
+
+    The Ritz values are the eigenvalues of the projected matrix H (Hessenberg
+    until the first restart), and the top Ritz pair (theta, y), |y| = 1,
+    after step j has the residual |h_{j+1,j} y_j|.  Returns |theta| once that
+    residual is at most 1e-15 |theta| or the basis spans all N dimensions,
+    and None if neither happens within ``steps`` steps or H is not finite.
+    A full basis of ``RADIUS_BASIS`` vectors restarts from the span of its
+    top half of Ritz vectors, orthonormalized; the next step restores the
+    decomposition M V = V H + beta v e^T, with H full in its leading block
+    (Morgan, Math. Comp. 65, 1996; Wu & Simon, SIAM J. Matrix Anal. Appl.
+    22, 2000)."""
     n = v0.size
-    m = min(steps, n)
+    m = min(RADIUS_BASIS, n)
+    keep = m // 2
     basis = np.empty((m + 1, n), dtype=np.complex128)
     hess = np.zeros((m + 1, m), dtype=np.complex128)
     basis[0] = v0 / np.linalg.norm(v0)
-    for j in range(m):
+    j = 0
+    for _ in range(steps):
         w = matvec(basis[j])
         for _ in range(2):
             h = basis[:j + 1].conj() @ w
@@ -572,12 +584,22 @@ def _arnoldi_radius(matvec, v0: np.ndarray, steps: int) -> float | None:
         beta = np.linalg.norm(w)
         hess[j + 1, j] = beta
         if not np.all(np.isfinite(hess[:j + 2, j])):
-            return math.nan
+            return None
         theta, y = np.linalg.eig(hess[:j + 1, :j + 1])
         top = np.argmax(np.abs(theta))
         if beta * abs(y[j, top]) <= 1e-15 * abs(theta[top]) or j + 1 == n:
             return float(abs(theta[top]))
         basis[j + 1] = w / beta
+        j += 1
+        if j == m:  # V <- V Q, H <- Q^* H Q, residual row e^T <- e^T Q
+            q = np.linalg.qr(y[:, np.argsort(-np.abs(theta), kind="stable")[:keep]])[0]
+            lead, row = q.conj().T @ hess[:m] @ q, hess[m] @ q
+            basis[:keep] = q.T @ basis[:m]
+            basis[keep] = basis[m]
+            hess[:] = 0.0
+            hess[:keep, :keep] = lead
+            hess[keep, :keep] = row
+            j = keep
     return None
 
 
@@ -595,10 +617,10 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
     Lambda Gamma the eigenvalues, the trace and det(1 + .) of the one
     operator M = R C- Q C+, the oracle's R C- Q times C+.  Its spectral
     radius rho comes from Arnoldi (``_arnoldi_radius``, seed-7 start, at most
-    ``RADIUS_MAX_STEPS`` steps) on M applied matrix-free, two multipliers a
-    step, exact to about 1e-14.  slogdet gives sum_i arg(1 + lambda_i) only
-    mod 2 pi, and that sum is at most a b / (1 - rho) for the
-    Hilbert-Schmidt norms a, b (``operator_pair``).  So ``DivergentSeries``
+    ``RADIUS_STEPS_PER_POINT`` * N steps) on M applied matrix-free, two
+    multipliers a step, exact to about 1e-14.  slogdet gives
+    sum_i arg(1 + lambda_i) only mod 2 pi, and that sum is at most
+    a b / (1 - rho) for the Hilbert-Schmidt norms a, b (``operator_pair``).  So ``DivergentSeries``
     is raised, in this order, unless a and b are finite, a b < pi (keeping
     data too large for the branch bound away from the dense work and
     Arnoldi), rho < 1 (rho = 0 if a b = 0; Arnoldi that does not converge
@@ -634,12 +656,13 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
     radius = 0.0  # a b = 0 makes M zero
     if a * b > 0.0:
         rng = default_rng(7)
+        steps = RADIUS_STEPS_PER_POINT * n
         radius = _arnoldi_radius(lambda v: rr * apply_multiplier(
             q * apply_multiplier(v, inv_p, grid), inv_m, grid),  # M = R C- Q C+
-            rng.standard_normal(n) + 1j * rng.standard_normal(n), RADIUS_MAX_STEPS)
+            rng.standard_normal(n) + 1j * rng.standard_normal(n), steps)
         if radius is None:
             raise DivergentSeries(f"spectral radius of Lambda*Gamma not found in "
-                                  f"{RADIUS_MAX_STEPS} Arnoldi steps at kappa={kappa}")
+                                  f"{steps} Arnoldi steps at kappa={kappa}")
     if not radius < 1.0:
         raise DivergentSeries(f"spectral radius of Lambda*Gamma is {radius:.3f}, "
                               f"not below 1, at kappa={kappa}")

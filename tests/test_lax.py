@@ -659,6 +659,34 @@ class TestDeterminant:
                                 k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
                 assert abs(got - want) <= 1e-13 * want, kappa
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_radius_of_spread_out_data(self, n):
+        # constant q and a plane wave make M diagonal in Fourier space, with
+        # eigenvalues |A|^2 C+(xi) C-(xi + xi0) clustered at the top: 1.5e-4
+        # apart, relative, at kappa = 8, far past one Arnoldi basis
+        grid = Grid(64.0, n)
+        for make, j0 in ((lambda a: constant(grid, a), 0),
+                         (lambda a: plane_wave(grid, a, 3 * grid.dxi, sign=-1), 3)):
+            for kappa in (1.0, 4.0, 8.0, -8.0):
+                a, b = operator_pair(make(1.0), kappa)
+                f = make(math.sqrt(0.5 / (a * b)))  # a b = 0.5
+                inv_m, inv_p = (inverse_shift_symbol(grid, kappa, sgn) for sgn in (-1, +1))
+                want = abs(f.values[0]) ** 2 * max(abs(inv_p * np.roll(inv_m, -j0)))
+                got = pdet_trace(f, kappa).spectral_radius
+                assert abs(got - want) <= 1e-13 * want, (j0, kappa)
+
+    def test_radius_restarts_match_dense_eigenvalues(self):
+        # localized data whose top eigenvalues cluster: a wide Gaussian at
+        # kappa = 16 takes about 80 Arnoldi steps, two restarts
+        grid = Grid(64.0, 256)
+        f = gaussian(grid, 1.0, width=16.0)
+        a, b = operator_pair(f, 16.0)
+        f = gaussian(grid, math.sqrt(0.5 / (a * b)), width=16.0)
+        c_m, c_p = (dense_multiplier_matrix(grid, inverse_shift_symbol(grid, 16.0, sgn))
+                    for sgn in (-1, +1))
+        want = max(abs(np.linalg.eigvals(f.r[:, None] * (c_m @ (f.values[:, None] * c_p)))))
+        assert abs(pdet_trace(f, 16.0).spectral_radius - want) <= 1e-12 * want
+
     def test_zero_partner_has_zero_radius_without_arpack(self, grid, small_gaussian,
                                                           monkeypatch):
         def no_solver(*args, **kwargs):
@@ -673,7 +701,8 @@ class TestDeterminant:
     def test_arpack_failure_is_one_line_divergent_series(self, grid, small_gaussian,
                                                          monkeypatch, capfd):
         # two Arnoldi steps leave the top Ritz value far from converged
-        monkeypatch.setattr("aknslab.lax.RADIUS_MAX_STEPS", 2)
+        monkeypatch.setattr("aknslab.lax._arnoldi_radius",
+                            lambda matvec, v0, steps: _arnoldi_radius(matvec, v0, 2))
         with pytest.raises(DivergentSeries, match="kappa=2.0") as info:
             pdet_trace(small_gaussian, 2.0)
         assert "\n" not in str(info.value)
