@@ -47,11 +47,10 @@ def cmd_green(cfg: ExperimentConfig) -> int:
     for kappa in cfg.diagnostics.kappas:
         # the fixed point first: its gate rejects data that would overflow the series
         fixed = lax.greens_fixed_point(f, kappa, tol=cfg.flow.fp_tol)
-        series = lax.greens_series(f, kappa)
-        entries = [("fixed_point", fixed), ("series(3)", series)]
+        entries = [("fixed_point", fixed), ("series(3)", lax.greens_series(f, kappa))]
         if grid.points <= lax.ORACLE_MAX_POINTS and \
                 abs(kappa) * grid.length >= lax.ORACLE_MIN_KAPPA_L:
-            entries.append(("oracle", lax.greens_oracle(f, kappa, series=series)))
+            entries.append(("oracle", lax.greens_oracle(f, kappa)))
         solved.append((kappa, entries))
     out = _prepare_out(cfg, "green")
     rows = []

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .diagnostics import DEFAULT_H_COUNT_INTEGRATED, DEFAULT_H_COUNT_SUP
 from .profiles import (
     constant,
     gaussian,
@@ -66,8 +67,8 @@ class DiagnosticsConfig:
     varkappa: float = 4.0        # density/current parameter
     sweep_kappas: list = dc_field(default_factory=lambda: [8.0, 16.0, 32.0])
     lambdas: list = dc_field(default_factory=lambda: [8.0, 64.0, 512.0])
-    h_count: int = 9             # cutoff centres for integrated identities
-    h_count_sup: int = 33        # cutoff centres for sup_h norms
+    h_count: int = DEFAULT_H_COUNT_INTEGRATED  # cutoff centres for integrated identities
+    h_count_sup: int = DEFAULT_H_COUNT_SUP     # cutoff centres for sup_h norms
     flavor: str = "nls"          # current flavor for the micro subcommand
     bumps: int = 1
     separation: float = 48.0

@@ -26,16 +26,12 @@ and return coefficients for every kind; a step's exponentials are computed
 once per integrator.  The full fields are exact Galerkin products formed on
 2N points with ``spectral.pad`` and ``truncate``; the slaved partner's
 padded values come from q's by ``spectral.pad_partner``, with no transform
-of their own.  The 2N-point factors and their product live in work arrays
-that each integrator allocates once, for its one state shape, and refills
-at every stage: fresh ones at every stage made the allocator hand their
-pages back and fault them in again.  The regularized fields transform
-q_hat back once per stage for the Green's solve, which works on grid
-values.  A difference flow's field is the full nls or mkdv field minus the
-kappa-flow's field beyond its leading Green's term; the linear symbols stay
-in closed form, since full minus regularized would cancel at low modes.
-Every stage acts on the last axis, so a kappa family's rows go through each
-transform call together.
+of their own.  The regularized fields transform q_hat back once per stage
+for the Green's solve, which works on grid values.  A difference flow's
+field is the full nls or mkdv field minus the kappa-flow's field beyond its
+leading Green's term; the linear symbols stay in closed form, since full
+minus regularized would cancel at low modes.  Every stage acts on the last
+axis, so a kappa family's rows go through each transform call together.
 
 The generating flow evolves q and its partner r as independent unknowns (its
 Hamiltonian is complex, so it does not preserve r = sign * conj(q)); the
@@ -214,10 +210,6 @@ class Integrator:
         # every solve is at spec.kappa, one row per member of a family; the
         # full equations make none
         self.chain = FixedPointChain(grid, spec.kappa, spec.fp_tol)
-        if spec.kind in ("nls", "mkdv", "nls_diff", "mkdv_diff"):
-            # the full field's work arrays, one (B, 2N) or (2N,) array each
-            rows = (len(spec.kappa),) if family else ()
-            self._fine = np.empty((3,) + rows + (2 * grid.points,), dtype=np.complex128)
 
     # -- linearization ------------------------------------------------------
 
@@ -271,26 +263,14 @@ class Integrator:
 
     def _full(self, star: str, q_hat: np.ndarray) -> np.ndarray:
         """The nls or mkdv field beyond its dispersive term: one cubic
-        Galerkin product, padded to 2N points and truncated once.
-
-        The 2N-point factors and their product are formed in place in the
-        integrator's three work arrays; only the N-point result is new, as
-        ``step`` holds all four stage fields at once.  Fresh 2N-point arrays
-        at every stage cost 150 to 200 minor page faults per mkdv step at
-        N = 4096 in a fresh process.  Each product keeps its operand order,
-        so the values are bitwise those of the fresh-array form."""
+        Galerkin product, padded to 2N points and truncated once."""
         n = q_hat.shape[-1]
-        q_fine, r_fine, work = self._fine
-        pad(q_hat, 2 * n, out=q_fine)
-        pad_partner(q_fine, q_hat, self.sign, out=r_fine, work=work)
+        q_fine = pad(q_hat, 2 * n)
+        r_fine = pad_partner(q_fine, q_hat, self.sign)
         if star == "nls":
-            product = np.multiply(q_fine, q_fine, out=work)
-            np.multiply(product, r_fine, out=product)
-            return -2j * truncate(product, n, overwrite=True)
-        qp_fine = pad(1j * self.grid.xi * q_hat, 2 * n, out=work)
-        product = np.multiply(q_fine, r_fine, out=r_fine)
-        np.multiply(product, qp_fine, out=product)
-        return 6.0 * truncate(product, n, overwrite=True)
+            return -2j * truncate(q_fine * q_fine * r_fine, n)
+        qp_fine = pad(1j * self.grid.xi * q_hat, 2 * n)
+        return 6.0 * truncate(q_fine * r_fine * qp_fine, n)
 
     def _regularized(self, star: str, q_hat: np.ndarray) -> np.ndarray:
         """The kappa-flow field beyond its leading Green's term."""

@@ -377,8 +377,7 @@ def _column_sums(mat: np.ndarray) -> np.ndarray:
     return np.abs(mat).sum(axis=0)
 
 
-def greens_oracle(f: Field, kappa: float,
-                  series: GreensTriple | None = None) -> GreensTriple:
+def greens_oracle(f: Field, kappa: float) -> GreensTriple:
     """Brute-force triple from the dense discrete Lax operator.
 
     The operator is L = L0 + V, with L0 = diag(A, B), A = kappa - d,
@@ -412,9 +411,6 @@ def greens_oracle(f: Field, kappa: float,
     (L^{-1} - R3) W is an O(N^2) read, diag(A D C)_i = sum_j A_ij d_j C_ji.
     Each block is freed once it is read.
 
-    ``series``, the order-3 ``greens_series`` triple at this kappa, saves
-    recomputing it when the caller has it already.
-
     The exact 1-norm condition number of L is reported in the metadata:
     ||L||_1 from the symbols and the largest |q| and |r|, ||L^{-1}||_1 from
     the blocks' column sums.  ``IllConditioned`` is raised when S is singular
@@ -435,9 +431,6 @@ def greens_oracle(f: Field, kappa: float,
             f"kappa*L = {abs(kappa) * grid.length:.1f} < {ORACLE_MIN_KAPPA_L}; "
             "periodization error would pollute the oracle"
         )
-    if series is not None and (series.kappa != kappa or series.meta.get("order") != 3):
-        raise LaxError(f"oracle needs the order-3 series at kappa={kappa}, "
-                       f"got {series.method} at kappa={series.kappa}")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite results raise below
         xi = grid.xi
         inv_m = inverse_shift_symbol(grid, kappa, -1)
@@ -508,8 +501,7 @@ def greens_oracle(f: Field, kappa: float,
                 f"discrete Lax operator ill-conditioned (cond ~ {cond:.2e}) at kappa={kappa}"
             )
         sgn = 1.0 if kappa > 0 else -1.0
-        s12, s21, sgam = ((series.g12, series.g21, series.gamma) if series is not None
-                          else series_raw(grid, q, rr, kappa))
+        s12, s21, sgam = series_raw(grid, q, rr, kappa)
         g12 = sgn * d12 + s12
         g21 = sgn * d21 + s21
         gamma = sgn * (d11 + d22) + sgam

@@ -5,7 +5,7 @@ passed)``: ``passed`` is the check's own condition (strict or boolean where
 the check is) and the bounds, either possibly infinite, say what it asks of
 ``measured``.  A group returns the rows of one computation, and ``GROUPS`` is
 the whole table: ``aknslab selftest`` runs every group, and
-tests/test_acceptance.py runs each group as one test (about 40 s in all on a
+tests/test_acceptance.py runs each group as one test (about 13 s in all on a
 2-core machine).
 
 Rows named ``criterion N: ...`` are the acceptance criteria, a ``worst`` row

@@ -228,16 +228,12 @@ def diff(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
 # transform call.
 
 
-def pad(coeffs: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+def pad(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Values on m >= N points of the band-limited function whose N raw
-    ``np.fft`` coefficients are ``coeffs`` (modes -N/2 .. N/2-1); written
-    into ``out`` when given, a complex array of the padded shape."""
+    ``np.fft`` coefficients are ``coeffs`` (modes -N/2 .. N/2-1)."""
     n = coeffs.shape[-1]
     h = n // 2
-    if out is None:
-        out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
-    else:
-        out[..., h:m - h] = 0.0
+    out = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
     out[..., :h] = coeffs[..., :h]
     out[..., m - h:] = coeffs[..., n - h:]
     np.fft.ifft(out, out=out)
@@ -245,14 +241,13 @@ def pad(coeffs: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def truncate(values: np.ndarray, n: int, overwrite: bool = False) -> np.ndarray:
+def truncate(values: np.ndarray, n: int) -> np.ndarray:
     """The N raw ``np.fft`` coefficients (modes -N/2 .. N/2-1) of values on
     a padded grid.  Applied to a product of ``pad`` factors it gives the
-    Galerkin product; it is linear, so a sum of products truncates once.
-    With ``overwrite`` the forward transform is made in place in ``values``."""
+    Galerkin product; it is linear, so a sum of products truncates once."""
     m = values.shape[-1]
     h = n // 2
-    full = np.fft.fft(values, out=values if overwrite else None)
+    full = np.fft.fft(values)
     out = np.empty(values.shape[:-1] + (n,), dtype=np.complex128)
     out[..., :h] = full[..., :h]
     out[..., n - h:] = full[..., m - h:]
@@ -268,28 +263,18 @@ def _nyquist_wave(m: int, h: int) -> np.ndarray:
     return w
 
 
-def pad_partner(padded_q: np.ndarray, q_hat: np.ndarray, sign: int,
-                out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
+def pad_partner(padded_q: np.ndarray, q_hat: np.ndarray, sign: int) -> np.ndarray:
     """``pad(np.fft.fft(sign * conj(q)), m)`` without a transform, from
     ``padded_q = pad(q_hat, m)`` and q's N raw coefficients ``q_hat``.
 
     Conjugation maps mode k to -k, so sign * conj(padded_q) is the padded
     partner except at the unpaired Nyquist mode: it carries conj(q_hat[N/2])
     at +N/2, where the partner keeps it at -N/2.  One cached wave moves it.
-    Given ``out`` and ``work``, arrays of padded_q's shape, the same values
-    are written into ``out``, and ``work`` is overwritten.
     """
     n = q_hat.shape[-1]
     h = n // 2
     wave = _nyquist_wave(padded_q.shape[-1], h)
-    nyquist = np.conj(q_hat[..., h:h + 1]) / n
-    if out is None:
-        out, work = np.empty_like(padded_q), np.empty_like(padded_q)
-    np.conj(padded_q, out=work)
-    np.multiply(nyquist, wave, out=out)
-    np.add(work, out, out=out)
-    return np.multiply(sign, out, out=out)
+    return sign * (np.conj(padded_q) + (np.conj(q_hat[..., h:h + 1]) / n) * wave)
 
 
 def dealiased_mul(*factors: np.ndarray) -> np.ndarray:

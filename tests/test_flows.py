@@ -1,14 +1,10 @@
 """Time integration of the seven flows."""
 
-import os
-import subprocess
-import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-import aknslab
 from aknslab.flows import (
     FlowError,
     FlowSpec,
@@ -23,7 +19,7 @@ from aknslab.profiles import gaussian, plane_wave, random_schwartz
 from aknslab.spectral import Field, Grid, dealiased_mul
 from aknslab.storage import read_trajectory, write_trajectory
 
-from conftest import l2, rel_l2
+from conftest import faults_per_call, l2, linux_only, rel_l2, run_fresh
 
 
 def nls_plane_wave(g, a, xi0, sign, t):
@@ -619,9 +615,9 @@ class TestCoefficientStages:
 
 
 def fresh_full_field(star, sign, grid, q_hat):
-    """The full field beyond its dispersive term from fresh arrays, written
-    out as ``spectral.pad``, ``pad_partner`` and ``truncate`` formed it with
-    no work arrays, with the integrator's operand order and scalings."""
+    """The full field beyond its dispersive term, written out in numpy as
+    ``spectral.pad``, ``pad_partner`` and ``truncate`` form it, with the
+    integrator's operand order and scalings."""
     n = q_hat.shape[-1]
     m, h = 2 * n, n // 2
 
@@ -650,9 +646,36 @@ def fresh_full_field(star, sign, grid, q_hat):
     return 6.0 * truncate(q_fine * r_fine * qp_fine)
 
 
-class TestFullFieldWorkArrays:
-    """The full field's 2N-point factors live in work arrays that each
-    integrator allocates once and refills at every stage."""
+#: setups for a fresh interpreter: an mkdv stepper at N = 4096 and an nls_diff
+#: kappa family (B = 8, N = 1024), each from random data, as ``stepper`` and
+#: its ``state`` after one step
+ALLOCATOR_FLOWS = {
+    "mkdv": """
+        import numpy as np
+        from aknslab.flows import FlowSpec, Integrator
+        from aknslab.profiles import random_schwartz
+        from aknslab.spectral import Grid
+        grid = Grid(128.0, 4096)
+        stepper = Integrator(grid, 1, FlowSpec("mkdv", 5e-4, 5e-4))
+        state = stepper.step(np.fft.fft(random_schwartz(grid, np.random.default_rng(0)).values))
+    """,
+    "nls_diff": """
+        import numpy as np
+        from aknslab.flows import FlowSpec, Integrator
+        from aknslab.profiles import random_schwartz
+        from aknslab.spectral import Grid
+        grid = Grid(64.0, 1024)
+        kappas = tuple(8.0 * (b + 1) for b in range(8))
+        stepper = Integrator(grid, 1, FlowSpec("nls_diff", 1e-3, 1e-3, kappa=kappas))
+        q_hat = np.fft.fft(random_schwartz(grid, np.random.default_rng(0)).values)
+        state = stepper.step(np.broadcast_to(q_hat, (8, 1024)).copy())
+    """,
+}
+
+
+class TestFullField:
+    """The full field is the Galerkin product of fresh 2N-point factors, and
+    its steps reuse their pages."""
 
     @staticmethod
     def states(grid, sign, rows):
@@ -690,28 +713,45 @@ class TestFullFieldWorkArrays:
             for b in results[i + 1:]:
                 assert not np.shares_memory(a, b)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="minor fault counts are read from Linux getrusage")
+    @linux_only
     def test_steps_do_not_page_fault(self):
-        # the allocator's state depends on the process's history, so the
-        # count is taken in a fresh interpreter; fresh 2N-point arrays at
-        # every stage read 150 to 200 faults per mkdv step at N = 4096 there
-        script = """if True:
-            import resource
-            import numpy as np
-            from aknslab.flows import FlowSpec, Integrator
-            from aknslab.profiles import random_schwartz
-            from aknslab.spectral import Grid
-            grid = Grid(128.0, 4096)
-            stepper = Integrator(grid, 1, FlowSpec("mkdv", 5e-4, 5e-4))
-            q_hat = stepper.step(np.fft.fft(random_schwartz(grid, np.random.default_rng(0)).values))
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            for _ in range(50):
-                q_hat = stepper.step(q_hat)
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        # without the package's allocator setting an mkdv step at N = 4096
+        # read about 540 faults
+        per_step = faults_per_call(ALLOCATOR_FLOWS["mkdv"], "state = stepper.step(state)", 50)
+        assert per_step < 5.0, per_step
+
+
+class TestAllocatorSetting:
+    """Importing the package sets glibc's mmap and trim thresholds once; the
+    setting moves page faults and nothing else."""
+
+    @linux_only
+    def test_family_steps_do_not_page_fault(self):
+        # the family's Green's solves and Lawson sums read about 2,800
+        # faults per step without the setting
+        per_step = faults_per_call(ALLOCATOR_FLOWS["nls_diff"], "state = stepper.step(state)", 10)
+        assert per_step < 50.0, per_step
+
+    @pytest.mark.parametrize("kind", sorted(ALLOCATOR_FLOWS))
+    def test_results_do_not_depend_on_the_setting(self, kind):
+        steps = """
+            for _ in range(5):
+                state = stepper.step(state)
+            print(state.tobytes().hex())
         """
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aknslab.__file__)))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) / 50 < 5.0, proc.stdout
+        # a C library without mallopt: the package skips the setting
+        no_mallopt = """
+            import ctypes
+            import numpy  # loaded before the patch, as it would be without it
+            consulted = []
+            class NoMallopt:
+                def __init__(self, name, *args, **kwargs):
+                    consulted.append(name)
+            ctypes.CDLL = NoMallopt
+            import aknslab
+            assert consulted, "the package never looked for mallopt"
+        """
+        states = [np.frombuffer(bytes.fromhex(run_fresh(*prelude, ALLOCATOR_FLOWS[kind], steps)),
+                                dtype=np.complex128)
+                  for prelude in ((), (no_mallopt,))]
+        assert np.array_equal(*states)
