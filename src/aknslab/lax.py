@@ -337,44 +337,74 @@ def greens_series(f: Field, kappa: float) -> GreensTriple:
 #
 # The only dense work is one N x N inverse (and, for the trace determinant,
 # one LU).  Every other factor is a diagonal scaling or a Fourier
-# multiplier, applied by the FFT along one axis, and only diagonals are read:
-# diag(A B) = sum_j A_ij B_ji costs O(N^2) once both factors are known.
+# multiplier, applied in place by the FFT along one axis, and only diagonals
+# are read: diag(A B) = sum_j A_ij B_ji costs O(N^2) once both factors are
+# known.  The circulants are read-only strided views of their kernel laid
+# out twice (2N - 1 values), never N x N arrays.
 
 
-def _multiplier_matrix(m: np.ndarray) -> np.ndarray:
+def _multiplier_matrix(m: np.ndarray, with_transpose: bool = False):
     """The matrix of the multiplier C v = ifft(m * fft(v)) with symbol values
-    m on the lattice: the circulant C_ij = c[(i - j) mod N], c = ifft(m),
-    copied from a strided view of (c reversed, then c[N-1:0:-1])."""
+    m on the lattice: the circulant C_ij = c[(i - j) mod N], c = ifft(m), as
+    a read-only strided view whose row i is the contiguous window from N-1-i
+    of (c reversed, then c[N-1:0:-1]).  With ``with_transpose``, the pair
+    (C, C^T) from the same c: row i of C^T is the window from N-1-i of
+    (c[1:], then c)."""
     c = np.fft.ifft(m)
     n = c.size
-    ext = np.concatenate((c[::-1], c[:0:-1]))
-    step = ext.strides[0]
-    return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step)).copy()
+
+    def windows(ext: np.ndarray) -> np.ndarray:
+        step = ext.strides[0]
+        return as_strided(ext[n - 1:], shape=(n, n), strides=(-step, step), writeable=False)
+
+    mat = windows(np.concatenate((c[::-1], c[:0:-1])))
+    if not with_transpose:
+        return mat
+    return mat, windows(np.concatenate((c[1:], c)))
 
 
 def _apply_right(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """mat @ C for the multiplier C with symbol values m: C^T = F diag(m) F^{-1},
-    so each row a of mat becomes fft(m * ifft(a)), in one new array."""
-    out = np.fft.ifft(mat, axis=1)
-    np.multiply(m, out, out=out)
-    return np.fft.fft(out, axis=1, out=out)
+    """mat @ C for the multiplier C with symbol values m, in place and
+    returned: C^T = F diag(m) F^{-1}, so each row a of mat becomes
+    fft(m * ifft(a))."""
+    np.fft.ifft(mat, axis=1, out=mat)
+    np.multiply(m, mat, out=mat)  # m first: mat * m can differ in the last bit
+    return np.fft.fft(mat, axis=1, out=mat)
 
 
 def _apply_left(mat: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """C @ mat for the multiplier C with symbol values m: each column v of mat
-    becomes ifft(m * fft(v)), in one new array."""
-    out = np.fft.fft(mat, axis=0)
-    out *= m[:, None]
-    return np.fft.ifft(out, axis=0, out=out)
+    """C @ mat for the multiplier C with symbol values m, in place and
+    returned: each column v of mat becomes ifft(m * fft(v))."""
+    np.fft.fft(mat, axis=0, out=mat)
+    mat *= m[:, None]
+    return np.fft.ifft(mat, axis=0, out=mat)
 
 
-def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """diag(a @ b) without forming the product: sum_j a_ij b_ji."""
-    return np.einsum("ij,ji->i", a, b)
+def _diag_of_product(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """diag(a @ b) from a and b^T, without forming the product:
+    sum_j a_ij (b^T)_ij, along contiguous rows of both."""
+    return np.einsum("ij,ij->i", a, b_t)
 
 
-def _column_sums(mat: np.ndarray) -> np.ndarray:
-    return np.abs(mat).sum(axis=0)
+#: Rows per block of ``_column_sums``: a block's temporaries stay a small
+#: share of an N x N array (at N = 256, 64 rows were a quarter of one).
+COLUMN_SUM_ROWS = 16
+
+
+def _column_sums(mat: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of |mat|, or of |minus - mat|, over blocks of rows, so no
+    N x N temporary is made.  Row 0 of the work array carries the sums so
+    far into each block's sum, so every column is added in row order, as
+    ``np.abs(mat).sum(axis=0)`` adds it."""
+    work = np.zeros((COLUMN_SUM_ROWS + 1, mat.shape[1]))
+    for start in range(0, mat.shape[0], COLUMN_SUM_ROWS):
+        block = mat[start:start + COLUMN_SUM_ROWS]
+        if minus is not None:
+            block = minus[start:start + COLUMN_SUM_ROWS] - block
+        rows = len(block)
+        np.abs(block, out=work[1:rows + 1])
+        work[0] = work[:rows + 1].sum(axis=0)
+    return work[0].copy()
 
 
 def greens_oracle(f: Field, kappa: float) -> GreensTriple:
@@ -409,7 +439,15 @@ def greens_oracle(f: Field, kappa: float) -> GreensTriple:
     R C-, are of the same kind, so each term of R3 is one apply, subtracted
     in place from its block of L^{-1}, and each block diagonal of
     (L^{-1} - R3) W is an O(N^2) read, diag(A D C)_i = sum_j A_ij d_j C_ji.
-    Each block is freed once it is read.
+
+    At most four N x N complex arrays are live at once.  Four is the floor
+    that ``np.linalg.inv`` sets: S, LAPACK's two work buffers (S's LU and
+    the right-hand side that becomes S^{-1}) and the returned S^{-1}.  After
+    the inverse S is freed, and S^{-1} is held with at most three other
+    arrays, drawn from the blocks being corrected, the R3 term two blocks
+    share (top, bottom) and a scaled copy of it.  The circulants are
+    views, the multipliers and diagonal scalings act in place, the column
+    sums go over row blocks, and each block is freed once it is read.
 
     The exact 1-norm condition number of L is reported in the metadata:
     ||L||_1 from the symbols and the largest |q| and |r|, ||L^{-1}||_1 from
@@ -435,7 +473,7 @@ def greens_oracle(f: Field, kappa: float) -> GreensTriple:
         xi = grid.xi
         inv_m = inverse_shift_symbol(grid, kappa, -1)
         inv_p = inverse_shift_symbol(grid, kappa, +1)
-        c_m = _multiplier_matrix(inv_m)
+        c_m, c_m_t = _multiplier_matrix(inv_m, with_transpose=True)
         schur = c_m * q
         schur *= rr[:, None]
         schur += _multiplier_matrix(kappa + 1j * xi)
@@ -460,21 +498,23 @@ def greens_oracle(f: Field, kappa: float) -> GreensTriple:
         np.negative(top, out=top)
         err -= top
         top *= rr
-        top = _apply_right(top, inv_m)
+        _apply_right(top, inv_m)
         err += _apply_right(top * q, inv_p)
         # block (i, 0) of (L^{-1} - R3) W is err[i, 1] R C-, block (i, 1) is -err[i, 0] Q C+
-        d11 = _diag_of_product(err * rr, c_m) / grid.dx
+        err *= rr
+        d11 = _diag_of_product(err, c_m_t) / grid.dx
         del err
         # block 21 = S^{-1} R C-, and block 11 = C- - C- Q (21): its R3 terms
         # C- and top leave -(C- Q (21) + top)
         block21 = _apply_right(s_inv * rr, inv_m)
         left = _column_sums(block21)
         err = _apply_left(q[:, None] * block21, inv_m)
-        left += _column_sums(c_m - err)
+        left += _column_sums(err, minus=c_m)
         err += top
         del top
-        c_p = _multiplier_matrix(inv_p)
-        d12 = _diag_of_product(err * q, c_p) / grid.dx
+        c_p, c_p_t = _multiplier_matrix(inv_p, with_transpose=True)
+        err *= q
+        d12 = _diag_of_product(err, c_p_t) / grid.dx
         del err
         # block 21 minus its R3 terms C+ R C- and C+ R C- Q C+ R C-; the middle
         # term, bottom = -C+ R C- Q C+, is block 22's with C+, and block 22 =
@@ -482,16 +522,18 @@ def greens_oracle(f: Field, kappa: float) -> GreensTriple:
         bottom = _apply_right(c_p * rr, inv_m)
         block21 -= bottom
         bottom *= q
-        bottom = _apply_right(bottom, inv_p)
+        _apply_right(bottom, inv_p)
         np.negative(bottom, out=bottom)
         s_inv -= c_p
         s_inv -= bottom
-        d21 = _diag_of_product(s_inv * rr, c_m) / grid.dx
+        s_inv *= rr
+        d21 = _diag_of_product(s_inv, c_m_t) / grid.dx
         del s_inv
         bottom *= rr
         block21 -= _apply_right(bottom, inv_m)
         del bottom
-        d22 = -_diag_of_product(block21 * q, c_p) / grid.dx
+        block21 *= q
+        d22 = -_diag_of_product(block21, c_p_t) / grid.dx
         # a block column of L holds one circulant column and one entry of r or q
         norm = max(np.sum(np.abs(np.fft.ifft(kappa - 1j * xi))) + np.max(np.abs(rr)),
                    np.sum(np.abs(np.fft.ifft(kappa + 1j * xi))) + np.max(np.abs(q)))
@@ -635,10 +677,9 @@ def pdet_trace(f: Field, kappa: float) -> TraceDeterminant:
         raise DivergentSeries(f"branch bound |Lambda|_HS |Gamma|_HS / (1 - rho) >= "
                               f"{a * b:.3g} is not below pi at kappa={kappa}")
     inv_m, inv_p = (inverse_shift_symbol(grid, kappa, sgn) for sgn in (-1, +1))
-    mat = _multiplier_matrix(inv_m)
-    mat *= q
+    mat = _multiplier_matrix(inv_m) * q  # the one N x N array
     mat *= rr[:, None]
-    mat = _apply_right(mat, inv_p)  # M = R C- Q C+
+    _apply_right(mat, inv_p)  # M = R C- Q C+
     # r underflows in decaying tails: entries below 1e-150 move det(1 + M) far
     # below roundoff, but their products in the LU are subnormal and slow
     mat[np.abs(mat) < 1e-150] = 0.0

@@ -1,6 +1,7 @@
 """Green's triples by three routes, and the determinant by two."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,6 +159,60 @@ class TestOracle:
         monkeypatch.setattr(np.linalg, "slogdet", counted)
         pdet_trace(small_gaussian, 2.0)
         assert calls == ["circulant", (grid.points, grid.points)]
+
+    @staticmethod
+    def peak_dense_arrays(call, points):
+        """tracemalloc's peak above the starting level during ``call()``, in
+        N x N complex128 arrays.  tracemalloc sees numpy's arrays but not
+        LAPACK's internal work buffers (inv's two, slogdet's one)."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return peak / (points * points * 16)
+
+    def test_oracle_holds_four_dense_arrays(self, grid, small_gaussian):
+        # at most four N x N arrays at once, the floor np.linalg.inv sets
+        # (its input, output and two work buffers); tracemalloc sees the
+        # input and output there, and S^{-1} with three blocks later on
+        greens_oracle(small_gaussian, 2.0)  # fills the symbol caches
+        peak = self.peak_dense_arrays(lambda: greens_oracle(small_gaussian, 2.0), grid.points)
+        assert peak <= 4.5
+
+    def test_trace_holds_one_dense_array(self, grid, small_gaussian):
+        # M, with |M| and its mask while the tiny entries are zeroed
+        pdet_trace(small_gaussian, 2.0)
+        peak = self.peak_dense_arrays(lambda: pdet_trace(small_gaussian, 2.0), grid.points)
+        assert peak <= 2.5
+
+    def test_circulant_views_are_read_only(self, grid):
+        m = inverse_shift_symbol(grid, 2.0, -1)
+        mat, mat_t = _multiplier_matrix(m, with_transpose=True)
+        assert np.array_equal(mat_t, mat.T)
+        for view in (_multiplier_matrix(m), mat, mat_t):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 0.0
+
+    def test_in_place_transforms_leave_inputs_alone(self, grid):
+        # the dense work transforms its own arrays in place: the field and
+        # the cached symbols stay as they were, and a second call agrees bitwise
+        rng = np.random.default_rng(5)
+        f = Field(grid, random_schwartz(grid, rng, norm=0.15).values, -1,
+                  random_schwartz(grid, rng, norm=0.15).values)
+        inputs = (f.values, f.r) + tuple(inverse_shift_symbol(grid, c, sgn)
+                                         for c in (2.0, 4.0) for sgn in (-1, +1))
+        saved = [a.copy() for a in inputs]
+        first, second = greens_oracle(f, 2.0), greens_oracle(f, 2.0)
+        for part in ("g12", "g21", "gamma"):
+            assert np.array_equal(getattr(first, part), getattr(second, part)), part
+        assert first.meta == second.meta
+        assert pdet_trace(f, 2.0) == pdet_trace(f, 2.0)
+        for now, before in zip(inputs, saved):
+            assert np.array_equal(now, before)
 
     def test_singular_inverse_raises(self, monkeypatch, small_gaussian):
         def singular(a):
