@@ -17,7 +17,6 @@ import sys
 
 from . import diagnostics, flows, hierarchy, lax
 from .config import ConfigError, ExperimentConfig, config_reference
-from .selftest import format_report, run_selftest
 from .spectral import Field, SpectralError
 from .storage import write_csv, write_json, write_snapshot, write_trajectory
 
@@ -225,6 +224,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_selftest(cfg: ExperimentConfig) -> int:
+    # imported here, so no other subcommand compiles and loads the check table
+    from .selftest import format_report, run_selftest
     rows = run_selftest()
     report = format_report(rows)
     print(report)

@@ -159,19 +159,6 @@ class ResidualReport:
         return max(row[4] for row in self.integrated)
 
 
-def _triples_along(grid: Grid, fields: list[Field], params: tuple,
-                   fp_tol: float) -> list[list[GreensTriple]]:
-    """Per field, its triples at each of ``params``: one batched chain, each
-    row warm-started from its own triple at the previous field."""
-    chain = FixedPointChain(grid, params, fp_tol)
-    out = []
-    for f in fields:
-        t = chain.solve(f.values, f.r)
-        out.append([GreensTriple(p, t.g12[i], t.g21[i], t.gamma[i], t.method, t.meta)
-                    for i, p in enumerate(params)])
-    return out
-
-
 def _generating_kappas(flavor: str, kappa) -> tuple:
     """The generating parameters whose triples the current of ``flavor`` takes."""
     if flavor == "a_flow":
@@ -222,6 +209,10 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     space-time L1 and sup).  Integrated: for each cutoff centre h, the time
     integral (composite Simpson) of int j psi_h^12 dx against
     int [rho(T) - rho(0)] phi_h dx.
+
+    One pass over the snapshots: each is solved, its density and current
+    formed and kept, and its triple dropped, so the memory held is one
+    triple plus two N-point arrays per snapshot.
     """
     grid = traj.grid
     centres = micro_centres(traj.spec, grid, flavor, varkappa, h_count)
@@ -233,17 +224,20 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
         raise DiagnosticsSpecError(f"the trajectory's times must be its spec's "
                                    f"{traj.spec.snapshots} snapshots, uniformly spaced")
     delta = float(steps[0])
-    fields = [traj.field(i) for i in range(len(traj))]
     kap = traj.spec.kappa
     params = (varkappa,) + _generating_kappas(flavor, kap)
-    solved = _triples_along(grid, fields, params, fp_tol)
-    vk_triples = [t[0] for t in solved]
-    extras = [tuple(t[1:]) for t in solved]
-
+    # one batched chain, each row warm-started from its own previous triple
+    chain = FixedPointChain(grid, params, fp_tol)
     tilde = flavor == "tilde_mkdv"
-    rhos = [density(f, vk, tilde=tilde) for f, vk in zip(fields, vk_triples)]
-    currents = [current(f, flavor, vk, extra)
-                for f, vk, extra in zip(fields, vk_triples, extras)]
+    rhos, currents = [], []
+    for i in range(len(traj)):
+        f = traj.field(i)
+        t = chain.solve(f.values, f.r)
+        vk, *extra = (GreensTriple(p, t.g12[b], t.g21[b], t.gamma[b], t.method, t.meta)
+                      for b, p in enumerate(params))
+        rhos.append(density(f, vk, tilde=tilde))
+        currents.append(current(f, flavor, vk, tuple(extra)))
+        del t, vk, extra  # the next solve starts with no triple held
 
     l1 = 0.0
     sup = 0.0
@@ -259,9 +253,8 @@ def micro_residual(traj: Trajectory, varkappa: float, flavor: str,
     for h in centres:
         psi12 = bump(grid.x - h) ** 12
         phi = cutoff_antiderivative(grid.x - h, 12)
-        flux = np.array([grid.dx * float(np.sum((j * psi12).real))
-                         + 1j * grid.dx * float(np.sum((j * psi12).imag))
-                         for j in currents])
+        flux = np.array([grid.dx * float(np.sum(w.real)) + 1j * grid.dx * float(np.sum(w.imag))
+                         for w in (j * psi12 for j in currents)])
         lhs = complex(_simpson(flux.real, times) + 1j * _simpson(flux.imag, times))
         rhs = grid.integrate((rhos[-1] - rhos[0]) * phi)
         gap = abs(lhs - rhs)

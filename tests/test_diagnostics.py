@@ -2,6 +2,7 @@
 and the norm-inflation experiment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,32 @@ class TestMicroResidual:
             f = traj.field(i)
             assert np.array_equal(rep.densities[i], density(f, vk[i]))
             assert np.array_equal(rep.currents[i], current(f, flavor, vk[i], extra[i]))
+
+    @pytest.mark.parametrize("flavor,kind,kappa", [
+        ("a_flow", "a_flow", 8.0),
+        ("nls", "nls", None),
+        ("mkdv_diff", "mkdv_diff", 8.0),
+        ("tilde_mkdv", "mkdv", None),
+    ])
+    def test_memory_grows_by_two_arrays_per_snapshot(self, grid, flavor, kind, kappa):
+        # one triple at a time: each extra snapshot keeps only its density and
+        # current, 2 N complex128, not its triples
+        f = gaussian(grid, 0.1)
+        trajs = [evolve(f, FlowSpec(kind, 1e-3, t_final, kappa=kappa))
+                 for t_final in (0.02, 0.06)]
+        micro_residual(trajs[0], 2.0, flavor)  # fills the symbol caches
+        peaks = []
+        tracemalloc.start()
+        try:
+            for traj in trajs:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                micro_residual(traj, 2.0, flavor)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        extra = len(trajs[1]) - len(trajs[0])
+        assert (peaks[1] - peaks[0]) / (extra * grid.points * 16) <= 2.5
 
 
 class TestLocalSmoothing:

@@ -461,15 +461,18 @@ class TestCli:
         # scipy.optimize, most of a run's start-up; only the scale-family
         # quadrature and partition_constant import them, when called.  No
         # other scipy module loads either, while numpy 2's lazy numpy.fft and
-        # numpy.random load at import, not inside the first run
+        # numpy.random load at import, not inside the first run.  The check
+        # table loads only with the selftest subcommand
         script = ("import sys, aknslab.cli; print(' '.join(m for m in ('scipy.integrate', "
                   "'scipy.interpolate', 'scipy.special', 'scipy.optimize') if m in sys.modules)); "
                   "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-                  "print(' '.join(m for m in ('numpy.fft', 'numpy.random') if m in sys.modules))")
-        quadrature, loaded, lazy = run_fresh(script).split("\n")[:3]
+                  "print(' '.join(m for m in ('numpy.fft', 'numpy.random') if m in sys.modules)); "
+                  "print('aknslab.selftest' in sys.modules)")
+        quadrature, loaded, lazy, selftest = run_fresh(script).split("\n")[:4]
         assert quadrature.split() == []
         assert loaded.split() == []
         assert lazy.split() == ["numpy.fft", "numpy.random"]
+        assert selftest == "False"
 
     def test_green_and_conserved_load_no_scipy(self, tmp_path, base_config):
         # the dense oracle, the circulant and the spectral radius are numpy
